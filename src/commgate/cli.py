@@ -73,14 +73,23 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _centralized_row(scan):
+    """Thresholds and welfare of the always-open candidate, the scan's T1 = T-1 row."""
+    T1, welfare, seq = scan[-1]
+    if seq is None:
+        raise SolverError(f"always-open candidate T1={T1} failed")
+    return seq, welfare
+
+
 def cmd_optimize(args) -> int:
     d = parse_dist(args.dist)
     N, T = args.n_agents, args.horizon
     rows = []
     if args.mode == "myopic-approx":
-        base = myopic.welfare_centralized(d, N, T)
-        sched, welfare = myopic.optimize_single_window(d, N, T)
-        rows = [("window_len", "welfare")] + [(L, w) for L, w in myopic.scan_single_window(d, N, T)]
+        table = myopic._single_window_table(d, N, T)
+        base = table.centralized
+        sched, welfare = table.best
+        rows = [("window_len", "welfare")] + table.scan
         if sched.is_centralized:
             print("centralized optimal (window condition fails)")
         else:
@@ -95,14 +104,10 @@ def cmd_optimize(args) -> int:
               f"(gain {welfare - base.total_welfare:+.6f})")
         rows = [("window_layout", "welfare"), (json.dumps(list(sched.windows)), welfare)]
     else:  # nonmyopic
-        scan = nonmyopic.scan_comm_times(d, N, T)
-        seq_c = nonmyopic.solve_centralized_nonmyopic(d, N, T)
-        base_w, _ = nonmyopic.welfare_one_time(d, N, T, seq_c)
+        scan, (t1_star, _, welfare) = nonmyopic._scan_and_pick(d, N, T)
+        _, base_w = _centralized_row(scan)
         ok = [(t1, w) for t1, w, s in scan if s is not None]
         failed = [t1 for t1, _, s in scan if s is None]
-        if not ok:
-            raise SolverError("every sharing-slot candidate failed", diagnostics={"failed": failed})
-        t1_star, welfare = max(ok, key=lambda p: (p[1], -p[0]))
         print(f"best sharing slot T1* = {t1_star}")
         print(f"welfare {welfare:.6f} vs centralized {base_w:.6f} "
               f"(gain {(welfare / base_w - 1) * 100:+.2f}%)")
@@ -158,11 +163,7 @@ def load_sim_config(path, overrides: dict | None = None) -> tuple[SimConfig, dic
         if not open_slots:
             raise ConfigError(f"{path}: nonmyopic runs need an open slot before the horizon")
         t1 = open_slots[-1]
-        thresholds = (
-            nonmyopic.solve_centralized_nonmyopic(d, int(obj["n_agents"]), T)
-            if t1 == T - 1
-            else nonmyopic.solve_one_time(d, int(obj["n_agents"]), T, t1)
-        )
+        thresholds = nonmyopic.solve_one_time(d, int(obj["n_agents"]), T, t1)
     cfg = SimConfig(
         dist=d,
         n_agents=int(obj["n_agents"]),
@@ -211,8 +212,8 @@ def cmd_sweep(args) -> int:
     modes = args.modes.split(",")
     lines = ["T,mode,T1_star,mechanism_welfare,centralized_welfare,gain_per_agent"]
     for T in horizons:
-        t1_star, seq, _ = nonmyopic.optimize_comm_time(d, N, T)
-        seq_c = nonmyopic.solve_centralized_nonmyopic(d, N, T)
+        scan, (t1_star, seq, _) = nonmyopic._scan_and_pick(d, N, T)
+        seq_c, _ = _centralized_row(scan)
         for mode in modes:
             mech = SimConfig(
                 dist=d, n_agents=N, horizon=T,

@@ -49,10 +49,6 @@ class QuadratureSpec:
         pts = tuple(sorted(set(float(b) for b in self.breakpoints)))
         object.__setattr__(self, "breakpoints", pts)
 
-    def tightened(self, factor: float) -> "QuadratureSpec":
-        """Same spec with ``abs_tol`` divided by ``factor`` (for re-verification)."""
-        return QuadratureSpec(self.abs_tol / factor, self.max_depth, self.breakpoints)
-
 
 _DEFAULT_SPEC = QuadratureSpec()
 

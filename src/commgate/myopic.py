@@ -13,7 +13,7 @@ suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,7 +65,6 @@ def _check_prior(d: RewardDistribution, N: int) -> float:
     return fmu
 
 
-@lru_cache(maxsize=None)
 def _xy_pair(d: RewardDistribution, N: int, i: int, spec: QuadratureSpec):
     if N == 1:
         return 0.0, 0.0
@@ -187,20 +186,20 @@ def welfare_schedule(
     return MyopicWelfareReport(base.total_welfare + sum(terms), count, tuple(terms))
 
 
-def deviation_condition(
-    d: RewardDistribution, N: int, T: int, spec: QuadratureSpec = _SPEC
-) -> tuple[bool, int, float]:
-    """Whether any window schedule beats the always-open policy.
+class _WindowTable(NamedTuple):
+    centralized: MyopicWelfareReport
+    condition: tuple[bool, int, float]  # deviation_condition's result
+    scan: list[tuple[int, float]]  # scan_single_window's rows
+    best: tuple[CommSchedule, float]  # optimize_single_window's result
 
-    Returns ``(holds, minimizing_length, threshold_T)`` where the condition is
-    ``T > threshold_T`` with ``threshold_T`` the minimum over window lengths L
-    of ``sum_(i<=L) x_i / y_(L+1) + L``.  Lengths whose ``y_(L+1) <= 0`` are
-    treated as infinitely expensive (this covers the 0/0 single-agent case,
-    where no sharing benefit exists and the condition is declared false).
-    """
+
+def _single_window_table(d, N, T, spec=_SPEC) -> _WindowTable:
+    """Centralized report, deviation test, window scan and best single window,
+    all read off one x/y table and its prefix sums."""
     _check_prior(d, N)
     if T < 2:
         raise DistributionError(f"horizon must be >= 2, got {T}")
+    base = welfare_centralized(d, N, T, spec)
     xs, ys = _xy_arrays(d, N, T, spec)
     sx = np.cumsum(xs)
     best_len = 0
@@ -213,20 +212,45 @@ def deviation_condition(
         if rhs < best_rhs:
             best_rhs = rhs
             best_len = length
-    return (T > best_rhs, best_len, float(best_rhs))
+    holds = T > best_rhs
+
+    scan = [
+        (length, base.total_welfare + N * ((T - length) * ys[length + 1] - sx[length]))
+        for length in range(1, T)
+    ]
+    if holds:
+        # first maximum: the smallest maximizing window length wins ties
+        length, welfare = scan[int(np.argmax([w for _, w in scan]))]
+        best = (CommSchedule(T, ((0, length),)), welfare)
+    else:
+        best = (CommSchedule.centralized(T), base.total_welfare)
+    return _WindowTable(base, (holds, best_len, float(best_rhs)), scan, best)
+
+
+def deviation_condition(
+    d: RewardDistribution, N: int, T: int, spec: QuadratureSpec = _SPEC
+) -> tuple[bool, int, float]:
+    """Whether any window schedule beats the always-open policy.
+
+    Returns ``(holds, minimizing_length, threshold_T)`` where the condition is
+    ``T > threshold_T`` with ``threshold_T`` the minimum over window lengths L
+    of ``sum_(i<=L) x_i / y_(L+1) + L``.  Lengths whose ``y_(L+1) <= 0`` are
+    treated as infinitely expensive (this covers the 0/0 single-agent case,
+    where no sharing benefit exists and the condition is declared false).
+    Needs ``T >= 2``.
+    """
+    return _single_window_table(d, N, T, spec).condition
 
 
 def scan_single_window(
     d: RewardDistribution, N: int, T: int, spec: QuadratureSpec = _SPEC
 ) -> list[tuple[int, float]]:
-    """Welfare of the single leading window {0..L-1} for every L in 1..T-1."""
-    base = welfare_centralized(d, N, T, spec).total_welfare
-    xs, ys = _xy_arrays(d, N, T, spec)
-    sx = np.cumsum(xs)
-    return [
-        (length, base + N * ((T - length) * ys[length + 1] - sx[length]))
-        for length in range(1, T)
-    ]
+    """Welfare of the single leading window {0..L-1} for every L in 1..T-1.
+
+    Each row is the centralized welfare plus the window's gain
+    ``N ((T-L) y_(L+1) - sum_(i<=L) x_i)``.  Needs ``T >= 2``.
+    """
+    return _single_window_table(d, N, T, spec).scan
 
 
 def optimize_single_window(
@@ -235,25 +259,11 @@ def optimize_single_window(
     """Linear-time scan for the best single leading no-communication window.
 
     If the deviation condition fails, the always-open schedule is returned
-    unchanged.  Otherwise the scan keeps the first strict improvement, so the
-    smallest maximizing window length wins ties.  The x/y terms are computed
-    once and reused through prefix sums, so the scan costs O(T) objective
-    evaluations.
+    unchanged.  Otherwise the smallest maximizing window length of the
+    ``scan_single_window`` rows wins.  The x/y terms are computed once and
+    reused through prefix sums, so the scan costs O(T) objective evaluations.
     """
-    holds, _, _ = deviation_condition(d, N, T, spec)
-    base = welfare_centralized(d, N, T, spec).total_welfare
-    if not holds:
-        return CommSchedule.centralized(T), base
-    xs, ys = _xy_arrays(d, N, T, spec)
-    sx = np.cumsum(xs)
-    best_len = 0
-    best_gain = -np.inf
-    for length in range(1, T):
-        gain = N * ((T - length) * ys[length + 1] - sx[length])
-        if gain > best_gain:
-            best_gain = gain
-            best_len = length
-    return CommSchedule(T, ((0, best_len),)), base + best_gain
+    return _single_window_table(d, N, T, spec).best
 
 
 def optimize_exact(

@@ -14,7 +14,8 @@ per-coordinate bracketed bisection as a fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,8 +188,27 @@ def solve_single_agent(
     return ThresholdSequence(T, T, values, residuals, {"solver": "newton"})
 
 
+class _Frozen(NamedTuple):
+    G: BeliefCdf
+    spec: QuadratureSpec  # the caller's spec with G's kinks as breakpoints
+    w: np.ndarray  # segment table indexed by band k
+
+
+def _frozen_belief(d, prefix, spec):
+    """Belief law of a threshold prefix and ``spec`` with its kinks."""
+    G = BeliefCdf(d, prefix)
+    return G, replace(spec, breakpoints=tuple(G.thresholds))
+
+
 class _OneTimeSystem:
-    """Residuals and diagonal Jacobian of the pre-sharing threshold system."""
+    """Residuals and diagonal Jacobian of the pre-sharing threshold system.
+
+    Coordinate ``i`` (slot ``t = i+1``) in band ``k`` has the residual
+    ``u - mu - (T1-t) tail(u) - coupling(u, k)``.  The coupling is
+    ``w[k] + (T-T1-k) band(k, u, upper[k])`` with ``upper = [1, *post]`` and
+    ``band(k, lo, hi) = integral_lo^hi G^(N-1) F^k (1-F)``; the segment table
+    ``w[k]`` is the coupling at the top of band ``k``.
+    """
 
     def __init__(self, d, N, T, T1, post, spec):
         self.d = d
@@ -197,38 +217,28 @@ class _OneTimeSystem:
         self.T1 = T1
         self.post = np.asarray(post, dtype=float)  # ubar_(T1+1) .. ubar_T, descending
         self.post_asc = self.post[::-1].copy()
+        self.upper = np.concatenate([[1.0], self.post])
         self.mu = d.mean()
         self.spec = spec
-        self.K = T - T1 - 1
 
-    def _segment_weights(self, G):
-        """(T-T1) Q0 + partial sums of (T-T1-j) Qj, indexed by case k."""
-        if self.K == 0:
-            return np.zeros(1)
-        d, N, T, T1 = self.d, self.N, self.T, self.T1
-        bk = tuple(G.thresholds)
+    def freeze(self, u):
+        """Belief, kinked quadrature spec and segment table for the prefix ``u``."""
+        G, spec_g = _frozen_belief(self.d, u, self.spec)
+        frozen = _Frozen(G, spec_g, np.zeros(self.post.size))
+        for k in range(self.post.size - 1):
+            frozen.w[k + 1] = self.coupling(frozen, self.post[k], k)
+        return frozen
 
-        def gpow_tail(r):
-            return G(r) ** (N - 1) * (1.0 - d.cdf(r))
+    def coupling(self, frozen, v, k):
+        d, G, N = self.d, frozen.G, self.N
 
-        q0 = integrate(d, gpow_tail, self.post[0], 1.0, QuadratureSpec(self.spec.abs_tol, self.spec.max_depth, bk))
-        w = np.empty(self.K + 1)
-        w[0] = 0.0  # case 0 never uses the table
-        acc = (T - T1) * q0
-        for k in range(1, self.K + 1):
-            w[k] = acc
-            if k < self.K:
-                j = k
-                lo_b, hi_b = self.post[j], self.post[j - 1]
+        def band(r):
+            f = d.cdf(r)
+            return G(r) ** (N - 1) * f**k * (1.0 - f)
 
-                def seg(r, j=j):
-                    f = d.cdf(r)
-                    return G(r) ** (N - 1) * f**j * (1.0 - f)
-
-                acc += (T - T1 - j) * integrate(
-                    d, seg, lo_b, hi_b, QuadratureSpec(self.spec.abs_tol, self.spec.max_depth, bk)
-                )
-        return w
+        return frozen.w[k] + (self.T - self.T1 - k) * integrate(
+            d, band, v, self.upper[k], frozen.spec
+        )
 
     def cases(self, u):
         """Half-open band index per coordinate: 0 above the first post threshold,
@@ -236,70 +246,32 @@ class _OneTimeSystem:
         leq = np.searchsorted(self.post_asc, u, side="right")
         return (self.post.size - leq).astype(int)
 
+    def residual(self, frozen, i, v, tail_v, k):
+        """g_i at value ``v`` in band ``k``, given ``tail_v = tail(v)``."""
+        return v - self.mu - (self.T1 - i - 1) * tail_v - self.coupling(frozen, v, k)
+
     def residuals(self, u):
         d, N, T, T1 = self.d, self.N, self.T, self.T1
-        G = BeliefCdf(d, u)
-        w = self._segment_weights(G)
+        frozen = self.freeze(u)
         ks = self.cases(u)
         e1 = d.tail_mean_excess(u)
         fu = d.cdf(u)
-        gu = G(u)
-        bk = tuple(G.thresholds)
+        gu = frozen.G(u)
         g = np.empty(T1)
         jac = np.empty(T1)
         for i in range(T1):
-            t = i + 1
             k = int(ks[i])
-            if k == 0:
-
-                def tail(r):
-                    return G(r) ** (N - 1) * (1.0 - d.cdf(r))
-
-                coupling = (T - T1) * integrate(
-                    d, tail, u[i], 1.0, QuadratureSpec(self.spec.abs_tol, self.spec.max_depth, bk)
-                )
-                slope = (T - T1) * gu[i] ** (N - 1)
-            else:
-                upper = self.post[k - 1]
-
-                def tail(r, k=k):
-                    f = d.cdf(r)
-                    return G(r) ** (N - 1) * f**k * (1.0 - f)
-
-                coupling = w[k] + (T - T1 - k) * integrate(
-                    d, tail, u[i], upper, QuadratureSpec(self.spec.abs_tol, self.spec.max_depth, bk)
-                )
-                slope = (T - T1 - k) * gu[i] ** (N - 1) * fu[i] ** k
-            g[i] = u[i] - self.mu - (T1 - t) * e1[i] - coupling
-            jac[i] = 1.0 + (1.0 - fu[i]) * ((T1 - t) + slope)
+            g[i] = self.residual(frozen, i, u[i], e1[i], k)
+            slope = (T - T1 - k) * gu[i] ** (N - 1) * fu[i] ** k
+            jac[i] = 1.0 + (1.0 - fu[i]) * ((T1 - i - 1) + slope)
         return g, jac, ks
 
-    def scalar_equation(self, u_vec, i, G, w):
-        """g_i as a function of its own coordinate with G and the table frozen."""
-        d, N, T, T1 = self.d, self.N, self.T, self.T1
-        t = i + 1
-        bk = tuple(G.thresholds)
+    def scalar_equation(self, frozen, i):
+        """g_i as a function of its own coordinate with the prefix frozen."""
 
         def g_of(v):
             k = int(self.cases(np.array([v]))[0])
-            if k == 0:
-
-                def tail(r):
-                    return G(r) ** (N - 1) * (1.0 - d.cdf(r))
-
-                coupling = (T - T1) * integrate(
-                    d, tail, v, 1.0, QuadratureSpec(self.spec.abs_tol, self.spec.max_depth, bk)
-                )
-            else:
-
-                def tail(r, k=k):
-                    f = d.cdf(r)
-                    return G(r) ** (N - 1) * f**k * (1.0 - f)
-
-                coupling = w[k] + (T - T1 - k) * integrate(
-                    d, tail, v, self.post[k - 1], QuadratureSpec(self.spec.abs_tol, self.spec.max_depth, bk)
-                )
-            return v - self.mu - (T1 - t) * d.tail_mean_excess(v) - coupling
+            return self.residual(frozen, i, v, self.d.tail_mean_excess(v), k)
 
         return g_of
 
@@ -414,13 +386,12 @@ def solve_one_time(
 
 def _bisection_sweep(system, u, mask, mu):
     """Solve each masked coordinate exactly by bisection with G frozen."""
-    G = BeliefCdf(system.d, u)
-    w = system._segment_weights(G)
+    frozen = system.freeze(u)
     out = u.copy()
     for i in range(u.size):
         if not mask[i]:
             continue
-        g_of = system.scalar_equation(u, i, G, w)
+        g_of = system.scalar_equation(frozen, i)
         lo, hi = mu, 1.0
         flo = g_of(lo)
         if flo >= 0.0:
@@ -471,8 +442,7 @@ def welfare_one_time(
         raise DistributionError("sequence does not match (T, T1)")
     mu = d.mean()
     u = np.concatenate([[1.0], seq.values])  # u[t] = u_t with u[0] = 1
-    G = BeliefCdf(d, seq.prefix)
-    bkp = tuple(seq.prefix)
+    G, spec_b = _frozen_belief(d, seq.prefix, spec)
     fu = d.cdf(u)
 
     explore_gain = mu * (1.0 + float(np.sum(fu[1 : T1 + 1] ** np.arange(1, T1 + 1))))
@@ -490,7 +460,6 @@ def welfare_one_time(
         pre += (T1 - t) * (stieltjes + fu[t] ** t * tail_mean)
 
     first_post = seq.values[T1]  # ubar_(T1+1)
-    spec_b = QuadratureSpec(spec.abs_tol, spec.max_depth, bkp)
     pooled = (T - T1) * (
         1.0 - integrate(d, lambda r: G(r) ** N, first_post, 1.0, spec_b)
     )
@@ -522,10 +491,12 @@ def welfare_one_time(
 def scan_comm_times(
     d: RewardDistribution, N: int, T: int, spec: QuadratureSpec = _SPEC
 ) -> list[tuple[int, float, ThresholdSequence | None]]:
-    """Solve every candidate sharing slot and report its welfare.
+    """Solve every candidate sharing slot ``T1 = 1 .. T-1`` and report its welfare.
 
-    Candidates whose solver fails are reported with ``None`` and skipped by
-    the optimizer.  The solo benchmark is solved once and shared.
+    Rows are ``(T1, welfare, seq)`` in slot order; a candidate whose solver
+    fails is reported as ``(T1, nan, None)``.  The solo benchmark is solved
+    once and shared.  The last row, ``T1 = T-1``, is the always-open policy:
+    its ``seq`` equals ``solve_centralized_nonmyopic(d, N, T, spec)`` exactly.
     """
     bench = solve_single_agent(d, T, spec)
     out = []
@@ -539,20 +510,18 @@ def scan_comm_times(
     return out
 
 
-def optimize_comm_time(
-    d: RewardDistribution, N: int, T: int, spec: QuadratureSpec = _SPEC
-) -> tuple[int, ThresholdSequence, float]:
-    """Pick the sharing slot maximizing welfare (first slot wins ties).
+def _scan_and_pick(d, N, T, spec=_SPEC):
+    """``scan_comm_times`` rows and the best ``(T1, seq, welfare)`` among them.
 
-    Scans ``T1 = 1 .. T-1``, each warm-started from the shared solo
-    benchmark; failed candidates are skipped, and it is an error if every
-    candidate fails.
+    The first maximum wins, so the earliest slot takes ties; failed rows are
+    skipped, and it is an error if every candidate fails.
     """
     if T < 2 or N < 1:
         raise DistributionError("need T >= 2 and N >= 1")
+    scan = scan_comm_times(d, N, T, spec)
     best = None
     failures = {}
-    for T1, welfare, seq in scan_comm_times(d, N, T, spec):
+    for T1, welfare, seq in scan:
         if seq is None:
             failures[T1] = "solver failure"
             continue
@@ -560,4 +529,16 @@ def optimize_comm_time(
             best = (T1, seq, welfare)
     if best is None:
         raise SolverError("every sharing-slot candidate failed", diagnostics=failures)
-    return best
+    return scan, best
+
+
+def optimize_comm_time(
+    d: RewardDistribution, N: int, T: int, spec: QuadratureSpec = _SPEC
+) -> tuple[int, ThresholdSequence, float]:
+    """Pick the sharing slot maximizing welfare (first slot wins ties).
+
+    Runs ``scan_comm_times`` once, each candidate warm-started from the shared
+    solo benchmark; failed candidates are skipped, and it is an error if
+    every candidate fails.
+    """
+    return _scan_and_pick(d, N, T, spec)[1]

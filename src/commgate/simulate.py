@@ -193,12 +193,11 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool,
         receipt = np.where(explore, obs, state.m)
     elif mode == "stochastic":
         eps = config.noise_sd * special.ndtri(noise_u)
+        obs = np.clip(base + eps, 0.0, 1.0)
         if config.noise_per_option:
             # one fixed perturbation per option: exploit re-observes the same value
-            obs = np.clip(base + eps, 0.0, 1.0)
             receipt = np.where(explore, obs, state.best_value)
         else:
-            obs = np.clip(base + eps, 0.0, 1.0)
             receipt = np.where(explore, obs, np.clip(state.best_base + eps, 0.0, 1.0))
     else:  # heterogeneous: an agent's value of an option is base + her own offset
         eta = config.pref_sd * special.ndtri(pref_explore_u)
@@ -244,6 +243,16 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool,
     return receipt
 
 
+def _slot_draws(rng, mode, R, N, share_now):
+    """One slot's observation noise, preference offsets and shared-option
+    appraisals, drawn from ``rng`` in that order (``None`` where the mode
+    does not use them)."""
+    noise_u = rng.random((R, N)) if mode == "stochastic" else None
+    pe = rng.random((R, N)) if mode == "heterogeneous" else None
+    etas = rng.standard_normal((R, N, N)) if mode == "heterogeneous" and share_now and N > 1 else None
+    return noise_u, pe, etas
+
+
 def step(state: SimState, t: int, config: SimConfig, rng: np.random.Generator) -> SimState:
     """Advance a copy of ``state`` through slot ``t``, drawing from ``rng``.
 
@@ -256,14 +265,8 @@ def step(state: SimState, t: int, config: SimConfig, rng: np.random.Generator) -
     R, N = out.m.shape
     share_now = t in _share_slots(config)
     opt_u = rng.random((R, N))
-    noise_u = rng.random((R, N)) if config.reward_mode == "stochastic" else None
-    pe = rng.random((R, N)) if config.reward_mode == "heterogeneous" else None
-    etas = (
-        rng.standard_normal((R, N, N))
-        if config.reward_mode == "heterogeneous" and share_now and N > 1
-        else None
-    )
-    _advance(out, t, config, share_now, opt_u, noise_u, pe, etas)
+    aux = _slot_draws(rng, config.reward_mode, R, N, share_now)
+    _advance(out, t, config, share_now, opt_u, *aux)
     return out
 
 
@@ -280,7 +283,6 @@ def run(config: SimConfig) -> SimResult:
     """
     R, N, T = config.replications, config.n_agents, config.horizon
     share_at = _share_slots(config)
-    mode = config.reward_mode
 
     n_chunks = (R + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(config.master_seed).spawn(n_chunks)
@@ -299,14 +301,8 @@ def run(config: SimConfig) -> SimResult:
         rep_total = np.zeros(rc)
         for t in range(T + 1):
             share_now = t in share_at
-            noise_u = gen_aux.random((rc, N)) if mode == "stochastic" else None
-            pe = gen_aux.random((rc, N)) if mode == "heterogeneous" else None
-            etas = (
-                gen_aux.standard_normal((rc, N, N))
-                if mode == "heterogeneous" and share_now and N > 1
-                else None
-            )
-            receipt = _advance(state, t, config, share_now, draws[:, t, :], noise_u, pe, etas)
+            receipt = _advance(state, t, config, share_now, draws[:, t, :],
+                               *_slot_draws(gen_aux, config.reward_mode, rc, N, share_now))
             rep_mean = receipt.mean(axis=1)
             slot_sum[t] += rep_mean.sum()
             slot_sq[t] += (rep_mean**2).sum()

@@ -64,6 +64,10 @@ class TestOptimizeCommand:
         assert "best sharing slot" in txt
         assert out.read_text().splitlines()[0] == "T1,welfare"
 
+    def test_nonmyopic_horizon_one_exits_2(self, capsys):
+        assert run_cli("optimize", "--dist", "uniform", "--n-agents", "3",
+                       "--horizon", "1", "--mode", "nonmyopic") == 2
+
     def test_bad_dist_exits_2(self, capsys):
         assert run_cli("optimize", "--dist", "nosuchthing", "--n-agents", "3",
                        "--horizon", "8", "--mode", "myopic-approx") == 2
@@ -150,6 +154,10 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("T,mode,T1_star")
         assert len(lines) == 3
+
+    def test_horizon_one_exits_2(self, tmp_path, capsys):
+        assert run_cli("sweep", "--dist", "uniform", "--n-agents", "3",
+                       "--t-start", "1", "--t-stop", "1", "--out", str(tmp_path / "s.csv")) == 2
 
     def test_sweep_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

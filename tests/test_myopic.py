@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -151,6 +154,15 @@ class TestOptimizers:
         scan = scan_single_window(uniform, N, T)
         assert welfare == pytest.approx(max(w for _, w in scan), rel=1e-12)
         assert welfare >= welfare_centralized(uniform, N, T).total_welfare
+
+    def test_prior_is_not_pinned_after_use(self):
+        d = RewardDistribution.beta(2, 5)
+        optimize_single_window(d, 3, 6)
+        xy_terms(d, 3, 2)
+        ref = weakref.ref(d)
+        del d
+        gc.collect()
+        assert ref() is None
 
     def test_exact_refuses_large_horizon(self, uniform):
         with pytest.raises(HorizonTooLargeError):

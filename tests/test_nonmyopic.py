@@ -241,3 +241,8 @@ class TestOptimizeCommTime:
         scan = scan_comm_times(uniform, 3, 6)
         assert [t1 for t1, _, _ in scan] == [1, 2, 3, 4, 5]
         assert all(seq is not None for _, _, seq in scan)
+        # the last row is the always-open policy, solved and scored as such
+        _, welfare, seq = scan[-1]
+        cent = solve_centralized_nonmyopic(uniform, 3, 6)
+        assert np.array_equal(seq.values, cent.values)
+        assert welfare == welfare_one_time(uniform, 3, 6, cent)[0]
