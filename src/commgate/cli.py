@@ -97,8 +97,7 @@ def cmd_optimize(args) -> int:
         print(f"welfare {welfare:.6f} vs centralized {base.total_welfare:.6f} "
               f"(gain {welfare - base.total_welfare:+.6f})")
     elif args.mode == "myopic-exact":
-        base = myopic.welfare_centralized(d, N, T)
-        sched, welfare = myopic.optimize_exact(d, N, T, max_T_for_exact=args.max_exact)
+        base, sched, welfare = myopic._exact_search(d, N, T, args.max_exact)
         print(f"exact windows: {list(sched.windows)}")
         print(f"welfare {welfare:.6f} vs centralized {base.total_welfare:.6f} "
               f"(gain {welfare - base.total_welfare:+.6f})")

@@ -283,13 +283,20 @@ def optimize_exact(
     The search is exponential in T and refuses horizons beyond
     ``max_T_for_exact``.
     """
+    _, schedule, welfare = _exact_search(d, N, T, max_T_for_exact, spec)
+    return schedule, welfare
+
+
+def _exact_search(d, N, T, max_T_for_exact, spec=_SPEC):
+    """``optimize_exact``'s search; also returns the always-open report it
+    measures gains against, as ``(report, schedule, welfare)``."""
     if T > max_T_for_exact:
         raise HorizonTooLargeError(
             f"exact search is exponential; T={T} exceeds cap {max_T_for_exact}. "
             "Use optimize_single_window for large horizons."
         )
     fmu = _check_prior(d, N)
-    base = welfare_centralized(d, N, T, spec).total_welfare
+    base = welfare_centralized(d, N, T, spec)
     xs, ys = _xy_arrays(d, N, T, spec)
     sx = np.cumsum(xs)
     max_y = max(0.0, float(ys[2:].max())) if T >= 2 else 0.0
@@ -316,7 +323,7 @@ def optimize_exact(
             search(start + length + 1, g, wins)
 
     search(0, 0.0, ())
-    return CommSchedule(T, best_windows), base + N * best_gain
+    return base, CommSchedule(T, best_windows), base.total_welfare + N * best_gain
 
 
 def approximation_ratio(d: RewardDistribution, N: int, T: int) -> float:

@@ -10,8 +10,16 @@ forward-looking agents only at the last open slot before the horizon).
 Options form an unbounded stream of i.i.d. draws from the prior, so option
 identities never collide.  Replications are vectorized in fixed-size chunks,
 each chunk fed by its own child stream of the master seed; results are
-bit-identical however many chunks run, and the draws of replication ``r``
-do not depend on the total replication count.
+bit-identical however many chunks run.  Replication ``r``'s option draws do
+not depend on the total replication count, so in deterministic mode the first
+``R`` replications of a longer run receive exactly what a run of ``R`` does.
+Observation noise, preference offsets and shared-option appraisals come from
+a second stream drawn slot by slot for the whole chunk, so in stochastic and
+heterogeneous mode replication ``r``'s rewards do depend on the chunk's size.
+
+In heterogeneous mode an agent's appraisal of an option is fixed: she
+appraises an option she explores when she observes it, and an option another
+agent shares the first time it is offered to her.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .schedules import CommSchedule
 __all__ = ["AgentState", "SimConfig", "SimResult", "SimState", "run", "step", "trajectory_compare"]
 
 _CHUNK = 4096
+_SHARE_BYTES = 1 << 22  # appraisal buffer of one heterogeneous share step
 _MODES = ("deterministic", "stochastic", "heterogeneous")
 
 
@@ -108,8 +117,11 @@ class SimState:
 
     ``m`` is each agent's best-known (believed) reward, ``best_base`` the true
     base reward of the option behind it, ``best_value`` what the agent
-    actually receives when exploiting it, and ``best_opt`` the option id
-    (slot * N + creator, -1 while unset).
+    actually receives when exploiting it (in heterogeneous mode her own fixed
+    appraisal of the option), and ``best_opt`` the option id (slot * N +
+    creator, -1 while unset).  The slot in an id tells a share step whether
+    the option is new since the previous share; an agent whose ``best_opt``
+    is -1 has nothing to offer.
     """
 
     m: np.ndarray
@@ -178,13 +190,18 @@ def _share_slots(config: SimConfig) -> set[int]:
     return {useful[-1]} if useful else set()
 
 
-def _advance(state: SimState, t: int, config: SimConfig, share_now: bool,
-             opt_u, noise_u, pref_explore_u, share_etas) -> np.ndarray:
-    """One slot for every replication in the batch; returns received rewards."""
+def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_share: int,
+             opt_u, rng) -> np.ndarray:
+    """One slot for every replication in the batch; returns received rewards.
+
+    ``opt_u`` holds the slot's option quantiles; everything else is drawn
+    from ``rng``.  ``last_share`` is the previous share slot (-1 if none).
+    """
     R, N = state.m.shape
     d = config.dist
     mode = config.reward_mode
     thr = _threshold_for(config, t)
+    noise_u, pref_explore_u = _slot_draws(rng, mode, R, N)
 
     explore = state.m < thr
     base = d.ppf(opt_u)
@@ -213,24 +230,10 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool,
     state.explored += explore
 
     if share_now and N > 1:
-        rows = np.arange(R)
         if mode == "heterogeneous":
-            # sharing reveals the options themselves; every recipient appraises
-            # each shared option with her own preference offset and keeps her
-            # personal best, so pooling creates a variety gain
-            personal = np.clip(
-                state.best_base[:, None, :] + config.pref_sd * share_etas, 0.0, 1.0
-            )
-            np.einsum("rnn->rn", personal)[:] = -1.0  # own option: value already known
-            cand_val = personal.max(axis=2)
-            cand_j = personal.argmax(axis=2)
-            adopt = cand_val > state.m
-            take = lambda arr: np.take_along_axis(arr, cand_j, axis=1)
-            state.m = np.where(adopt, cand_val, state.m)
-            state.best_value = np.where(adopt, cand_val, state.best_value)
-            state.best_base = np.where(adopt, take(state.best_base), state.best_base)
-            state.best_opt = np.where(adopt, take(state.best_opt), state.best_opt)
+            _share_appraised(state, last_share, config.pref_sd, rng)
         else:
+            rows = np.arange(R)
             winner = np.argmax(state.m, axis=1)
             pool = state.m[rows, winner][:, None]
             pool_base = state.best_base[rows, winner][:, None]
@@ -243,30 +246,76 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool,
     return receipt
 
 
-def _slot_draws(rng, mode, R, N, share_now):
-    """One slot's observation noise, preference offsets and shared-option
-    appraisals, drawn from ``rng`` in that order (``None`` where the mode
-    does not use them)."""
+def _share_appraised(state: SimState, last_share: int, pref_sd: float, rng) -> None:
+    """Heterogeneous pooling: sharing reveals the options themselves.
+
+    Every recipient appraises each option offered to her with her own
+    preference offset and keeps her personal best, so pooling creates a
+    variety gain.  Only options found after ``last_share`` are appraised:
+    any older option still held was offered at that share, every agent
+    appraised it then, and since beliefs never fall it cannot win now.
+    Row ``r`` lists its ``counts[r]`` new options in holder order, padded to
+    the batch's largest count ``K``; the (recipient, option) appraisals are
+    drawn from ``rng`` as one (R, N, K) normal array, filled in blocks of
+    replications that fit ``_SHARE_BYTES``.
+    """
+    R, N = state.m.shape
+    new = state.best_opt // N > last_share
+    counts = new.sum(axis=1)
+    K = int(counts.max())
+    if K == 0:
+        return
+    holder = np.argsort(~new, axis=1, kind="stable")[:, :K]
+    offered_base = np.take_along_axis(state.best_base, holder, axis=1)
+    offered_opt = np.take_along_axis(state.best_opt, holder, axis=1)
+    padding = np.arange(K) >= counts[:, None]
+    block = max(1, _SHARE_BYTES // (8 * N * K))
+    buf = np.empty((min(block, R), N, K))
+    for lo in range(0, R, block):
+        rows = slice(lo, min(lo + block, R))
+        h = holder[rows]
+        b = buf[: len(h)]
+        rng.standard_normal(out=b)
+        np.multiply(b, pref_sd, out=b)
+        np.add(b, offered_base[rows, None, :], out=b)
+        np.clip(b, 0.0, 1.0, out=b)
+        b[np.arange(len(h))[:, None], h, np.arange(K)] = -1.0  # own option: value already known
+        np.copyto(b, -1.0, where=padding[rows, None, :])
+        k = b.argmax(axis=2)
+        value = np.take_along_axis(b, k[:, :, None], axis=2)[:, :, 0]
+        adopt = value > state.m[rows]
+        np.copyto(state.m[rows], value, where=adopt)
+        np.copyto(state.best_value[rows], value, where=adopt)
+        np.copyto(state.best_base[rows], np.take_along_axis(offered_base[rows], k, axis=1), where=adopt)
+        np.copyto(state.best_opt[rows], np.take_along_axis(offered_opt[rows], k, axis=1), where=adopt)
+
+
+def _slot_draws(rng, mode, R, N):
+    """One slot's observation noise and exploration preference offsets, drawn
+    from ``rng`` in that order (``None`` where the mode does not use them).
+    Shared-option appraisals follow them in the same stream, drawn by the
+    share step for the new (recipient, option) pairs only."""
     noise_u = rng.random((R, N)) if mode == "stochastic" else None
     pe = rng.random((R, N)) if mode == "heterogeneous" else None
-    etas = rng.standard_normal((R, N, N)) if mode == "heterogeneous" and share_now and N > 1 else None
-    return noise_u, pe, etas
+    return noise_u, pe
 
 
 def step(state: SimState, t: int, config: SimConfig, rng: np.random.Generator) -> SimState:
     """Advance a copy of ``state`` through slot ``t``, drawing from ``rng``.
 
     Draw order per slot is fixed: option quantiles first, then (mode
-    permitting) observation noise, preference offsets, and the shared-option
-    appraisal matrix.  ``run`` uses the same mechanics but pre-draws the
-    option stream in replication-major blocks.
+    permitting) observation noise, exploration preference offsets, and at a
+    heterogeneous share slot one appraisal per (recipient, option found since
+    the previous share slot of the schedule).  ``state`` is taken to have
+    come through that previous share slot.  ``run`` uses the same mechanics
+    but pre-draws the option stream in replication-major blocks.
     """
     out = state.copy()
     R, N = out.m.shape
-    share_now = t in _share_slots(config)
+    share_at = _share_slots(config)
+    last_share = max((s for s in share_at if s < t), default=-1)
     opt_u = rng.random((R, N))
-    aux = _slot_draws(rng, config.reward_mode, R, N, share_now)
-    _advance(out, t, config, share_now, opt_u, *aux)
+    _advance(out, t, config, t in share_at, last_share, opt_u, rng)
     return out
 
 
@@ -278,8 +327,8 @@ def run(config: SimConfig) -> SimResult:
     quantiles in replication-major blocks (so runs that differ only in
     schedule or reward mode share their option draws, and the first ``R``
     replications of a longer run match a shorter one exactly) and one for
-    observation noise and preference offsets.  Results are bit-identical
-    regardless of how chunks are scheduled.
+    observation noise, preference offsets and shared-option appraisals.
+    Results are bit-identical regardless of how chunks are scheduled.
     """
     R, N, T = config.replications, config.n_agents, config.horizon
     share_at = _share_slots(config)
@@ -299,10 +348,12 @@ def run(config: SimConfig) -> SimResult:
         draws = gen.random((rc, T + 1, N))
         state = SimState.initial(rc, N)
         rep_total = np.zeros(rc)
+        last_share = -1
         for t in range(T + 1):
             share_now = t in share_at
-            receipt = _advance(state, t, config, share_now, draws[:, t, :],
-                               *_slot_draws(gen_aux, config.reward_mode, rc, N, share_now))
+            receipt = _advance(state, t, config, share_now, last_share, draws[:, t, :], gen_aux)
+            if share_now:
+                last_share = t
             rep_mean = receipt.mean(axis=1)
             slot_sum[t] += rep_mean.sum()
             slot_sq[t] += (rep_mean**2).sum()

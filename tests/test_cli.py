@@ -56,6 +56,23 @@ class TestOptimizeCommand:
         assert run_cli("optimize", "--dist", "uniform", "--n-agents", "3",
                        "--horizon", "20", "--mode", "myopic-exact") == 2
 
+    def test_myopic_exact_solves_centralized_once(self, capsys, monkeypatch):
+        from commgate import myopic
+
+        calls = []
+        solve = myopic.welfare_centralized
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(myopic, "welfare_centralized", counting)
+        assert run_cli("optimize", "--dist", "beta:2,5", "--n-agents", "5",
+                       "--horizon", "8", "--mode", "myopic-exact") == 0
+        assert len(calls) == 1
+        _, welfare = myopic.optimize_exact(RewardDistribution.beta(2, 5), 5, 8)
+        assert f"welfare {welfare:.6f} vs centralized" in capsys.readouterr().out
+
     def test_nonmyopic(self, capsys, tmp_path):
         out = tmp_path / "scan.csv"
         assert run_cli("optimize", "--dist", "beta:2,2", "--n-agents", "4",

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from commgate import simulate
 from commgate.errors import ConfigError
 from commgate.myopic import welfare_centralized, welfare_schedule
 from commgate.nonmyopic import solve_one_time, solve_single_agent, welfare_one_time
@@ -95,6 +98,41 @@ class TestStep:
         # the per-replication best base propagates to adopters
         assert np.all(state.best_base <= 1.0)
 
+    def test_heterogeneous_share_without_discovery_is_inert(self, uniform):
+        # appraisals are fixed per (agent, option): a share slot that follows
+        # another with nothing found in between changes nobody's holding and
+        # draws no appraisal at all
+        cfg = myopic_config(uniform, reward_mode="heterogeneous", pref_sd=0.2)
+        rng = np.random.Generator(np.random.Philox(7))
+        state = step(SimState.initial(2048, 5), 0, cfg, rng)
+        keep = np.all(state.m >= uniform.mean(), axis=1)  # nobody explores at t=1
+        assert keep.sum() > 100
+        state = SimState(state.m[keep], state.best_base[keep], state.best_value[keep],
+                         state.best_opt[keep], state.explored[keep])
+        expected_rng = np.random.Generator(np.random.Philox(7))
+        expected_rng.bit_generator.state = rng.bit_generator.state
+        expected_rng.random(state.m.shape)  # option quantiles
+        expected_rng.random(state.m.shape)  # exploration preference offsets
+        after = step(state, 1, cfg, rng)
+        assert np.array_equal(rng.random(8), expected_rng.random(8))  # same stream position
+        for name in ("m", "best_value", "best_base", "best_opt", "explored"):
+            assert np.array_equal(getattr(after, name), getattr(state, name)), name
+
+    def test_heterogeneous_share_memory_is_bounded(self, uniform):
+        # one share step at N=200 appraises 256 x 200 x 200 pairs; the
+        # appraisals are filled in blocks, not as one (R, N, N) array
+        cfg = myopic_config(uniform, n_agents=200, reward_mode="heterogeneous", pref_sd=0.3)
+        rng = np.random.Generator(np.random.Philox(3))
+        state = SimState.initial(256, 200)
+        tracemalloc.start()
+        try:
+            state = step(state, 0, cfg, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(state.best_opt >= 0)
+        assert peak < 48 * 2**20
+
 
 class TestRun:
     def test_same_seed_bit_identical(self, uniform):
@@ -156,6 +194,34 @@ class TestRun:
         assert a.total_welfare_mean != b.total_welfare_mean  # different averages
         c = run(myopic_config(uniform, replications=1_000, master_seed=9))
         assert c.total_welfare_mean == a.total_welfare_mean
+
+    def test_deterministic_receipts_do_not_depend_on_replication_count(self, uniform, monkeypatch):
+        # in deterministic mode replication r's rewards come from the option
+        # stream alone, so they match exactly between runs of 3 and 7
+        seen = []
+        advance = simulate._advance
+
+        def recording(*args):
+            receipt = advance(*args)
+            seen[-1].append(receipt[:3].copy())
+            return receipt
+
+        monkeypatch.setattr(simulate, "_advance", recording)
+        for reps in (3, 7):
+            seen.append([])
+            run(myopic_config(uniform, replications=reps, master_seed=4))
+        assert np.array_equal(np.array(seen[0]), np.array(seen[1]))
+
+    def test_heterogeneous_reward_flat_after_exploration(self, uniform):
+        # a shared option is appraised once per agent: once exploration has
+        # stopped nothing new is offered, so the per-slot reward stays put
+        # instead of creeping to the 1.0 clip through repeated appraisals
+        cfg = myopic_config(uniform, horizon=200, schedule=CommSchedule.centralized(200),
+                            reward_mode="heterogeneous", pref_sd=0.3,
+                            replications=4096, master_seed=0)
+        reward = run(cfg).per_slot_mean_reward
+        assert abs(reward[200] - reward[50]) < 1e-3
+        assert reward[200] < 0.95
 
 
 class TestTrajectoryCompare:
