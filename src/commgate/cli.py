@@ -123,12 +123,24 @@ def cmd_optimize(args) -> int:
 def _schedule_from_config(obj, T) -> CommSchedule:
     if obj == "centralized":
         return CommSchedule.centralized(T)
-    if isinstance(obj, dict) and "one_time" in obj:
-        return CommSchedule.one_time(T, int(obj["one_time"]))
-    if isinstance(obj, dict) and "windows" in obj:
-        wins = tuple((int(w["start"]), int(w["len"])) for w in obj["windows"])
-        return CommSchedule(T, wins)
+    try:
+        if isinstance(obj, dict) and "one_time" in obj:
+            return CommSchedule.one_time(T, int(obj["one_time"]))
+        if isinstance(obj, dict) and "windows" in obj:
+            wins = tuple((int(w["start"]), int(w["len"])) for w in obj["windows"])
+            return CommSchedule(T, wins)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"schedule: malformed {obj!r} ({type(exc).__name__}: {exc})") from exc
     raise ConfigError(f"schedule: expected 'centralized', {{'one_time': t}}, or {{'windows': [...]}}, got {obj!r}")
+
+
+def _field(obj: dict, key: str, kind, path, default=None):
+    """``kind(obj[key])`` (``default`` when absent); a bad value is a ConfigError."""
+    value = obj.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: field '{key}' must be {kind.__name__}, got {value!r}") from exc
 
 
 def load_sim_config(path, overrides: dict | None = None) -> tuple[SimConfig, dict]:
@@ -139,6 +151,8 @@ def load_sim_config(path, overrides: dict | None = None) -> tuple[SimConfig, dic
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     if obj.get("schema_version") != CONFIG_SCHEMA_VERSION:
         raise ConfigError(
             f"{path}: schema_version must be {CONFIG_SCHEMA_VERSION}, got {obj.get('schema_version')!r}"
@@ -153,7 +167,8 @@ def load_sim_config(path, overrides: dict | None = None) -> tuple[SimConfig, dic
         d = RewardDistribution.from_csv(obj["dist"]["csv"])
     else:
         d = parse_dist(str(obj["dist"]))
-    T = int(obj["horizon"])
+    N = _field(obj, "n_agents", int, path)
+    T = _field(obj, "horizon", int, path)
     schedule = _schedule_from_config(obj["schedule"], T)
     kind = str(obj["agent_kind"])
     thresholds = None
@@ -162,19 +177,19 @@ def load_sim_config(path, overrides: dict | None = None) -> tuple[SimConfig, dic
         if not open_slots:
             raise ConfigError(f"{path}: nonmyopic runs need an open slot before the horizon")
         t1 = open_slots[-1]
-        thresholds = nonmyopic.solve_one_time(d, int(obj["n_agents"]), T, t1)
+        thresholds = nonmyopic.solve_one_time(d, N, T, t1)
     cfg = SimConfig(
         dist=d,
-        n_agents=int(obj["n_agents"]),
+        n_agents=N,
         horizon=T,
         schedule=schedule,
         agent_kind=kind,
         thresholds=thresholds,
         reward_mode=str(obj.get("reward_mode", "deterministic")),
-        noise_sd=float(obj.get("noise_sd", 0.1)),
-        pref_sd=float(obj.get("pref_sd", 0.1)),
-        replications=int(obj.get("replications", 1)),
-        master_seed=int(obj.get("master_seed", 0)),
+        noise_sd=_field(obj, "noise_sd", float, path, 0.1),
+        pref_sd=_field(obj, "pref_sd", float, path, 0.1),
+        replications=_field(obj, "replications", int, path, 1),
+        master_seed=_field(obj, "master_seed", int, path, 0),
         noise_per_option=bool(obj.get("noise_per_option", False)),
     )
     return cfg, obj
@@ -187,10 +202,10 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         overrides["master_seed"] = args.seed
     cfg, obj = load_sim_config(args.config, overrides)
-    result = run(cfg)
     out = args.out or obj.get("out")
     if not out:
         raise ConfigError("no output path: pass --out or set 'out' in the config")
+    result = run(cfg)
     result.to_csv(out)
     print(f"welfare {result.total_welfare_mean:.6f} +- {result.total_welfare_stderr:.6f}, "
           f"exploration slots {result.exploration_slots_mean:.4f} -> {out}")

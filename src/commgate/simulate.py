@@ -196,6 +196,9 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_s
 
     ``opt_u`` holds the slot's option quantiles; everything else is drawn
     from ``rng``.  ``last_share`` is the previous share slot (-1 if none).
+    All draws are made for every agent, but only explorers' quantiles and
+    preference offsets are mapped through the prior and ``ndtri``; the state
+    is updated in place.
     """
     R, N = state.m.shape
     d = config.dist
@@ -204,29 +207,32 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_s
     noise_u, pref_explore_u = _slot_draws(rng, mode, R, N)
 
     explore = state.m < thr
-    base = d.ppf(opt_u)
+    base = d.ppf(opt_u[explore])
     if mode == "deterministic":
         obs = base
-        receipt = np.where(explore, obs, state.m)
+        receipt = state.m.copy()
     elif mode == "stochastic":
         eps = config.noise_sd * special.ndtri(noise_u)
-        obs = np.clip(base + eps, 0.0, 1.0)
+        obs = np.clip(base + eps[explore], 0.0, 1.0)
         if config.noise_per_option:
             # one fixed perturbation per option: exploit re-observes the same value
-            receipt = np.where(explore, obs, state.best_value)
+            receipt = state.best_value.copy()
         else:
-            receipt = np.where(explore, obs, np.clip(state.best_base + eps, 0.0, 1.0))
+            receipt = np.clip(state.best_base + eps, 0.0, 1.0)
     else:  # heterogeneous: an agent's value of an option is base + her own offset
-        eta = config.pref_sd * special.ndtri(pref_explore_u)
+        eta = config.pref_sd * special.ndtri(pref_explore_u[explore])
         obs = np.clip(base + eta, 0.0, 1.0)
-        receipt = np.where(explore, obs, state.best_value)
+        receipt = state.best_value.copy()
+    receipt[explore] = obs
 
-    improved = explore & (obs > state.m)
-    ids = t * N + np.broadcast_to(np.arange(N, dtype=np.int64), (R, N))
-    state.m = np.where(improved, obs, state.m)
-    state.best_base = np.where(improved, base, state.best_base)
-    state.best_value = np.where(improved, obs, state.best_value)
-    state.best_opt = np.where(improved, ids, state.best_opt)
+    gain = obs > state.m[explore]
+    improved = explore.copy()
+    improved[explore] = gain
+    found = obs[gain]
+    state.m[improved] = found
+    state.best_base[improved] = base[gain]
+    state.best_value[improved] = found
+    np.copyto(state.best_opt, t * N + np.arange(N, dtype=np.int64), where=improved)
     state.explored += explore
 
     if share_now and N > 1:
@@ -239,10 +245,10 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_s
             pool_base = state.best_base[rows, winner][:, None]
             pool_opt = state.best_opt[rows, winner][:, None]
             adopt = state.m < pool
-            state.best_value = np.where(adopt, pool, state.best_value)
-            state.m = np.where(adopt, pool, state.m)
-            state.best_base = np.where(adopt, pool_base, state.best_base)
-            state.best_opt = np.where(adopt, pool_opt, state.best_opt)
+            np.copyto(state.best_value, pool, where=adopt)
+            np.copyto(state.m, pool, where=adopt)
+            np.copyto(state.best_base, pool_base, where=adopt)
+            np.copyto(state.best_opt, pool_opt, where=adopt)
     return receipt
 
 

@@ -116,6 +116,7 @@ def test_criterion_4_window_structure():
     report(4, ok, f"low-mean windows {lens_low} (non-increasing), high-mean windows {lens_high}")
 
 
+@pytest.mark.slow
 def test_criterion_5_linear_gain():
     horizons = np.arange(50, 301, 50, dtype=float)
     gains_by_mean = {}
@@ -244,6 +245,7 @@ def test_criterion_7_nonmyopic_oracle(uniform):
     report(7, ok, "; ".join(notes))
 
 
+@pytest.mark.slow
 def test_criterion_8_dataset_experiment(hotel_dist, hotel_t50):
     ok = abs(hotel_dist.mean() - 0.49) <= 0.02
     notes = [f"fitted mean {hotel_dist.mean():.4f}"]
@@ -271,6 +273,7 @@ def test_criterion_8_dataset_experiment(hotel_dist, hotel_t50):
     report(8, ok, "; ".join(notes))
 
 
+@pytest.mark.slow
 def test_criterion_9_robustness(hotel_dist, hotel_table):
     psd = estimate_pref_sd(hotel_table)
     N = 50

@@ -147,6 +147,31 @@ class TestSimulateCommand:
         assert run_cli("simulate", str(cfg)) == 2
         assert "n_agents" in capsys.readouterr().err
 
+    def test_no_output_path_exits_before_running(self, tmp_path, capsys, monkeypatch):
+        from commgate import cli
+
+        def refuse(cfg):
+            raise AssertionError("simulated without an output path")
+
+        monkeypatch.setattr(cli, "run", refuse)
+        cfg = sim_config(tmp_path, out=None)
+        assert run_cli("simulate", str(cfg)) == 2
+        assert "no output path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"n_agents": "five"}, {"horizon": [8]}, {"replications": 1e999},
+         {"schedule": {"windows": [{"start": 1}]}}, {"schedule": {"one_time": "x"}}, None],
+        ids=["n_agents_not_int", "horizon_list", "replications_inf", "window_without_len",
+             "one_time_not_int", "top_level_array"],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, fields):
+        cfg = sim_config(tmp_path, **(fields or {}))
+        if fields is None:
+            cfg.write_text(json.dumps([json.loads(cfg.read_text())]))
+        assert run_cli("simulate", str(cfg)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_flag_overrides_file(self, tmp_path, capsys):
         cfg = sim_config(tmp_path, replications=50)
         run_cli("simulate", str(cfg), "--replications", "10", "--seed", "1")

@@ -1,12 +1,14 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from commgate import simulate
+from commgate.distributions import RewardDistribution
 from commgate.errors import ConfigError
 from commgate.myopic import welfare_centralized, welfare_schedule
-from commgate.nonmyopic import solve_one_time, solve_single_agent, welfare_one_time
+from commgate.nonmyopic import ThresholdSequence, solve_one_time, solve_single_agent, welfare_one_time
 from commgate.schedules import CommSchedule
 from commgate.simulate import SimConfig, SimState, run, step, trajectory_compare
 
@@ -19,6 +21,38 @@ def myopic_config(uniform, **kw):
     )
     defaults.update(kw)
     return SimConfig(**defaults)
+
+
+# Exact outputs of one small run per (agent kind, reward mode, noise per
+# option): total welfare as float.hex and the first 16 hex digits of the
+# sha256 of the per-slot means.  Work on the simulator's hot loop must keep
+# them bit-identical; only an announced change of the random stream may
+# re-record them.
+PINNED_RUNS = {
+    ("myopic", "deterministic", False): ("0x1.39e31f10a0915p+5", "19b1744b3efb41aa"),
+    ("myopic", "stochastic", False): ("0x1.31c442e554538p+5", "5fb113a2a6537976"),
+    ("myopic", "stochastic", True): ("0x1.41ceb6175d182p+5", "eea818e3721e13d4"),
+    ("myopic", "heterogeneous", False): ("0x1.514b81cfb415bp+5", "621feca246b7f6fe"),
+    ("nonmyopic", "deterministic", False): ("0x1.4290801bbf0b0p+5", "02cff96d38a739f2"),
+    ("nonmyopic", "stochastic", False): ("0x1.35910a47aaf24p+5", "2a6e163d1b151432"),
+    ("nonmyopic", "stochastic", True): ("0x1.48d80066dd4e3p+5", "55f5796e09487168"),
+    ("nonmyopic", "heterogeneous", False): ("0x1.50e2129eb7c83p+5", "db6b1aa0da5f6c4c"),
+}
+
+
+def pinned_config(kind, mode, per_option):
+    # an empirical prior with a flat stretch and literal thresholds, so the
+    # pins depend on neither special functions of the prior nor the solver
+    T = 12
+    d = RewardDistribution.empirical([0, 0.2, 0.35, 0.5, 0.7, 1], [0, 0.1, 0.4, 0.4, 0.8, 1])
+    if kind == "myopic":
+        schedule, thresholds = CommSchedule(T, ((1, 3), (6, 2))), None
+    else:
+        schedule = CommSchedule.one_time(T, 6)
+        thresholds = ThresholdSequence(T, 6, np.linspace(0.85, 0.45, T), np.zeros(T))
+    return SimConfig(dist=d, n_agents=4, horizon=T, schedule=schedule, agent_kind=kind,
+                     thresholds=thresholds, reward_mode=mode, noise_sd=0.1, pref_sd=0.2,
+                     noise_per_option=per_option, replications=600, master_seed=19)
 
 
 class TestConfigValidation:
@@ -211,6 +245,26 @@ class TestRun:
             seen.append([])
             run(myopic_config(uniform, replications=reps, master_seed=4))
         assert np.array_equal(np.array(seen[0]), np.array(seen[1]))
+
+    @pytest.mark.parametrize("kind,mode,per_option", list(PINNED_RUNS))
+    def test_outputs_pinned(self, kind, mode, per_option):
+        res = run(pinned_config(kind, mode, per_option))
+        digest = hashlib.sha256(res.per_slot_mean_reward.astype("<f8").tobytes()).hexdigest()[:16]
+        assert (res.total_welfare_mean.hex(), digest) == PINNED_RUNS[kind, mode, per_option]
+
+    def test_prior_evaluated_for_explorers_only(self, uniform, monkeypatch):
+        # the prior maps an option quantile only where an agent explores; the
+        # quantiles are still drawn for every agent, so the streams are unchanged
+        points = []
+        ppf = RewardDistribution.ppf
+
+        def counting(self, q):
+            points.append(np.size(q))
+            return ppf(self, q)
+
+        monkeypatch.setattr(RewardDistribution, "ppf", counting)
+        res = run(myopic_config(uniform, replications=300, master_seed=8))
+        assert sum(points) == round(300 * 5 * res.exploration_slots_mean)
 
     def test_heterogeneous_reward_flat_after_exploration(self, uniform):
         # a shared option is appraised once per agent: once exploration has
