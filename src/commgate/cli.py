@@ -22,16 +22,7 @@ from pathlib import Path
 
 from . import dataset, myopic, nonmyopic, svg
 from .distributions import RewardDistribution
-from .errors import (
-    CommgateError,
-    ConfigError,
-    DatasetError,
-    DistributionError,
-    HorizonTooLargeError,
-    QuadratureError,
-    ScheduleError,
-    SolverError,
-)
+from .errors import CommgateError, ConfigError, DistributionError, QuadratureError, SolverError
 from .schedules import CommSchedule
 from .simulate import SimConfig, run, trajectory_compare
 
@@ -125,20 +116,31 @@ def _schedule_from_config(obj, T) -> CommSchedule:
         return CommSchedule.centralized(T)
     try:
         if isinstance(obj, dict) and "one_time" in obj:
-            return CommSchedule.one_time(T, int(obj["one_time"]))
+            return CommSchedule.one_time(T, _as_int(obj["one_time"]))
         if isinstance(obj, dict) and "windows" in obj:
-            wins = tuple((int(w["start"]), int(w["len"])) for w in obj["windows"])
+            wins = tuple((_as_int(w["start"]), _as_int(w["len"])) for w in obj["windows"])
             return CommSchedule(T, wins)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"schedule: malformed {obj!r} ({type(exc).__name__}: {exc})") from exc
     raise ConfigError(f"schedule: expected 'centralized', {{'one_time': t}}, or {{'windows': [...]}}, got {obj!r}")
 
 
+def _as_int(value) -> int:
+    """``int(value)`` for an integral JSON number; a boolean or a fraction is a ValueError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _field(obj: dict, key: str, kind, path, default=None):
-    """``kind(obj[key])`` (``default`` when absent); a bad value is a ConfigError."""
+    """``obj[key]`` (``default`` when absent) read as ``kind`` (int, float or
+    bool); a bad value is a ConfigError.  Only a bool field takes a JSON
+    boolean, and an int field takes no fraction."""
     value = obj.get(key, default)
     try:
-        return kind(value)
+        if isinstance(value, bool) != (kind is bool):
+            raise TypeError(f"{value!r} is not a {kind.__name__}")
+        return _as_int(value) if kind is int else kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: field '{key}' must be {kind.__name__}, got {value!r}") from exc
 
@@ -190,7 +192,7 @@ def load_sim_config(path, overrides: dict | None = None) -> tuple[SimConfig, dic
         pref_sd=_field(obj, "pref_sd", float, path, 0.1),
         replications=_field(obj, "replications", int, path, 1),
         master_seed=_field(obj, "master_seed", int, path, 0),
-        noise_per_option=bool(obj.get("noise_per_option", False)),
+        noise_per_option=_field(obj, "noise_per_option", bool, path, False),
     )
     return cfg, obj
 
@@ -298,16 +300,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatasetError, ScheduleError, DistributionError, HorizonTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (SolverError, QuadratureError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except CommgateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CommgateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,11 @@ option for the remaining horizon (the ``y`` terms).  Everything here is a
 deterministic function of the reward prior, the number of agents, and the
 schedule; the Monte-Carlo simulator cross-checks these formulas in the test
 suite.
+
+One tail integral ``I = integral_mu^1 F^N`` per (prior, N) gives the
+always-open welfare, and with it every ``x_i`` in closed form in ``I``,
+``mu``, ``F(mu)`` and ``tail(mu)``.  Only ``y_i`` is integrated, once per
+window index.
 """
 
 from __future__ import annotations
@@ -65,28 +70,41 @@ def _check_prior(d: RewardDistribution, N: int) -> float:
     return fmu
 
 
-def _xy_pair(d: RewardDistribution, N: int, i: int, spec: QuadratureSpec):
+def _xy_table(d: RewardDistribution, N: int, base: MyopicWelfareReport, T: int, idx, spec):
+    """``x_i`` and ``y_i`` for every window index in ``idx`` (index 0 gives 0).
+
+    The self-only and pooled CDF mixtures are affine in ``c = F(mu)^i``, so
+    ``x_i = (1 - c^N) P - (1 - c) Q`` in closed form, with
+    ``Q = tail(mu) / (1 - F(mu))`` and the residual loss ``P`` read back from
+    ``base``, the always-open report for horizon ``T``, whose welfare is
+    ``N ((T+1) mu + (T+1 - count) P)``.  Only ``y_i`` takes a quadrature.
+    """
+    idx = np.asarray(idx)
+    xs = np.zeros(idx.size)
+    ys = np.zeros(idx.size)
     if N == 1:
-        return 0.0, 0.0
+        return xs, ys
     mu = d.mean()
     fmu = d.cdf(mu)
-    ci = fmu**i
-    ci_n = fmu ** (i * N)
     fmu_n = fmu**N
     denom1 = 1.0 - fmu
     denom_n = 1.0 - fmu_n
+    P = (base.total_welfare / N - (T + 1) * mu) / (T + 1 - base.expected_exploration_slots)
+    xs = (1.0 - fmu ** (idx * N)) * P - (1.0 - fmu**idx) * (d.tail_mean_excess(mu) / denom1)
+    for k, i in enumerate(idx.tolist()):
+        if i == 0:
+            continue
+        ci = fmu**i
+        ci_n = fmu ** (i * N)
 
-    def single(r):
-        f = d.cdf(r)
-        return (f - fmu) / denom1 + ci * (1.0 - f) / denom1
+        def gap(r):
+            f = d.cdf(r)
+            single = (f - fmu) / denom1 + ci * (1.0 - f) / denom1
+            pooled = (f**N - fmu_n) / denom_n + ci_n * (1.0 - f**N) / denom_n
+            return pooled - single**N
 
-    def pooled(r):
-        f = d.cdf(r)
-        return (f**N - fmu_n) / denom_n + ci_n * (1.0 - f**N) / denom_n
-
-    x = integrate(d, lambda r: single(r) - pooled(r), mu, 1.0, spec)
-    y = integrate(d, lambda r: pooled(r) - single(r) ** N, mu, 1.0, spec)
-    return x, y
+        ys[k] = integrate(d, gap, mu, 1.0, spec)
+    return xs, ys
 
 
 def xy_terms(
@@ -97,34 +115,14 @@ def xy_terms(
 
     Both are tail integrals over [mu, 1] of differences between the pooled-
     information CDF mixture and the self-only mixture; they vanish
-    identically for a single agent.
+    identically for a single agent.  ``x_i`` is closed-form in
+    ``I = integral_mu^1 F^N``, ``mu``, ``F(mu)`` and ``tail(mu)``; only
+    ``y_i`` is integrated.
     """
     if i < 1:
         raise DistributionError(f"index i must be >= 1, got {i}")
-    _check_prior(d, N)
-    return _xy_pair(d, N, i, spec)
-
-
-def _xy_arrays(d, N, upto, spec):
-    xs = np.zeros(upto + 1)
-    ys = np.zeros(upto + 1)
-    for i in range(1, upto + 1):
-        xs[i], ys[i] = _xy_pair(d, N, i, spec)
-    return xs, ys
-
-
-def _exploit_mean(d, N, spec) -> float:
-    """Expected pooled best reward conditioned on clearing mu in one open slot."""
-    mu = d.mean()
-    fmu_n = d.cdf(mu) ** N
-    tail = integrate(d, lambda r: d.cdf(r) ** N, mu, 1.0, spec)
-    return (1.0 - mu * fmu_n - tail) / (1.0 - fmu_n)
-
-
-def _residual_loss(d, N, spec) -> float:
-    mu = d.mean()
-    fmu_n = d.cdf(mu) ** N
-    return integrate(d, lambda r: 1.0 - d.cdf(r) ** N, mu, 1.0, spec) / (1.0 - fmu_n)
+    xs, ys = _xy_table(d, N, welfare_centralized(d, N, 1, spec), 1, [i], spec)
+    return float(xs[0]), float(ys[0])
 
 
 def _geom(q: float, t0: int, t1: int) -> float:
@@ -145,9 +143,14 @@ def welfare_centralized(
     fmu = _check_prior(d, N)
     if T < 1:
         raise DistributionError(f"horizon must be >= 1, got {T}")
+    mu = d.mean()
     q = fmu**N
+    tail = integrate(d, lambda r: d.cdf(r) ** N, mu, 1.0, spec)
+    # pooled best reward given it clears mu, and its residual loss P = E - mu
+    exploit = (1.0 - mu * q - tail) / (1.0 - q)
+    loss = (1.0 - mu - tail) / (1.0 - q)
     count = (1.0 - q ** (T + 1)) / (1.0 - q)
-    total = N * (T + 1) * _exploit_mean(d, N, spec) - N * count * _residual_loss(d, N, spec)
+    total = N * (T + 1) * exploit - N * count * loss
     return MyopicWelfareReport(total, count)
 
 
@@ -168,7 +171,7 @@ def welfare_schedule(
     if schedule.is_centralized:
         return base
     max_len = max(length for _, length in schedule.windows)
-    xs, ys = _xy_arrays(d, N, max_len + 1, spec)
+    xs, ys = _xy_table(d, N, base, T, np.arange(max_len + 2), spec)
     sx = np.cumsum(xs)
 
     terms = []
@@ -200,7 +203,7 @@ def _single_window_table(d, N, T, spec=_SPEC) -> _WindowTable:
     if T < 2:
         raise DistributionError(f"horizon must be >= 2, got {T}")
     base = welfare_centralized(d, N, T, spec)
-    xs, ys = _xy_arrays(d, N, T, spec)
+    xs, ys = _xy_table(d, N, base, T, np.arange(T + 1), spec)
     sx = np.cumsum(xs)
     best_len = 0
     best_rhs = np.inf
@@ -297,7 +300,7 @@ def _exact_search(d, N, T, max_T_for_exact, spec=_SPEC):
         )
     fmu = _check_prior(d, N)
     base = welfare_centralized(d, N, T, spec)
-    xs, ys = _xy_arrays(d, N, T, spec)
+    xs, ys = _xy_table(d, N, base, T, np.arange(T + 1), spec)
     sx = np.cumsum(xs)
     max_y = max(0.0, float(ys[2:].max())) if T >= 2 else 0.0
     decay2 = fmu ** (2 * N)

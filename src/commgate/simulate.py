@@ -88,7 +88,7 @@ class SimConfig:
             raise ConfigError(f"reward_mode must be one of {_MODES}, got {self.reward_mode!r}")
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
-        if self.noise_sd < 0 or self.pref_sd < 0:
+        if not (self.noise_sd >= 0 and self.pref_sd >= 0):  # NaN fails too
             raise ConfigError("noise_sd and pref_sd must be nonnegative")
 
     def describe(self) -> str:
@@ -115,10 +115,11 @@ class SimConfig:
 class SimState:
     """Vectorized state of a batch of replications (arrays shaped (R, N)).
 
-    ``m`` is each agent's best-known (believed) reward, ``best_base`` the true
-    base reward of the option behind it, ``best_value`` what the agent
-    actually receives when exploiting it (in heterogeneous mode her own fixed
-    appraisal of the option), and ``best_opt`` the option id (slot * N +
+    ``m`` is each agent's best-known (believed) reward, which is also what
+    the agent receives when exploiting it (in heterogeneous mode the agent's
+    own fixed appraisal of the option), except under per-look noise, where an
+    exploit is a fresh noisy look at ``best_base``, the true base reward of
+    the option behind ``m``.  ``best_opt`` is the option id (slot * N +
     creator, -1 while unset).  The slot in an id tells a share step whether
     the option is new since the previous share; an agent whose ``best_opt``
     is -1 has nothing to offer.
@@ -126,7 +127,6 @@ class SimState:
 
     m: np.ndarray
     best_base: np.ndarray
-    best_value: np.ndarray
     best_opt: np.ndarray
     explored: np.ndarray
 
@@ -136,15 +136,13 @@ class SimState:
         return cls(
             m=np.zeros(shape),
             best_base=np.zeros(shape),
-            best_value=np.zeros(shape),
             best_opt=np.full(shape, -1, dtype=np.int64),
             explored=np.zeros(shape, dtype=np.int64),
         )
 
     def copy(self) -> "SimState":
         return SimState(
-            self.m.copy(), self.best_base.copy(), self.best_value.copy(),
-            self.best_opt.copy(), self.explored.copy(),
+            self.m.copy(), self.best_base.copy(), self.best_opt.copy(), self.explored.copy(),
         )
 
     def agent(self, rep: int, i: int) -> AgentState:
@@ -196,9 +194,9 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_s
 
     ``opt_u`` holds the slot's option quantiles; everything else is drawn
     from ``rng``.  ``last_share`` is the previous share slot (-1 if none).
-    All draws are made for every agent, but only explorers' quantiles and
-    preference offsets are mapped through the prior and ``ndtri``; the state
-    is updated in place.
+    All draws are made for every agent, but only explorers' quantiles,
+    preference offsets and per-option noise are mapped through the prior and
+    ``ndtri``; the state is updated in place.
     """
     R, N = state.m.shape
     d = config.dist
@@ -208,21 +206,21 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_s
 
     explore = state.m < thr
     base = d.ppf(opt_u[explore])
-    if mode == "deterministic":
-        obs = base
-        receipt = state.m.copy()
-    elif mode == "stochastic":
+    if mode == "stochastic" and not config.noise_per_option:
+        # every look is noisy, exploits included
         eps = config.noise_sd * special.ndtri(noise_u)
         obs = np.clip(base + eps[explore], 0.0, 1.0)
-        if config.noise_per_option:
+        receipt = np.clip(state.best_base + eps, 0.0, 1.0)
+    else:
+        receipt = state.m.copy()
+        if mode == "deterministic":
+            obs = base
+        elif mode == "stochastic":
             # one fixed perturbation per option: exploit re-observes the same value
-            receipt = state.best_value.copy()
-        else:
-            receipt = np.clip(state.best_base + eps, 0.0, 1.0)
-    else:  # heterogeneous: an agent's value of an option is base + her own offset
-        eta = config.pref_sd * special.ndtri(pref_explore_u[explore])
-        obs = np.clip(base + eta, 0.0, 1.0)
-        receipt = state.best_value.copy()
+            obs = np.clip(base + config.noise_sd * special.ndtri(noise_u[explore]), 0.0, 1.0)
+        else:  # heterogeneous: an agent's value of an option is base + her own offset
+            eta = config.pref_sd * special.ndtri(pref_explore_u[explore])
+            obs = np.clip(base + eta, 0.0, 1.0)
     receipt[explore] = obs
 
     gain = obs > state.m[explore]
@@ -231,7 +229,6 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_s
     found = obs[gain]
     state.m[improved] = found
     state.best_base[improved] = base[gain]
-    state.best_value[improved] = found
     np.copyto(state.best_opt, t * N + np.arange(N, dtype=np.int64), where=improved)
     state.explored += explore
 
@@ -245,7 +242,6 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_s
             pool_base = state.best_base[rows, winner][:, None]
             pool_opt = state.best_opt[rows, winner][:, None]
             adopt = state.m < pool
-            np.copyto(state.best_value, pool, where=adopt)
             np.copyto(state.m, pool, where=adopt)
             np.copyto(state.best_base, pool_base, where=adopt)
             np.copyto(state.best_opt, pool_opt, where=adopt)
@@ -291,7 +287,6 @@ def _share_appraised(state: SimState, last_share: int, pref_sd: float, rng) -> N
         value = np.take_along_axis(b, k[:, :, None], axis=2)[:, :, 0]
         adopt = value > state.m[rows]
         np.copyto(state.m[rows], value, where=adopt)
-        np.copyto(state.best_value[rows], value, where=adopt)
         np.copyto(state.best_base[rows], np.take_along_axis(offered_base[rows], k, axis=1), where=adopt)
         np.copyto(state.best_opt[rows], np.take_along_axis(offered_opt[rows], k, axis=1), where=adopt)
 

@@ -161,9 +161,19 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "fields",
         [{"n_agents": "five"}, {"horizon": [8]}, {"replications": 1e999},
-         {"schedule": {"windows": [{"start": 1}]}}, {"schedule": {"one_time": "x"}}, None],
+         {"schedule": {"windows": [{"start": 1}]}}, {"schedule": {"one_time": "x"}}, None,
+         {"noise_per_option": "false"}, {"noise_per_option": 0},
+         {"n_agents": True}, {"horizon": 6.7}, {"replications": True}, {"master_seed": 0.5},
+         {"schedule": {"windows": [{"start": 0.5, "len": 2}]}},
+         {"schedule": {"windows": [{"start": 0, "len": True}]}},
+         {"schedule": {"one_time": 3.5}}, {"schedule": {"one_time": True}},
+         {"noise_sd": float("nan")}],
         ids=["n_agents_not_int", "horizon_list", "replications_inf", "window_without_len",
-             "one_time_not_int", "top_level_array"],
+             "one_time_not_int", "top_level_array",
+             "noise_per_option_string", "noise_per_option_int",
+             "n_agents_bool", "horizon_fraction", "replications_bool", "master_seed_fraction",
+             "window_start_fraction", "window_len_bool",
+             "one_time_fraction", "one_time_bool", "noise_sd_nan"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, fields):
         cfg = sim_config(tmp_path, **(fields or {}))

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from commgate import myopic
 from commgate.distributions import RewardDistribution
 from commgate.errors import HorizonTooLargeError, ScheduleError
 from commgate.myopic import (
@@ -60,12 +61,28 @@ class TestXYTerms:
         assert xy_terms(d, 1, 1) == (0.0, 0.0)
         assert xy_terms(d, 1, 7) == (0.0, 0.0)
 
-    def test_uniform_matches_riemann_oracle(self, uniform):
+    @pytest.mark.parametrize("N", [3, 50])
+    @pytest.mark.parametrize("d_name", ["uniform", "beta", "hotel"])
+    def test_matches_riemann_oracle(self, d_name, N, uniform, hotel_dist):
+        d = {"uniform": uniform, "beta": RewardDistribution.beta(2, 5), "hotel": hotel_dist}[d_name]
         for i in (1, 2):
-            x, y = xy_terms(uniform, 3, i)
-            ox, oy = riemann_xy(uniform, 3, i)
+            x, y = xy_terms(d, N, i)
+            ox, oy = riemann_xy(d, N, i)
             assert x == pytest.approx(ox, abs=1e-7)
             assert y == pytest.approx(oy, abs=1e-7)
+
+    def test_table_integrates_once_per_index(self, monkeypatch):
+        # x_i is closed-form: one tail integral for the table plus one per y_i
+        calls = []
+        integrate = myopic.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(myopic, "integrate", counting)
+        myopic._single_window_table(RewardDistribution.beta(2, 5), 5, 12)
+        assert len(calls) == 12 + 1
 
     def test_benefit_grows_with_window_length(self, uniform):
         ys = [xy_terms(uniform, 3, i)[1] for i in (1, 2, 3)]

@@ -141,15 +141,15 @@ class TestStep:
         state = step(SimState.initial(2048, 5), 0, cfg, rng)
         keep = np.all(state.m >= uniform.mean(), axis=1)  # nobody explores at t=1
         assert keep.sum() > 100
-        state = SimState(state.m[keep], state.best_base[keep], state.best_value[keep],
-                         state.best_opt[keep], state.explored[keep])
+        state = SimState(state.m[keep], state.best_base[keep], state.best_opt[keep],
+                         state.explored[keep])
         expected_rng = np.random.Generator(np.random.Philox(7))
         expected_rng.bit_generator.state = rng.bit_generator.state
         expected_rng.random(state.m.shape)  # option quantiles
         expected_rng.random(state.m.shape)  # exploration preference offsets
         after = step(state, 1, cfg, rng)
         assert np.array_equal(rng.random(8), expected_rng.random(8))  # same stream position
-        for name in ("m", "best_value", "best_base", "best_opt", "explored"):
+        for name in ("m", "best_base", "best_opt", "explored"):
             assert np.array_equal(getattr(after, name), getattr(state, name)), name
 
     def test_heterogeneous_share_memory_is_bounded(self, uniform):
@@ -264,6 +264,21 @@ class TestRun:
 
         monkeypatch.setattr(RewardDistribution, "ppf", counting)
         res = run(myopic_config(uniform, replications=300, master_seed=8))
+        assert sum(points) == round(300 * 5 * res.exploration_slots_mean)
+
+    def test_per_option_noise_evaluated_for_explorers_only(self, uniform, monkeypatch):
+        # with noise drawn once per option, exploiters re-receive their belief,
+        # so only explorers' noise quantiles go through ndtri
+        points = []
+        ndtri = simulate.special.ndtri
+
+        def counting(u):
+            points.append(np.size(u))
+            return ndtri(u)
+
+        monkeypatch.setattr(simulate.special, "ndtri", counting)
+        res = run(myopic_config(uniform, reward_mode="stochastic", noise_per_option=True,
+                                replications=300, master_seed=8))
         assert sum(points) == round(300 * 5 * res.exploration_slots_mean)
 
     def test_heterogeneous_reward_flat_after_exploration(self, uniform):
