@@ -6,6 +6,12 @@ provides the three supported prior families (uniform, Beta, and empirical
 piecewise-linear CDFs), inverse-CDF sampling, and an adaptive Simpson
 integrator that splits at known kink locations so that piecewise-smooth
 integrands converge quickly.
+
+The integrator takes scalar bounds or arrays of bounds.  An array call
+refines the pieces of every ``(lo, hi)`` pair together, one vectorized
+integrand call per refinement depth, and gives each pair the nodes and the
+estimate it would get alone; callers batch many small integrals into one
+call that way.
 """
 
 from __future__ import annotations
@@ -101,7 +107,7 @@ class RewardDistribution:
     def empirical(
         cls, grid: Sequence[float], cdf_values: Sequence[float]
     ) -> "RewardDistribution":
-        g = np.asarray(grid, dtype=float)
+        g = np.array(grid, dtype=float)
         c = np.asarray(cdf_values, dtype=float)
         if g.ndim != 1 or g.shape != c.shape or g.size < 2:
             raise DistributionError("grid and cdf_values must be 1-d, equal length >= 2")
@@ -115,6 +121,10 @@ class RewardDistribution:
             raise DistributionError(f"cdf must reach 1 at r=1, got {c[-1]}")
         c = np.clip(np.maximum.accumulate(c), 0.0, 1.0)
         c[-1] = 1.0
+        # private read-only copies: the instance is immutable, and
+        # interior_breakpoints() hands out a view of the grid
+        g.setflags(write=False)
+        c.setflags(write=False)
         # trapezoid of 1 - C is exact for a piecewise-linear CDF
         mean = 1.0 - float(np.trapezoid(c, g))
         return cls(kind="empirical", grid=g, cdf_values=c, mean_cache=mean)
@@ -189,11 +199,11 @@ class RewardDistribution:
         partial = 0.5 * ((1.0 - cu) + one_minus[j + 1]) * (g[j + 1] - u)
         return suffix[j + 1] + partial
 
-    def interior_breakpoints(self) -> tuple[float, ...]:
-        """Kink locations of F inside (0, 1); empty for smooth kinds."""
+    def interior_breakpoints(self) -> np.ndarray:
+        """Kink locations of F inside (0, 1), ascending; empty for smooth kinds."""
         if self.kind == "empirical":
-            return tuple(self.grid[1:-1])
-        return ()
+            return self.grid[1:-1]
+        return np.empty(0)
 
     # -- serialization ----------------------------------------------------
 
@@ -236,109 +246,155 @@ class RewardDistribution:
         return "RewardDistribution.uniform()"
 
 
-def _vectorized(f: Callable, lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap an integrand so it accepts an ndarray even if written for scalars.
+def _first_evaluation(integrand: Callable, x: np.ndarray):
+    """Values of ``integrand`` at ``x``, and the evaluator for later nodes.
 
-    Probed once with a two-point array inside (lo, hi); integrands must be
-    pure, so the probe is side-effect free.
+    The evaluator is the integrand itself when it maps the array ``x`` to an
+    array of the same shape, else an element-by-element wrapper for
+    integrands written for scalars.  Integrands must be pure, so a rejected
+    array call is side-effect free.
     """
-    probe = np.array([lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo)])
     try:
-        y = np.asarray(f(probe), dtype=float)
-        if y.shape == probe.shape:
-            return lambda x: np.asarray(f(x), dtype=float)
+        y = np.asarray(integrand(x), dtype=float)
+        if y.shape == x.shape:
+            return y, lambda v: np.asarray(integrand(v), dtype=float)
     except (TypeError, ValueError):
         pass
 
-    def elementwise(x: np.ndarray) -> np.ndarray:
-        return np.fromiter((float(f(v)) for v in x), dtype=float, count=x.size)
+    def elementwise(v: np.ndarray) -> np.ndarray:
+        return np.fromiter((float(integrand(e)) for e in v), dtype=float, count=v.size)
 
-    return elementwise
+    return elementwise(x), elementwise
+
+
+def _kinks(dist: RewardDistribution, spec: QuadratureSpec) -> np.ndarray:
+    """Sorted, distinct kink abscissae of ``spec`` and ``dist``."""
+    own = dist.interior_breakpoints()
+    if not spec.breakpoints:
+        return own
+    extra = np.asarray(spec.breakpoints)
+    return np.union1d(own, extra) if own.size else extra
 
 
 def integrate(
     dist: RewardDistribution,
     integrand: Callable,
-    lo: float,
-    hi: float,
+    lo,
+    hi,
     spec: QuadratureSpec | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Adaptive-Simpson estimate of ``integral_lo^hi integrand(r) dr``.
 
-    The interval is cut at every breakpoint of ``spec`` and at every interior
-    kink of ``dist`` (the empirical grid) that falls inside (lo, hi), then each
-    piece is refined until its Richardson error estimate fits its share of
-    ``spec.abs_tol``.  All pieces at the same refinement depth are evaluated in
-    one vectorized call.
+    ``lo`` and ``hi`` are scalars, giving a float, or arrays broadcast to one
+    shape, giving an array with one integral per ``(lo, hi)`` pair.  Each
+    pair's interval is cut at every breakpoint of ``spec`` and at every
+    interior kink of ``dist`` (the empirical grid) that falls inside
+    (lo, hi), then each piece is refined until its Richardson error estimate
+    fits its share of ``spec.abs_tol``, which is split between the pieces of
+    a pair in proportion to their width.  So each pair gets the nodes and
+    the estimate it would get alone.  All pieces of all pairs at the same
+    refinement depth are evaluated in one vectorized integrand call.
+    Zero-width pairs give 0 without evaluating the integrand.  The values at
+    a piece's ends are taken ``1e-12`` of the pair's width inside the piece,
+    and at least one float inside, so the integrand may jump or be undefined
+    at ``lo``, ``hi`` and the kinks.
 
     Raises
     ------
+    DistributionError
+        If a pair is outside ``0 <= lo <= hi <= 1``; the first such pair is
+        named.
     QuadratureError
         If some piece still exceeds its tolerance at ``max_depth``; the error
-        carries the best available estimate.
+        carries the best available estimate (a float or an array, like the
+        result) and the summed error estimate of the failed pieces.
     """
     spec = spec or _DEFAULT_SPEC
-    if not (0.0 <= lo <= hi <= 1.0):
-        raise DistributionError(f"integration bounds must satisfy 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
-    if hi - lo == 0.0:
-        return 0.0
-    f = _vectorized(integrand, lo, hi)
-
-    cuts = [b for b in spec.breakpoints if lo < b < hi]
-    cuts.extend(b for b in dist.interior_breakpoints() if lo < b < hi)
-    edges = np.array(sorted({lo, hi, *cuts}), dtype=float)
-
-    a = edges[:-1].copy()
-    b = edges[1:].copy()
-    m = 0.5 * (a + b)
-    # breakpoints may be jumps or poles of the integrand: take one-sided
-    # values by nudging the initial edge evaluations inward
-    eps = 1e-12 * (hi - lo)
-    fa = f(a + eps)
-    fb = f(b - eps)
-    fm = f(m)
-    s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = spec.abs_tol * (b - a) / (hi - lo)
-
-    total = 0.0
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    lo_arr, hi_arr = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    shape = lo_arr.shape
+    lo_arr, hi_arr = lo_arr.ravel(), hi_arr.ravel()
+    ok = (0.0 <= lo_arr) & (lo_arr <= hi_arr) & (hi_arr <= 1.0)
+    if not ok.all():
+        if scalar:
+            raise DistributionError(
+                f"integration bounds must satisfy 0 <= lo <= hi <= 1, got [{lo}, {hi}]"
+            )
+        j = int(np.argmin(ok))
+        raise DistributionError(
+            "integration bounds must satisfy 0 <= lo <= hi <= 1, "
+            f"got [{lo_arr[j]}, {hi_arr[j]}] at pair {j}"
+        )
+    width = hi_arr - lo_arr
+    total = np.zeros(width.size)
+    live = np.flatnonzero(width > 0.0)
     failed_bound = 0.0
     failed = False
-    depth = 0
-    while a.size:
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        sl = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        sr = (b - m) / 6.0 * (fb + 4.0 * frm + fm)
-        s2 = sl + sr
-        corr = (s2 - s) / 15.0
-        done = np.abs(corr) <= tol
-        if depth >= spec.max_depth:
-            bad = ~done
-            failed = failed or bool(bad.any())
-            failed_bound += float(np.sum(np.abs(corr[bad])))
-            done = np.ones_like(done)
-        total += float(np.sum((s2 + corr)[done]))
-        keep = ~done
-        if not keep.any():
-            break
-        # split every unconverged interval into its two halves
-        a = np.concatenate([a[keep], m[keep]])
-        b = np.concatenate([m[keep], b[keep]])
-        fa = np.concatenate([fa[keep], fm[keep]])
-        fb = np.concatenate([fm[keep], fb[keep]])
-        fm = np.concatenate([flm[keep], frm[keep]])
+    if live.size:
+        # pieces of every live pair, pair by pair: edges lo, the kinks in
+        # (lo, hi), hi; `grid`'s pad entry only fills slots overwritten by hi
+        kinks = _kinks(dist, spec)
+        lo_l, hi_l = lo_arr[live], hi_arr[live]
+        first_cut = np.searchsorted(kinks, lo_l, side="right")
+        n_pieces = np.searchsorted(kinks, hi_l, side="left") - first_cut + 1
+        pid = np.repeat(live, n_pieces)
+        start = np.cumsum(n_pieces) - n_pieces
+        right = np.arange(pid.size) + np.repeat(first_cut - start, n_pieces)
+        grid = np.append(kinks, 1.0)
+        a = grid[right - 1]
+        a[start] = lo_l
+        b = grid[right]
+        b[start + n_pieces - 1] = hi_l
         m = 0.5 * (a + b)
-        s = np.concatenate([sl[keep], sr[keep]])
-        tol = np.concatenate([0.5 * tol[keep], 0.5 * tol[keep]])
-        depth += 1
+        # breakpoints may be jumps or poles of the integrand: take one-sided
+        # values by nudging the initial edge evaluations inward, at least to
+        # the next float where the nudge is below the float spacing
+        eps = 1e-12 * width[pid]
+        a_in = np.maximum(a + eps, np.nextafter(a, b))
+        b_in = np.minimum(b - eps, np.nextafter(b, a))
+        y, f = _first_evaluation(integrand, np.concatenate([a_in, b_in, m]))
+        n = a.size
+        fa, fb, fm = y[:n], y[n : 2 * n], y[2 * n :]
+        s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+        tol = spec.abs_tol * (b - a) / width[pid]
 
+        depth = 0
+        while a.size:
+            lm = 0.5 * (a + m)
+            rm = 0.5 * (m + b)
+            y = f(np.concatenate([lm, rm]))
+            flm, frm = y[: a.size], y[a.size :]
+            sl = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+            sr = (b - m) / 6.0 * (fb + 4.0 * frm + fm)
+            s2 = sl + sr
+            corr = (s2 - s) / 15.0
+            done = np.abs(corr) <= tol
+            if depth >= spec.max_depth:
+                bad = ~done
+                failed = failed or bool(bad.any())
+                failed_bound += float(np.sum(np.abs(corr[bad])))
+                done = np.ones_like(done)
+            total += np.bincount(pid[done], weights=(s2 + corr)[done], minlength=total.size)
+            keep = ~done
+            if not keep.any():
+                break
+            # split every unconverged interval into its two halves
+            a = np.concatenate([a[keep], m[keep]])
+            b = np.concatenate([m[keep], b[keep]])
+            fa = np.concatenate([fa[keep], fm[keep]])
+            fb = np.concatenate([fm[keep], fb[keep]])
+            fm = np.concatenate([flm[keep], frm[keep]])
+            m = 0.5 * (a + b)
+            s = np.concatenate([sl[keep], sr[keep]])
+            tol = np.concatenate([0.5 * tol[keep], 0.5 * tol[keep]])
+            pid = np.concatenate([pid[keep], pid[keep]])
+            depth += 1
+
+    result = float(total[0]) if scalar else total.reshape(shape)
     if failed:
         raise QuadratureError(
             f"quadrature did not converge to abs_tol={spec.abs_tol} within depth {spec.max_depth}",
-            estimate=total,
+            estimate=result,
             error_bound=failed_bound,
         )
-    return total
-
+    return result

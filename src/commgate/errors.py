@@ -12,8 +12,9 @@ class DistributionError(CommgateError, ValueError):
 class QuadratureError(CommgateError, RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance.
 
-    Carries the best available estimate in ``estimate`` and the worst
-    remaining interval-error bound in ``error_bound``.
+    Carries the best available estimate in ``estimate`` (a float, or an
+    array for an array call) and the summed error estimate of the pieces
+    that failed in ``error_bound``.
     """
 
     def __init__(self, message, estimate, error_bound):

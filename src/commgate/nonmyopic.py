@@ -191,13 +191,18 @@ def solve_single_agent(
 class _Frozen(NamedTuple):
     G: BeliefCdf
     spec: QuadratureSpec  # the caller's spec with G's kinks as breakpoints
-    w: np.ndarray  # segment table indexed by band k
+    w: np.ndarray | None  # segment table indexed by band k; None until integrated
 
 
 def _frozen_belief(d, prefix, spec):
     """Belief law of a threshold prefix and ``spec`` with its kinks."""
     G = BeliefCdf(d, prefix)
     return G, replace(spec, breakpoints=tuple(G.thresholds))
+
+
+def _count_at_or_above(asc, r):
+    """Number of entries of the ascending array ``asc`` that are >= each ``r``."""
+    return asc.size - np.searchsorted(asc, r, side="left")
 
 
 class _OneTimeSystem:
@@ -208,6 +213,16 @@ class _OneTimeSystem:
     ``w[k] + (T-T1-k) band(k, u, upper[k])`` with ``upper = [1, *post]`` and
     ``band(k, lo, hi) = integral_lo^hi G^(N-1) F^k (1-F)``; the segment table
     ``w[k]`` is the coupling at the top of band ``k``.
+
+    Every such integral lies inside its band, so the exponent is a function
+    of ``r``: ``k(r)`` is the number of post-sharing thresholds at or above
+    ``r``.  That is the band index ``cases`` gives a coordinate, except on a
+    band's lower edge ``post[k]``, where the count is ``k + 1``.  The edge is
+    the lower end of its integration pair, and ``integrate`` evaluates no
+    pair at its ends (it nudges those nodes inward, at least to the next
+    float), so no node reads the exponent there.  So one integrand serves
+    the segment table and every coordinate, and a whole residual evaluation
+    is one ``integrate`` call.
     """
 
     def __init__(self, d, N, T, T1, post, spec):
@@ -222,23 +237,31 @@ class _OneTimeSystem:
         self.spec = spec
 
     def freeze(self, u):
-        """Belief, kinked quadrature spec and segment table for the prefix ``u``."""
-        G, spec_g = _frozen_belief(self.d, u, self.spec)
-        frozen = _Frozen(G, spec_g, np.zeros(self.post.size))
-        for k in range(self.post.size - 1):
-            frozen.w[k + 1] = self.coupling(frozen, self.post[k], k)
-        return frozen
+        """Belief and kinked quadrature spec for the prefix ``u``, no table yet."""
+        return _Frozen(*_frozen_belief(self.d, u, self.spec), None)
 
-    def coupling(self, frozen, v, k):
-        d, G, N = self.d, frozen.G, self.N
+    def coupling(self, frozen, v):
+        """Coupling at every value of ``v``, and ``frozen`` with its segment table.
+
+        One ``integrate`` call: the pairs ``[v, upper[cases(v)]]``, after the
+        band pairs ``[post[k], upper[k]]`` when the table is not built yet.
+        """
+        d, G, N, post = self.d, frozen.G, self.N, self.post
+        ks = self.cases(v)
+        nb = post.size - 1 if frozen.w is None else 0
+        lo = np.concatenate([post[:nb], v])
+        hi = np.concatenate([self.upper[:nb], self.upper[ks]])
 
         def band(r):
             f = d.cdf(r)
-            return G(r) ** (N - 1) * f**k * (1.0 - f)
+            return G(r) ** (N - 1) * f ** _count_at_or_above(self.post_asc, r) * (1.0 - f)
 
-        return frozen.w[k] + (self.T - self.T1 - k) * integrate(
-            d, band, v, self.upper[k], frozen.spec
+        terms = (self.T - self.T1 - np.concatenate([np.arange(nb), ks])) * integrate(
+            d, band, lo, hi, frozen.spec
         )
+        if frozen.w is None:
+            frozen = frozen._replace(w=np.concatenate([[0.0], np.cumsum(terms[:nb])]))
+        return frozen.w[ks] + terms[nb:], frozen
 
     def cases(self, u):
         """Half-open band index per coordinate: 0 above the first post threshold,
@@ -246,34 +269,19 @@ class _OneTimeSystem:
         leq = np.searchsorted(self.post_asc, u, side="right")
         return (self.post.size - leq).astype(int)
 
-    def residual(self, frozen, i, v, tail_v, k):
-        """g_i at value ``v`` in band ``k``, given ``tail_v = tail(v)``."""
-        return v - self.mu - (self.T1 - i - 1) * tail_v - self.coupling(frozen, v, k)
+    def residual(self, frozen, i, v):
+        """g at values ``v`` of the coordinates ``i``, and ``frozen`` with its table."""
+        coupling, frozen = self.coupling(frozen, v)
+        return v - self.mu - (self.T1 - i - 1) * self.d.tail_mean_excess(v) - coupling, frozen
 
     def residuals(self, u):
         d, N, T, T1 = self.d, self.N, self.T, self.T1
-        frozen = self.freeze(u)
+        g, frozen = self.residual(self.freeze(u), np.arange(T1), u)
         ks = self.cases(u)
-        e1 = d.tail_mean_excess(u)
         fu = d.cdf(u)
-        gu = frozen.G(u)
-        g = np.empty(T1)
-        jac = np.empty(T1)
-        for i in range(T1):
-            k = int(ks[i])
-            g[i] = self.residual(frozen, i, u[i], e1[i], k)
-            slope = (T - T1 - k) * gu[i] ** (N - 1) * fu[i] ** k
-            jac[i] = 1.0 + (1.0 - fu[i]) * ((T1 - i - 1) + slope)
+        slope = (T - T1 - ks) * frozen.G(u) ** (N - 1) * fu**ks
+        jac = 1.0 + (1.0 - fu) * ((T1 - np.arange(T1) - 1) + slope)
         return g, jac, ks
-
-    def scalar_equation(self, frozen, i):
-        """g_i as a function of its own coordinate with the prefix frozen."""
-
-        def g_of(v):
-            k = int(self.cases(np.array([v]))[0])
-            return self.residual(frozen, i, v, self.d.tail_mean_excess(v), k)
-
-        return g_of
 
 
 def _enforce_decreasing(u, mu):
@@ -385,24 +393,23 @@ def solve_one_time(
 
 
 def _bisection_sweep(system, u, mask, mu):
-    """Solve each masked coordinate exactly by bisection with G frozen."""
-    frozen = system.freeze(u)
+    """Solve each masked coordinate exactly by bisection with G frozen.
+
+    All masked coordinates step together: one ``integrate`` call per step.
+    """
+    i = np.flatnonzero(mask)
+    g_lo, frozen = system.residual(system.freeze(u), i, np.full(i.size, mu))
     out = u.copy()
-    for i in range(u.size):
-        if not mask[i]:
-            continue
-        g_of = system.scalar_equation(frozen, i)
-        lo, hi = mu, 1.0
-        flo = g_of(lo)
-        if flo >= 0.0:
-            out[i] = lo
-            continue
+    out[i[g_lo >= 0.0]] = mu
+    i = i[g_lo < 0.0]
+    if i.size:
+        lo = np.full(i.size, mu)
+        hi = np.ones(i.size)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if g_of(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
+            below = system.residual(frozen, i, mid)[0] < 0.0
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
         out[i] = 0.5 * (lo + hi)
     out, _ = _enforce_decreasing(out, mu)
     return out
@@ -445,46 +452,43 @@ def welfare_one_time(
     G, spec_b = _frozen_belief(d, seq.prefix, spec)
     fu = d.cdf(u)
 
-    explore_gain = mu * (1.0 + float(np.sum(fu[1 : T1 + 1] ** np.arange(1, T1 + 1))))
+    pre_explore = float(np.sum(fu[1 : T1 + 1] ** np.arange(1, T1 + 1)))
+    explore_gain = mu * (1.0 + pre_explore)
 
-    pre = 0.0
-    for t in range(0, T1):
-        hi_u, lo_u = u[t], u[t + 1]
-        p = t + 1
-        stieltjes = (
-            hi_u * fu[t] ** p
-            - lo_u * fu[t + 1] ** p
-            - integrate(d, lambda r, p=p: d.cdf(r) ** p, lo_u, hi_u, spec)
+    # pre-sharing slot t = 0..T1-1 integrates F^(t+1) over [u_(t+1), u_t]: the
+    # exponent is one more than the number of prefix thresholds at or above r
+    prefix_asc = seq.prefix[::-1].copy()
+    t = np.arange(T1)
+    hi_u, lo_u, p = u[:T1], u[1 : T1 + 1], t + 1
+    stieltjes = (
+        hi_u * fu[:T1] ** p
+        - lo_u * fu[1 : T1 + 1] ** p
+        - integrate(
+            d, lambda r: d.cdf(r) ** (1 + _count_at_or_above(prefix_asc, r)), lo_u, hi_u, spec
         )
-        tail_mean = 1.0 - hi_u * fu[t] - ((1.0 - hi_u) - d.tail_mean_excess(hi_u))
-        pre += (T1 - t) * (stieltjes + fu[t] ** t * tail_mean)
-
-    first_post = seq.values[T1]  # ubar_(T1+1)
-    pooled = (T - T1) * (
-        1.0 - integrate(d, lambda r: G(r) ** N, first_post, 1.0, spec_b)
     )
+    tail_mean = 1.0 - hi_u * fu[:T1] - ((1.0 - hi_u) - d.tail_mean_excess(hi_u))
+    pre = float(np.sum((T1 - t) * (stieltjes + fu[:T1] ** t * tail_mean)))
 
-    resume = 0.0
-    for tau in range(1, T - T1):
-        hi_b = seq.values[T1 + tau - 1]
-        lo_b = seq.values[T1 + tau]
-
-        def band(r, tau=tau):
-            return G(r) ** N * d.cdf(r) ** tau
-
-        resume += (T - T1 - tau) * integrate(d, band, lo_b, hi_b, spec_b)
+    # the pooled reveal over [ubar_(T1+1), 1] and the resumed solo slots
+    # tau = 1..T-T1-1 over [ubar_(T1+tau), ubar_(T1+tau-1)] integrate
+    # G^N F^tau, tau being the number of post thresholds at or above r
+    post = seq.values[T1:]
+    post_asc = post[::-1].copy()
+    bands = integrate(
+        d,
+        lambda r: G(r) ** N * d.cdf(r) ** _count_at_or_above(post_asc, r),
+        post,
+        np.concatenate([[1.0], post[:-1]]),
+        spec_b,
+    )
+    pooled = (T - T1) * (1.0 - float(bands[0]))
+    resume = float(np.sum((T - T1 - np.arange(1, T - T1)) * bands[1:]))
 
     welfare = N * (explore_gain + pre + pooled - resume)
 
-    post_vals = seq.values[T1:]
-    g_post = np.atleast_1d(G(post_vals))
-    f_post = d.cdf(post_vals)
     taus = np.arange(1, T - T1 + 1)
-    count = (
-        1.0
-        + float(np.sum(fu[1 : T1 + 1] ** np.arange(1, T1 + 1)))
-        + float(np.sum(g_post**N * f_post**taus))
-    )
+    count = 1.0 + pre_explore + float(np.sum(G(post) ** N * d.cdf(post) ** taus))
     return welfare, count
 
 

@@ -25,6 +25,7 @@ agent shares the first time it is offered to her.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,8 +89,8 @@ class SimConfig:
             raise ConfigError(f"reward_mode must be one of {_MODES}, got {self.reward_mode!r}")
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
-        if not (self.noise_sd >= 0 and self.pref_sd >= 0):  # NaN fails too
-            raise ConfigError("noise_sd and pref_sd must be nonnegative")
+        if not (0 <= self.noise_sd < math.inf and 0 <= self.pref_sd < math.inf):  # NaN fails too
+            raise ConfigError("noise_sd and pref_sd must be finite and nonnegative")
 
     def describe(self) -> str:
         """Canonical one-line JSON echo of the resolved configuration."""

@@ -167,13 +167,14 @@ class TestSimulateCommand:
          {"schedule": {"windows": [{"start": 0.5, "len": 2}]}},
          {"schedule": {"windows": [{"start": 0, "len": True}]}},
          {"schedule": {"one_time": 3.5}}, {"schedule": {"one_time": True}},
-         {"noise_sd": float("nan")}],
+         {"noise_sd": float("nan")}, {"noise_sd": float("inf")}, {"pref_sd": "inf"}],
         ids=["n_agents_not_int", "horizon_list", "replications_inf", "window_without_len",
              "one_time_not_int", "top_level_array",
              "noise_per_option_string", "noise_per_option_int",
              "n_agents_bool", "horizon_fraction", "replications_bool", "master_seed_fraction",
              "window_start_fraction", "window_len_bool",
-             "one_time_fraction", "one_time_bool", "noise_sd_nan"],
+             "one_time_fraction", "one_time_bool", "noise_sd_nan", "noise_sd_json_infinity",
+             "pref_sd_string_inf"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, fields):
         cfg = sim_config(tmp_path, **(fields or {}))
@@ -210,6 +211,12 @@ class TestSweepCommand:
     def test_horizon_one_exits_2(self, tmp_path, capsys):
         assert run_cli("sweep", "--dist", "uniform", "--n-agents", "3",
                        "--t-start", "1", "--t-stop", "1", "--out", str(tmp_path / "s.csv")) == 2
+
+    def test_infinite_noise_exits_2(self, tmp_path, capsys):
+        assert run_cli("sweep", "--dist", "uniform", "--n-agents", "3",
+                       "--t-start", "6", "--t-stop", "6", "--noise-sd", "inf",
+                       "--out", str(tmp_path / "s.csv")) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_sweep_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

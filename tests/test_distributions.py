@@ -167,6 +167,69 @@ def test_integrate_splits_at_breakpoints():
     assert integrate(u, f, 0.0, 1.0, spec) == pytest.approx(1 - kink, abs=1e-9)
 
 
+@pytest.mark.parametrize("prior", ["uniform", "beta", "hotel"])
+def test_array_integrate_matches_scalar_calls(prior, request):
+    d = request.getfixturevalue("hotel_dist") if prior == "hotel" else KINDS[prior]
+    mu = d.mean()
+    # the spec's kinks fall inside some pairs and outside others
+    spec = QuadratureSpec(breakpoints=(0.35, 0.5, 0.61))
+    lo = np.array([0.0, 0.1, 0.3, mu, 0.44, 0.9, 0.62])
+    hi = np.array([1.0, 0.45, 0.3, 1.0, 0.62, 1.0, 0.7])
+
+    def f(r):
+        c = d.cdf(r)
+        return np.where(r < 0.5, c**3, 1.0 - c) * (1.0 - c)
+
+    batch = integrate(d, f, lo, hi, spec)
+    one_by_one = np.array([integrate(d, f, a, b, spec) for a, b in zip(lo, hi)])
+    assert batch.shape == lo.shape
+    assert batch[2] == 0.0
+    np.testing.assert_allclose(batch, one_by_one, rtol=1e-15, atol=0.0)
+
+
+def test_integrand_called_once_per_depth():
+    # 1 - r is integrated exactly at depth 0: the initial edges and midpoint
+    # form one call and the depth-0 quarter points another, with no probe
+    sizes = []
+
+    def f(r):
+        sizes.append(np.size(r))
+        return 1.0 - r
+
+    assert integrate(KINDS["uniform"], f, 0.5, 1.0) == pytest.approx(0.125, abs=1e-15)
+    assert sizes == [3, 2]
+
+
+def test_array_integrate_errors():
+    u = KINDS["uniform"]
+    with pytest.raises(DistributionError, match=r"got \[0.5, 0.4\] at pair 1"):
+        integrate(u, lambda r: r, np.array([0.1, 0.5, -0.1]), np.array([0.2, 0.4, 0.3]))
+    with pytest.raises(DistributionError, match=r"got \[0.5, 0.4\]$"):
+        integrate(u, lambda r: r, 0.5, 0.4)
+
+    def never(r):
+        raise AssertionError("zero-width pairs need no integrand value")
+
+    assert integrate(u, never, np.array([0.3, 1.0]), np.array([0.3, 1.0])).tolist() == [0.0, 0.0]
+    assert integrate(u, never, 0.3, 0.3) == 0.0
+
+    spec = QuadratureSpec(abs_tol=1e-14, max_depth=2)
+    f = lambda r: np.sin(40 * r) ** 2
+    lo, hi = np.array([0.0, 0.2, 0.5]), np.array([0.5, 0.2, 1.0])
+    with pytest.raises(QuadratureError) as err:
+        integrate(u, f, lo, hi, spec)
+    scalar = []
+    for a, b in ((0.0, 0.5), (0.5, 1.0)):
+        with pytest.raises(QuadratureError) as one:
+            integrate(u, f, a, b, spec)
+        assert isinstance(one.value.estimate, float)
+        scalar.append(one.value)
+    estimate = err.value.estimate
+    assert estimate.shape == (3,)
+    assert estimate.tolist() == [scalar[0].estimate, 0.0, scalar[1].estimate]
+    assert err.value.error_bound == pytest.approx(sum(e.error_bound for e in scalar), rel=1e-12)
+
+
 def test_empirical_validation_errors():
     with pytest.raises(DistributionError):
         RewardDistribution.empirical([0.0, 0.5], [0.0, 0.9])  # cdf(1) != 1
@@ -176,6 +239,18 @@ def test_empirical_validation_errors():
         RewardDistribution.empirical([0.0, 0.5, 1.0], [0.0, 0.8, 0.5])  # decreasing cdf
     with pytest.raises(DistributionError):
         RewardDistribution.beta(-1.0, 2.0)
+
+
+def test_empirical_arrays_are_read_only_copies():
+    grid, cdf = np.array([0.0, 0.3, 0.7, 1.0]), np.array([0.1, 0.4, 0.8, 1.0])
+    d = RewardDistribution.empirical(grid, cdf)
+    grid[1] = 0.5
+    assert d.grid[1] == 0.3
+    kinks = d.interior_breakpoints()
+    assert kinks.tolist() == [0.3, 0.7]
+    for arr in (kinks, d.grid, d.cdf_values):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.2
 
 
 def test_empirical_csv_roundtrip(tmp_path):

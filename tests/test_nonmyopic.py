@@ -202,6 +202,138 @@ class TestOneTime:
         assert len(lines) == 7
 
 
+class TestIntegrateCalls:
+    """Each residual evaluation, bisection step and welfare term is one batch."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from commgate import nonmyopic
+
+        made = []
+
+        def counting(*args, **kwargs):
+            made.append(np.size(args[2]))
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(nonmyopic, "integrate", counting)
+        return made
+
+    @pytest.mark.parametrize("T1", [1, 4, 9])
+    def test_residuals_make_one_call(self, hotel_dist, calls, T1):
+        from commgate.nonmyopic import _OneTimeSystem
+
+        N, T = 10, 10
+        bench = solve_single_agent(hotel_dist, T)
+        system = _OneTimeSystem(hotel_dist, N, T, T1, bench.values[T1:], QuadratureSpec())
+        system.residuals(bench.values[:T1].copy())
+        # the T-T1-1 band integrals of the segment table plus T1 coordinates
+        assert calls == [T - 1]
+
+    def test_bisection_makes_one_call_per_step(self, uniform, calls):
+        from commgate.nonmyopic import _bisection_sweep, _OneTimeSystem
+
+        N, T, T1 = 5, 12, 5
+        bench = solve_single_agent(uniform, T)
+        system = _OneTimeSystem(uniform, N, T, T1, bench.values[T1:], QuadratureSpec())
+        _bisection_sweep(system, bench.values[:T1].copy(), np.ones(T1, dtype=bool), 0.5)
+        # the table and the probe at mu, then 60 halvings of all coordinates
+        assert calls == [T - T1 - 1 + T1] + [T1] * 60
+
+    @pytest.mark.parametrize("T1", [1, 6, 13])
+    def test_welfare_makes_two_calls(self, uniform, calls, T1):
+        N, T = 5, 14
+        seq = solve_one_time(uniform, N, T, T1)
+        calls.clear()
+        welfare_one_time(uniform, N, T, seq)
+        # pre-sharing slots, then the pooled reveal with the resumed slots
+        assert calls == [T1, T - T1]
+
+
+class TestNarrowBands:
+    """Band integrals keep their band's exponent when a band is so narrow that
+    the inward nudge of its edge nodes is below the float spacing there.
+
+    The solo gaps near the top of a T = 800 uniform benchmark are about 3e-5,
+    so ``1e-12 * width`` rounds away against thresholds in [0.5, 1).  The
+    references integrate band by band with a fixed exponent.
+    """
+
+    N, T = 5, 800
+
+    @pytest.fixture(scope="class")
+    def bench(self, uniform):
+        return solve_single_agent(uniform, self.T)
+
+    def test_bands_are_narrow(self, bench):
+        gaps = -np.diff(bench.values)
+        edges = bench.values[1:]
+        assert np.any(edges + 1e-12 * gaps == edges)
+
+    def test_residuals_match_fixed_exponent_bands(self, uniform, bench):
+        from dataclasses import replace
+
+        from commgate.nonmyopic import _OneTimeSystem
+
+        d, N, T, T1 = uniform, self.N, self.T, 3
+        post = bench.values[T1:]
+        # coordinates deep in the post bands, two of them on a band's edge,
+        # so that they read the segment table over the narrow top bands
+        u = np.array([post[5], 0.5 * (post[300] + post[301]), post[700]])
+        spec = QuadratureSpec()
+        g, _, ks = _OneTimeSystem(d, N, T, T1, post, spec).residuals(u)
+        assert ks.tolist() == [5, 301, 700]
+
+        G = BeliefCdf(d, u)
+        spec_g = replace(spec, breakpoints=tuple(G.thresholds))
+        upper = np.concatenate([[1.0], post])
+
+        def band(k, lo, hi):
+            f = lambda r: G(r) ** (N - 1) * d.cdf(r) ** k * (1.0 - d.cdf(r))
+            return integrate(d, f, lo, hi, spec_g)
+
+        w = np.zeros(post.size)
+        for k in range(post.size - 1):
+            w[k + 1] = w[k] + (T - T1 - k) * band(k, post[k], upper[k])
+        expected = [
+            u[i] - d.mean() - (T1 - i - 1) * d.tail_mean_excess(u[i])
+            - w[k] - (T - T1 - k) * band(k, u[i], upper[k])
+            for i, k in enumerate(ks)
+        ]
+        np.testing.assert_allclose(g, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("T1", [1, 799])
+    def test_welfare_matches_fixed_exponent_bands(self, uniform, bench, T1):
+        from commgate.nonmyopic import ThresholdSequence
+
+        d, N, T = uniform, self.N, self.T
+        seq = ThresholdSequence(T, T1, bench.values, bench.residuals)
+        spec = QuadratureSpec()
+        welfare, _ = welfare_one_time(d, N, T, seq, spec)
+
+        mu = d.mean()
+        u = np.concatenate([[1.0], seq.values])
+        fu = d.cdf(u)
+        G = BeliefCdf(d, seq.prefix)
+        spec_b = QuadratureSpec(breakpoints=tuple(G.thresholds))
+        pre = 0.0
+        for t in range(T1):
+            p = t + 1
+            stieltjes = (
+                u[t] * fu[t] ** p - u[t + 1] * fu[t + 1] ** p
+                - integrate(d, lambda r: d.cdf(r) ** p, u[t + 1], u[t], spec)
+            )
+            tail_mean = 1.0 - u[t] * fu[t] - ((1.0 - u[t]) - d.tail_mean_excess(u[t]))
+            pre += (T1 - t) * (stieltjes + fu[t] ** t * tail_mean)
+        pooled = (T - T1) * (1.0 - integrate(d, lambda r: G(r) ** N, u[T1 + 1], 1.0, spec_b))
+        resume = 0.0
+        for tau in range(1, T - T1):
+            f = lambda r: G(r) ** N * d.cdf(r) ** tau
+            resume += (T - T1 - tau) * integrate(d, f, u[T1 + tau + 1], u[T1 + tau], spec_b)
+        explore_gain = mu * (1.0 + np.sum(fu[1 : T1 + 1] ** np.arange(1, T1 + 1)))
+        expected = N * (explore_gain + pre + pooled - resume)
+        assert welfare == pytest.approx(expected, rel=1e-13)
+
+
 class TestWelfareOneTime:
     def test_exploration_mitigated_at_optimum(self, uniform):
         N, T = 5, 20
