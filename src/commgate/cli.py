@@ -224,25 +224,33 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     d = parse_dist(args.dist)
     N = args.n_agents
+    if args.t_step < 1:
+        raise ConfigError(f"--t-step must be >= 1, got {args.t_step}")
     horizons = list(range(args.t_start, args.t_stop + 1, args.t_step))
-    modes = args.modes.split(",")
+    # one validated simulation config per mode, before any scan runs; each
+    # horizon replaces its horizon, schedule and thresholds
+    configs = [
+        SimConfig(
+            dist=d, n_agents=N, horizon=1, schedule=CommSchedule.centralized(1),
+            reward_mode=mode, noise_sd=args.noise_sd, pref_sd=args.pref_sd,
+            replications=args.replications, master_seed=args.seed,
+        )
+        for mode in args.modes.split(",")
+    ]
     lines = ["T,mode,T1_star,mechanism_welfare,centralized_welfare,gain_per_agent"]
     for T in horizons:
         scan, (t1_star, seq, _) = nonmyopic._scan_and_pick(d, N, T)
         seq_c, _ = _centralized_row(scan)
-        for mode in modes:
-            mech = SimConfig(
-                dist=d, n_agents=N, horizon=T,
-                schedule=CommSchedule.one_time(T, t1_star),
+        for config in configs:
+            mech = replace(
+                config, horizon=T, schedule=CommSchedule.one_time(T, t1_star),
                 agent_kind="nonmyopic", thresholds=seq,
-                reward_mode=mode, noise_sd=args.noise_sd, pref_sd=args.pref_sd,
-                replications=args.replications, master_seed=args.seed,
             )
             cent = replace(mech, schedule=CommSchedule.centralized(T), thresholds=seq_c)
             r_mech, r_cent = trajectory_compare(mech, cent)
             gain = (r_mech.total_welfare_mean - r_cent.total_welfare_mean) / N
             lines.append(
-                f"{T},{mode},{t1_star},{r_mech.total_welfare_mean:.12g},"
+                f"{T},{config.reward_mode},{t1_star},{r_mech.total_welfare_mean:.12g},"
                 f"{r_cent.total_welfare_mean:.12g},{gain:.12g}"
             )
             print(lines[-1])

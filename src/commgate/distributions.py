@@ -85,9 +85,9 @@ class RewardDistribution:
 
     @classmethod
     def beta(cls, alpha: float, beta: float) -> "RewardDistribution":
-        if not (alpha > 0 and beta > 0):
+        if not (0 < alpha < np.inf and 0 < beta < np.inf):  # NaN fails too
             raise DistributionError(
-                f"Beta parameters must be positive, got alpha={alpha}, beta={beta}"
+                f"Beta parameters must be positive and finite, got alpha={alpha}, beta={beta}"
             )
         return cls(
             kind="beta",

@@ -36,7 +36,6 @@ __all__ = [
 
 _SPEC = QuadratureSpec()
 _RESID_TOL = 1e-8
-_SOLO_TOL = 1e-10
 _MAX_ITER = 200
 _FLIP_CAP = 50
 
@@ -132,28 +131,20 @@ def belief_cdf(d: RewardDistribution, prefix_thresholds) -> BeliefCdf:
     return BeliefCdf(d, prefix_thresholds)
 
 
-def _newton_bracket(fun, dfun, lo, hi, x0, tol, max_iter=100, what=""):
-    """Root of an increasing function on [lo, hi] by Newton with bisection safeguard."""
-    x = min(max(x0, lo), hi)
-    f = fun(x)
-    a, b = lo, hi
-    for _ in range(max_iter):
-        if abs(f) < tol:
-            return x, f
-        if f < 0.0:
-            a = x
-        else:
-            b = x
-        df = dfun(x)
-        xn = x - f / df if df > 0 else 0.5 * (a + b)
-        if not a < xn < b:
-            xn = 0.5 * (a + b)
-        x = xn
-        f = fun(x)
-    raise SolverError(
-        f"scalar solve did not converge ({what}): residual {f:.3e} after {max_iter} iterations",
-        diagnostics={"residual": f, "x": x},
-    )
+def _bisect(fun, mu, n):
+    """Roots in ``[mu, 1]`` of ``n`` increasing functions, negative at ``mu``.
+
+    ``fun`` maps ``n`` values to their ``n`` residuals; every root is halved
+    together, 60 times, so one call serves all of them per step.
+    """
+    lo = np.full(n, mu)
+    hi = np.ones(n)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = fun(mid) < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def solve_single_agent(
@@ -161,43 +152,29 @@ def solve_single_agent(
 ) -> ThresholdSequence:
     """Solo optimal-stopping thresholds: ``u_t - mu = (T-t) * tail(u_t)``.
 
-    Each slot's equation is scalar and independent; ``tail(u)`` is the mean
-    excess ``integral_u^1 (1-F)``.  The sequence strictly decreases to
-    ``u_T = mu``.
+    ``tail(u)`` is the mean excess ``integral_u^1 (1-F)``.  The slots'
+    equations are independent and increasing in ``u_t``, negative at ``mu``
+    and ``1 - mu`` at 1, so all ``T-1`` of them are bisected at once on
+    ``[mu, 1]``.  The sequence strictly decreases to ``u_T = mu``.
     """
     if T < 1:
         raise DistributionError(f"horizon must be >= 1, got {T}")
     mu = d.mean()
-    values = np.empty(T)
-    residuals = np.zeros(T)
-    values[T - 1] = mu
-    guess = mu
-    for t in range(T - 1, 0, -1):
-        w = T - t
+    w = T - np.arange(1, T)  # slots t = 1 .. T-1 have T-t slots left
 
-        def fun(u, w=w):
-            return u - mu - w * d.tail_mean_excess(u)
+    def fun(u):
+        return u - mu - w * d.tail_mean_excess(u)
 
-        def dfun(u, w=w):
-            return 1.0 + w * (1.0 - d.cdf(u))
-
-        root, res = _newton_bracket(fun, dfun, mu, 1.0, guess, _SOLO_TOL, what=f"solo t={t}")
-        values[t - 1] = root
-        residuals[t - 1] = res
-        guess = root
-    return ThresholdSequence(T, T, values, residuals, {"solver": "newton"})
+    roots = _bisect(fun, mu, T - 1)
+    values = np.concatenate([roots, [mu]])
+    residuals = np.concatenate([fun(roots), [0.0]])
+    return ThresholdSequence(T, T, values, residuals, {"solver": "bisection"})
 
 
 class _Frozen(NamedTuple):
     G: BeliefCdf
     spec: QuadratureSpec  # the caller's spec with G's kinks as breakpoints
     w: np.ndarray | None  # segment table indexed by band k; None until integrated
-
-
-def _frozen_belief(d, prefix, spec):
-    """Belief law of a threshold prefix and ``spec`` with its kinks."""
-    G = BeliefCdf(d, prefix)
-    return G, replace(spec, breakpoints=tuple(G.thresholds))
 
 
 def _count_at_or_above(asc, r):
@@ -237,8 +214,9 @@ class _OneTimeSystem:
         self.spec = spec
 
     def freeze(self, u):
-        """Belief and kinked quadrature spec for the prefix ``u``, no table yet."""
-        return _Frozen(*_frozen_belief(self.d, u, self.spec), None)
+        """Belief law of the prefix ``u`` and the spec with its kinks, no table yet."""
+        G = BeliefCdf(self.d, u)
+        return _Frozen(G, replace(self.spec, breakpoints=tuple(G.thresholds)), None)
 
     def coupling(self, frozen, v):
         """Coupling at every value of ``v``, and ``frozen`` with its segment table.
@@ -395,7 +373,9 @@ def solve_one_time(
 def _bisection_sweep(system, u, mask, mu):
     """Solve each masked coordinate exactly by bisection with G frozen.
 
-    All masked coordinates step together: one ``integrate`` call per step.
+    A probe at ``mu`` builds the segment table and pins to ``mu`` every
+    coordinate whose residual is already nonnegative there; ``_bisect``
+    solves the rest together, one ``integrate`` call per halving.
     """
     i = np.flatnonzero(mask)
     g_lo, frozen = system.residual(system.freeze(u), i, np.full(i.size, mu))
@@ -403,14 +383,7 @@ def _bisection_sweep(system, u, mask, mu):
     out[i[g_lo >= 0.0]] = mu
     i = i[g_lo < 0.0]
     if i.size:
-        lo = np.full(i.size, mu)
-        hi = np.ones(i.size)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            below = system.residual(frozen, i, mid)[0] < 0.0
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out[i] = 0.5 * (lo + hi)
+        out[i] = _bisect(lambda v: system.residual(frozen, i, v)[0], mu, i.size)
     out, _ = _enforce_decreasing(out, mu)
     return out
 
@@ -447,9 +420,10 @@ def welfare_one_time(
     T1 = seq.comm_slot_T1
     if seq.horizon_T != T or not 1 <= T1 <= T - 1:
         raise DistributionError("sequence does not match (T, T1)")
-    mu = d.mean()
+    system = _OneTimeSystem(d, N, T, T1, seq.values[T1:], spec)
+    frozen = system.freeze(seq.prefix)
+    G, post, mu = frozen.G, system.post, system.mu
     u = np.concatenate([[1.0], seq.values])  # u[t] = u_t with u[0] = 1
-    G, spec_b = _frozen_belief(d, seq.prefix, spec)
     fu = d.cdf(u)
 
     pre_explore = float(np.sum(fu[1 : T1 + 1] ** np.arange(1, T1 + 1)))
@@ -473,14 +447,12 @@ def welfare_one_time(
     # the pooled reveal over [ubar_(T1+1), 1] and the resumed solo slots
     # tau = 1..T-T1-1 over [ubar_(T1+tau), ubar_(T1+tau-1)] integrate
     # G^N F^tau, tau being the number of post thresholds at or above r
-    post = seq.values[T1:]
-    post_asc = post[::-1].copy()
     bands = integrate(
         d,
-        lambda r: G(r) ** N * d.cdf(r) ** _count_at_or_above(post_asc, r),
+        lambda r: G(r) ** N * d.cdf(r) ** _count_at_or_above(system.post_asc, r),
         post,
-        np.concatenate([[1.0], post[:-1]]),
-        spec_b,
+        system.upper[:-1],
+        frozen.spec,
     )
     pooled = (T - T1) * (1.0 - float(bands[0]))
     resume = float(np.sum((T - T1 - np.arange(1, T - T1)) * bands[1:]))

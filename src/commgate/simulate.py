@@ -203,25 +203,25 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_s
     d = config.dist
     mode = config.reward_mode
     thr = _threshold_for(config, t)
-    noise_u, pref_explore_u = _slot_draws(rng, mode, R, N)
+    # one quantile per agent: observation noise or exploration preference offset
+    aux_u = rng.random((R, N)) if mode != "deterministic" else None
 
     explore = state.m < thr
     base = d.ppf(opt_u[explore])
     if mode == "stochastic" and not config.noise_per_option:
         # every look is noisy, exploits included
-        eps = config.noise_sd * special.ndtri(noise_u)
+        eps = config.noise_sd * special.ndtri(aux_u)
         obs = np.clip(base + eps[explore], 0.0, 1.0)
         receipt = np.clip(state.best_base + eps, 0.0, 1.0)
     else:
         receipt = state.m.copy()
         if mode == "deterministic":
             obs = base
-        elif mode == "stochastic":
-            # one fixed perturbation per option: exploit re-observes the same value
-            obs = np.clip(base + config.noise_sd * special.ndtri(noise_u[explore]), 0.0, 1.0)
-        else:  # heterogeneous: an agent's value of an option is base + her own offset
-            eta = config.pref_sd * special.ndtri(pref_explore_u[explore])
-            obs = np.clip(base + eta, 0.0, 1.0)
+        else:
+            # one fixed perturbation per option, so an exploit re-observes the
+            # same value: per-option noise, or the agent's own preference offset
+            sd = config.noise_sd if mode == "stochastic" else config.pref_sd
+            obs = np.clip(base + sd * special.ndtri(aux_u[explore]), 0.0, 1.0)
     receipt[explore] = obs
 
     gain = obs > state.m[explore]
@@ -292,21 +292,11 @@ def _share_appraised(state: SimState, last_share: int, pref_sd: float, rng) -> N
         np.copyto(state.best_opt[rows], np.take_along_axis(offered_opt[rows], k, axis=1), where=adopt)
 
 
-def _slot_draws(rng, mode, R, N):
-    """One slot's observation noise and exploration preference offsets, drawn
-    from ``rng`` in that order (``None`` where the mode does not use them).
-    Shared-option appraisals follow them in the same stream, drawn by the
-    share step for the new (recipient, option) pairs only."""
-    noise_u = rng.random((R, N)) if mode == "stochastic" else None
-    pe = rng.random((R, N)) if mode == "heterogeneous" else None
-    return noise_u, pe
-
-
 def step(state: SimState, t: int, config: SimConfig, rng: np.random.Generator) -> SimState:
     """Advance a copy of ``state`` through slot ``t``, drawing from ``rng``.
 
     Draw order per slot is fixed: option quantiles first, then (mode
-    permitting) observation noise, exploration preference offsets, and at a
+    permitting) observation noise or exploration preference offsets, and at a
     heterogeneous share slot one appraisal per (recipient, option found since
     the previous share slot of the schedule).  ``state`` is taken to have
     come through that previous share slot.  ``run`` uses the same mechanics

@@ -89,6 +89,25 @@ class TestOptimizeCommand:
         assert run_cli("optimize", "--dist", "nosuchthing", "--n-agents", "3",
                        "--horizon", "8", "--mode", "myopic-approx") == 2
 
+    def test_failed_candidates_skipped(self, capsys, tmp_path, failing_slots):
+        failing_slots.update({2, 4})
+        out = tmp_path / "scan.csv"
+        assert run_cli("optimize", "--dist", "uniform", "--n-agents", "3",
+                       "--horizon", "8", "--mode", "nonmyopic", "--out", str(out)) == 0
+        assert "skipped candidates (solver failure): [2, 4]" in capsys.readouterr().err
+        rows = out.read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [1, 3, 5, 6, 7]
+
+    @pytest.mark.parametrize("failing,message", [
+        ({7}, "always-open candidate T1=7 failed"),
+        (set(range(1, 8)), "every sharing-slot candidate failed"),
+    ], ids=["always_open", "every_candidate"])
+    def test_solver_failure_exits_3(self, capsys, failing_slots, failing, message):
+        failing_slots.update(failing)
+        assert run_cli("optimize", "--dist", "uniform", "--n-agents", "3",
+                       "--horizon", "8", "--mode", "nonmyopic") == 3
+        assert capsys.readouterr().err == f"solver error: {message}\n"
+
 
 def sim_config(tmp_path, **kw):
     cfg = {
@@ -190,6 +209,31 @@ class TestSimulateCommand:
         assert '"replications": 10' in header
         assert '"master_seed": 1' in header
 
+    def test_windows_schedule(self, tmp_path, capsys):
+        cfg = sim_config(tmp_path, schedule={"windows": [{"start": 1, "len": 3}]})
+        assert run_cli("simulate", str(cfg)) == 0
+        header = (tmp_path / "sim.csv").read_text().splitlines()[0]
+        assert '"windows": [{"len": 3, "start": 1}]' in header
+
+    def test_csv_dist(self, tmp_path, capsys):
+        prior = tmp_path / "prior.csv"
+        RewardDistribution.empirical([0, 0.4, 0.6, 1], [0, 0.3, 0.3, 1]).to_csv(prior)
+        cfg = sim_config(tmp_path, dist={"csv": str(prior)})
+        assert run_cli("simulate", str(cfg)) == 0
+        header = (tmp_path / "sim.csv").read_text().splitlines()[0]
+        assert "empirical" in header
+
+    def test_dist_object_without_csv_exits_2(self, tmp_path, capsys):
+        cfg = sim_config(tmp_path, dist={"path": "prior.csv"})
+        assert run_cli("simulate", str(cfg)) == 2
+        assert "must carry 'csv'" in capsys.readouterr().err
+
+    def test_invalid_json_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"schema_version": 1,')
+        assert run_cli("simulate", str(cfg)) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
     def test_unknown_flag_is_hard_error(self, capsys, tmp_path):
         cfg = sim_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -217,6 +261,23 @@ class TestSweepCommand:
                        "--t-start", "6", "--t-stop", "6", "--noise-sd", "inf",
                        "--out", str(tmp_path / "s.csv")) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--t-step", "0"], ["--t-step", "-2"], ["--noise-sd", "-1"], ["--pref-sd", "nan"],
+        ["--modes", "deterministic,bogus"], ["--replications", "0"],
+    ], ids=["t_step_zero", "t_step_negative", "noise_negative", "pref_nan", "bad_mode",
+            "no_replications"])
+    def test_bad_input_exits_2_before_any_scan(self, tmp_path, capsys, monkeypatch, flags):
+        from commgate import nonmyopic
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scanned before the sweep inputs were checked")
+
+        monkeypatch.setattr(nonmyopic, "_scan_and_pick", refuse)
+        assert run_cli("sweep", "--dist", "uniform", "--n-agents", "3",
+                       "--t-start", "6", "--t-stop", "8", *flags,
+                       "--out", str(tmp_path / "s.csv")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_sweep_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -239,6 +239,9 @@ def test_empirical_validation_errors():
         RewardDistribution.empirical([0.0, 0.5, 1.0], [0.0, 0.8, 0.5])  # decreasing cdf
     with pytest.raises(DistributionError):
         RewardDistribution.beta(-1.0, 2.0)
+    for a, b in ((np.inf, 2.0), (2.0, np.inf), (np.nan, 2.0)):
+        with pytest.raises(DistributionError, match="positive and finite"):
+            RewardDistribution.beta(a, b)
 
 
 def test_empirical_arrays_are_read_only_copies():

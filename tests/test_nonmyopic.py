@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from commgate.distributions import QuadratureSpec, integrate
-from commgate.errors import DistributionError
+from commgate.distributions import QuadratureSpec, RewardDistribution, integrate
+from commgate.errors import DistributionError, SolverError
 from commgate.nonmyopic import (
     BeliefCdf,
     belief_cdf,
@@ -35,6 +35,17 @@ class TestSingleAgent:
     def test_residuals_tiny(self, hotel_dist):
         seq = solve_single_agent(hotel_dist, 20)
         assert np.max(np.abs(seq.residuals)) < 1e-10
+
+    def test_matches_scalar_roots(self):
+        from scipy.optimize import brentq
+
+        d, T = RewardDistribution.beta(2, 5), 30
+        mu = d.mean()
+        seq = solve_single_agent(d, T)
+        assert seq.diagnostics == {"solver": "bisection"}
+        for t in range(1, T):
+            root = brentq(lambda u: u - mu - (T - t) * d.tail_mean_excess(u), mu, 1.0, xtol=1e-15)
+            assert seq.values[t - 1] == pytest.approx(root, abs=1e-13)
 
 
 class TestBeliefCdf:
@@ -378,3 +389,27 @@ class TestOptimizeCommTime:
         cent = solve_centralized_nonmyopic(uniform, 3, 6)
         assert np.array_equal(seq.values, cent.values)
         assert welfare == welfare_one_time(uniform, 3, 6, cent)[0]
+
+    def test_failed_candidates_are_nan_rows(self, uniform, failing_slots):
+        failing_slots.update({2, 5})
+        scan = scan_comm_times(uniform, 3, 8)
+        assert [t1 for t1, _, _ in scan] == list(range(1, 8))
+        failed = [(t1, w) for t1, w, seq in scan if seq is None]
+        assert [t1 for t1, _ in failed] == [2, 5]
+        assert all(np.isnan(w) for _, w in failed)
+
+    def test_failed_best_candidate_is_skipped(self, uniform, failing_slots):
+        N, T = 4, 10
+        scan = scan_comm_times(uniform, N, T)
+        t1_star, _, _ = optimize_comm_time(uniform, N, T)
+        failing_slots.add(t1_star)
+        rest = {t1: w for t1, w, _ in scan if t1 != t1_star}
+        t1_next, seq, welfare = optimize_comm_time(uniform, N, T)
+        assert t1_next == max(rest, key=lambda k: (rest[k], -k))
+        assert (seq.comm_slot_T1, welfare) == (t1_next, rest[t1_next])
+
+    def test_every_candidate_failing_raises(self, uniform, failing_slots):
+        failing_slots.update(range(1, 8))
+        with pytest.raises(SolverError, match="every sharing-slot candidate failed") as exc:
+            optimize_comm_time(uniform, 3, 8)
+        assert exc.value.diagnostics == {t1: "solver failure" for t1 in range(1, 8)}

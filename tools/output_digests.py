@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Print one sha256 per output file of a fixed matrix of CLI commands.
+
+Runs ``fit``, ``optimize`` (all three modes), a three-mode ``sweep`` and 36
+``simulate`` configs in-process from the checkout's ``src/`` into a
+temporary directory, with relative paths so that no output names the
+directory.  Each command's stdout and exit code are kept as a file too.  Two
+checkouts give byte-identical outputs when their listings diff clean:
+
+    python3 tools/output_digests.py > new.txt
+    python3 tools/output_digests.py path/to/other/checkout > old.txt
+    diff old.txt new.txt
+
+Usage: python3 tools/output_digests.py [checkout_root]   (default: this one)
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent).resolve()
+DISTS = {"hotel": {"csv": "hotel.csv"}, "beta": "beta:0.7,0.9", "uniform": "uniform"}
+SCHEDULES = {
+    "open": ("myopic", "centralized"),
+    "window": ("myopic", {"windows": [{"start": 0, "len": 8}]}),
+    "reveal": ("nonmyopic", {"one_time": 12}),
+}
+MODES = {"det": ("deterministic", False), "noisy": ("stochastic", False),
+         "per_option": ("stochastic", True), "het": ("heterogeneous", False)}
+
+
+def commands():
+    yield "fit", ["fit", "ratings.csv", "hotel.csv"]
+    for name, dist, n, t in (("hotel", "hotel.csv", 30, 60), ("beta", "beta:0.7,0.9", 8, 30)):
+        for mode in ("nonmyopic", "myopic-approx"):
+            yield f"optimize_{mode}_{name}", ["optimize", "--dist", dist, "--n-agents", str(n),
+                                              "--horizon", str(t), "--mode", mode,
+                                              "--out", f"optimize_{mode}_{name}.csv"]
+    yield "optimize_exact", ["optimize", "--dist", "beta:2,5", "--n-agents", "5", "--horizon",
+                             "10", "--mode", "myopic-exact", "--out", "optimize_exact.csv"]
+    yield "sweep", ["sweep", "--dist", "hotel.csv", "--n-agents", "5", "--t-start", "10",
+                    "--t-stop", "20", "--modes", "deterministic,stochastic,heterogeneous",
+                    "--replications", "200", "--seed", "3", "--out", "sweep.csv"]
+    for (dn, dist), (sn, (kind, schedule)), (mn, (mode, per_option)) in (
+        (d, s, m) for d in DISTS.items() for s in SCHEDULES.items() for m in MODES.items()
+    ):
+        name = f"simulate_{dn}_{sn}_{mn}"
+        Path(name + ".json").write_text(json.dumps({
+            "schema_version": 1, "dist": dist, "n_agents": 6, "horizon": 20,
+            "schedule": schedule, "agent_kind": kind, "reward_mode": mode,
+            "noise_per_option": per_option, "pref_sd": 0.15, "replications": 300,
+            "master_seed": 11, "out": name + ".csv"}))
+        yield name, ["simulate", name + ".json"]
+
+
+def main():
+    sys.path.insert(0, str(ROOT / "src"))
+    from commgate.cli import main as cli
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        shutil.copy(ROOT / "data" / "hotel_ratings.csv", "ratings.csv")
+        for name, argv in commands():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli(argv)
+            Path(name + ".stdout").write_text(f"exit {code}\n{out.getvalue()}")
+        for path in sorted(Path(tmp).iterdir()):
+            print(hashlib.sha256(path.read_bytes()).hexdigest(), path.name)
+
+
+if __name__ == "__main__":
+    main()
