@@ -113,17 +113,20 @@ class BeliefCdf:
 
     def __call__(self, r):
         arr = np.atleast_1d(np.asarray(r, dtype=float))
-        f = self.base.cdf(arr)
+        out = self._given(arr, self.base.cdf(arr))
+        return float(out[0]) if np.isscalar(r) else out.reshape(np.shape(r))
+
+    def _given(self, r, f):
+        """The law at the array ``r``, given the base prior there, ``f = F(r)``."""
         L = self.thresholds.size
-        below = np.searchsorted(self._asc, arr, side="left")  # thresholds < r
+        below = np.searchsorted(self._asc, r, side="left")  # thresholds < r
         t_seg = L - below + 1  # band index in 1..L+1
         out = np.where(
             t_seg > L,
             f ** (L + 1),
             f**t_seg - (1.0 - f) * self._suffix[np.minimum(t_seg, L) - 1],
         )
-        out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if np.isscalar(r) else out.reshape(np.shape(r))
+        return np.clip(out, 0.0, 1.0)
 
 
 def belief_cdf(d: RewardDistribution, prefix_thresholds) -> BeliefCdf:
@@ -232,7 +235,7 @@ class _OneTimeSystem:
 
         def band(r):
             f = d.cdf(r)
-            return G(r) ** (N - 1) * f ** _count_at_or_above(self.post_asc, r) * (1.0 - f)
+            return G._given(r, f) ** (N - 1) * f ** _count_at_or_above(self.post_asc, r) * (1.0 - f)
 
         terms = (self.T - self.T1 - np.concatenate([np.arange(nb), ks])) * integrate(
             d, band, lo, hi, frozen.spec
@@ -257,7 +260,7 @@ class _OneTimeSystem:
         g, frozen = self.residual(self.freeze(u), np.arange(T1), u)
         ks = self.cases(u)
         fu = d.cdf(u)
-        slope = (T - T1 - ks) * frozen.G(u) ** (N - 1) * fu**ks
+        slope = (T - T1 - ks) * frozen.G._given(u, fu) ** (N - 1) * fu**ks
         jac = 1.0 + (1.0 - fu) * ((T1 - np.arange(T1) - 1) + slope)
         return g, jac, ks
 
@@ -447,20 +450,19 @@ def welfare_one_time(
     # the pooled reveal over [ubar_(T1+1), 1] and the resumed solo slots
     # tau = 1..T-T1-1 over [ubar_(T1+tau), ubar_(T1+tau-1)] integrate
     # G^N F^tau, tau being the number of post thresholds at or above r
-    bands = integrate(
-        d,
-        lambda r: G(r) ** N * d.cdf(r) ** _count_at_or_above(system.post_asc, r),
-        post,
-        system.upper[:-1],
-        frozen.spec,
-    )
+    def band(r):
+        f = d.cdf(r)
+        return G._given(r, f) ** N * f ** _count_at_or_above(system.post_asc, r)
+
+    bands = integrate(d, band, post, system.upper[:-1], frozen.spec)
     pooled = (T - T1) * (1.0 - float(bands[0]))
     resume = float(np.sum((T - T1 - np.arange(1, T - T1)) * bands[1:]))
 
     welfare = N * (explore_gain + pre + pooled - resume)
 
     taus = np.arange(1, T - T1 + 1)
-    count = 1.0 + pre_explore + float(np.sum(G(post) ** N * d.cdf(post) ** taus))
+    fp = d.cdf(post)
+    count = 1.0 + pre_explore + float(np.sum(G._given(post, fp) ** N * fp**taus))
     return welfare, count
 
 

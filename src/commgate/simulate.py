@@ -8,18 +8,27 @@ each slot where sharing is allowed (myopic agents share at every open slot;
 forward-looking agents only at the last open slot before the horizon).
 
 Options form an unbounded stream of i.i.d. draws from the prior, so option
-identities never collide.  Replications are vectorized in fixed-size chunks,
-each chunk fed by its own child stream of the master seed; results are
-bit-identical however many chunks run.  Replication ``r``'s option draws do
-not depend on the total replication count, so in deterministic mode the first
-``R`` replications of a longer run receive exactly what a run of ``R`` does.
-Observation noise, preference offsets and shared-option appraisals come from
-a second stream drawn slot by slot for the whole chunk, so in stochastic and
-heterogeneous mode replication ``r``'s rewards do depend on the chunk's size.
+identities never collide.  Replications are vectorized in chunks, and every
+dense draw of ``run`` comes from a Philox stream keyed by ``(master_seed,
+purpose, slot)``: one purpose holds the option quantiles and one the
+observation noise or preference offsets, each laid out replication-major, so
+replication ``r`` reads draws ``r*N .. r*N+N-1`` of the slot's stream and a
+chunk skips straight to its first row.  Replication ``r``'s receipts
+therefore depend neither on the replication count nor on the chunk size, in
+deterministic and in stochastic mode (per-look or per-option noise): the
+first ``R`` replications of a longer run are exactly a run of ``R``.
 
-In heterogeneous mode an agent's appraisal of an option is fixed: she
-appraises an option she explores when she observes it, and an option another
-agent shares the first time it is offered to her.
+Heterogeneous mode is the exception.  Shared-option appraisals have their
+own purpose, keyed by ``(master_seed, purpose, slot, chunk)``, and fill a
+chunk's (replication, recipient, option) array padded to the chunk's largest
+offer count with ziggurat normals, so they depend on how replications fall
+into chunks.  An agent's appraisal of an option is fixed: she appraises an
+option she explores when she observes it, and an option another agent
+shares the first time it is offered to her.
+
+A chunk holds at most ``_CHUNK`` replications and at most what fits the
+byte budget ``_CHUNK_BYTES`` at ``_AGENT_BYTES`` per (replication, agent),
+so memory is O(rows * N) and does not grow with the horizon.
 """
 
 from __future__ import annotations
@@ -38,7 +47,10 @@ from .schedules import CommSchedule
 
 __all__ = ["AgentState", "SimConfig", "SimResult", "SimState", "run", "step", "trajectory_compare"]
 
-_CHUNK = 4096
+_CHUNK = 4096  # most replications per chunk
+_CHUNK_BYTES = 32 << 20  # working set of one chunk's slot step
+_AGENT_BYTES = 104  # peak bytes a slot step holds per (replication, agent); 97 measured
+_OPTION, _AUX, _SHARE = range(3)  # purposes of the keyed draw streams
 _SHARE_BYTES = 1 << 22  # appraisal buffer of one heterogeneous share step
 _MODES = ("deterministic", "stochastic", "heterogeneous")
 
@@ -89,6 +101,8 @@ class SimConfig:
             raise ConfigError(f"reward_mode must be one of {_MODES}, got {self.reward_mode!r}")
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if not (0 <= self.noise_sd < math.inf and 0 <= self.pref_sd < math.inf):  # NaN fails too
             raise ConfigError("noise_sd and pref_sd must be finite and nonnegative")
 
@@ -210,9 +224,10 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_s
     base = d.ppf(opt_u[explore])
     if mode == "stochastic" and not config.noise_per_option:
         # every look is noisy, exploits included
-        eps = config.noise_sd * special.ndtri(aux_u)
+        eps = special.ndtri(aux_u)
+        eps *= config.noise_sd
         obs = np.clip(base + eps[explore], 0.0, 1.0)
-        receipt = np.clip(state.best_base + eps, 0.0, 1.0)
+        receipt = np.add(state.best_base, eps, out=eps).clip(0.0, 1.0, out=eps)
     else:
         receipt = state.m.copy()
         if mode == "deterministic":
@@ -300,7 +315,8 @@ def step(state: SimState, t: int, config: SimConfig, rng: np.random.Generator) -
     heterogeneous share slot one appraisal per (recipient, option found since
     the previous share slot of the schedule).  ``state`` is taken to have
     come through that previous share slot.  ``run`` uses the same mechanics
-    but pre-draws the option stream in replication-major blocks.
+    but reads each purpose from its own keyed stream (see ``run``), so a
+    chain of ``step`` calls does not reproduce a ``run``.
     """
     out = state.copy()
     R, N = out.m.shape
@@ -311,40 +327,66 @@ def step(state: SimState, t: int, config: SimConfig, rng: np.random.Generator) -
     return out
 
 
+def _chunk_rows(n_agents: int) -> int:
+    """Replications per chunk: at most ``_CHUNK`` and the byte budget, a multiple of 4."""
+    return max(4, min(_CHUNK, _CHUNK_BYTES // (n_agents * _AGENT_BYTES)) // 4 * 4)
+
+
+def _keyed(seed: int, skip: int, *key: int) -> np.random.Generator:
+    """Generator on the Philox stream keyed by ``(seed, *key)``, ``skip`` blocks in.
+
+    A Philox block is four 64-bit words, one ``random()`` double each.  The
+    key is the seed sequence's spawn key, appended after the seed's entropy
+    is padded to the pool size, so distinct (seed, key) pairs never mix the
+    same entropy, whatever the size of the seed.
+    """
+    bits = np.random.Philox(np.random.SeedSequence(seed, spawn_key=key))
+    bits.advance(skip)
+    return np.random.Generator(bits)
+
+
 def run(config: SimConfig) -> SimResult:
     """Execute all replications and aggregate welfare and exploration counts.
 
-    Replications are processed in fixed chunks of 4096.  Chunk ``c`` owns two
-    child streams of ``SeedSequence(master_seed)``: one holding the option
-    quantiles in replication-major blocks (so runs that differ only in
-    schedule or reward mode share their option draws, and the first ``R``
-    replications of a longer run match a shorter one exactly) and one for
-    observation noise, preference offsets and shared-option appraisals.
-    Results are bit-identical regardless of how chunks are scheduled.
+    Replications run in chunks of ``_chunk_rows(N)`` (a multiple of 4, at
+    most 4096, fewer where ``N`` rows of ``_AGENT_BYTES`` would pass
+    ``_CHUNK_BYTES``), so memory is O(rows * N) whatever the horizon.  At
+    slot ``t`` a chunk starting at replication ``r0`` draws its (rows, N)
+    option quantiles from the stream keyed ``(master_seed, option, t)`` and,
+    outside deterministic mode, its noise or preference quantiles from
+    ``(master_seed, aux, t)``, both advanced ``r0 * N / 4`` blocks to the
+    chunk's first row.  Replication ``r`` thus receives the same draws for
+    any replication count and chunk size, runs that differ only in schedule
+    or reward mode share their option draws, and the first ``R``
+    replications of a longer run match a run of ``R`` exactly in
+    deterministic and stochastic mode.  Heterogeneous share appraisals come
+    from ``(master_seed, share, t, chunk)`` and depend on the chunking.
     """
     R, N, T = config.replications, config.n_agents, config.horizon
     share_at = _share_slots(config)
-
-    n_chunks = (R + _CHUNK - 1) // _CHUNK
-    seeds = np.random.SeedSequence(config.master_seed).spawn(n_chunks)
+    appraise = config.reward_mode == "heterogeneous" and N > 1
+    seed = config.master_seed
+    rows = _chunk_rows(N)
 
     slot_sum = np.zeros(T + 1)
     slot_sq = np.zeros(T + 1)
     totals = []
     explored_all = []
-    for c in range(n_chunks):
-        rc = min(_CHUNK, R - c * _CHUNK)
-        opt_ss, aux_ss = seeds[c].spawn(2)
-        gen = np.random.Generator(np.random.Philox(opt_ss))
-        gen_aux = np.random.Generator(np.random.Philox(aux_ss))
-        draws = gen.random((rc, T + 1, N))
+    for c, r0 in enumerate(range(0, R, rows)):
+        rc = min(rows, R - r0)
+        skip = r0 * N // 4
         state = SimState.initial(rc, N)
         rep_total = np.zeros(rc)
         last_share = -1
         for t in range(T + 1):
             share_now = t in share_at
-            receipt = _advance(state, t, config, share_now, last_share, draws[:, t, :], gen_aux)
+            opt_u = _keyed(seed, skip, _OPTION, t).random((rc, N))
+            # a heterogeneous share draws from its own stream, after the slot
+            receipt = _advance(state, t, config, share_now and not appraise, last_share, opt_u,
+                               _keyed(seed, skip, _AUX, t))
             if share_now:
+                if appraise:
+                    _share_appraised(state, last_share, config.pref_sd, _keyed(seed, 0, _SHARE, t, c))
                 last_share = t
             rep_mean = receipt.mean(axis=1)
             slot_sum[t] += rep_mean.sum()

@@ -186,14 +186,15 @@ class TestSimulateCommand:
          {"schedule": {"windows": [{"start": 0.5, "len": 2}]}},
          {"schedule": {"windows": [{"start": 0, "len": True}]}},
          {"schedule": {"one_time": 3.5}}, {"schedule": {"one_time": True}},
-         {"noise_sd": float("nan")}, {"noise_sd": float("inf")}, {"pref_sd": "inf"}],
+         {"noise_sd": float("nan")}, {"noise_sd": float("inf")}, {"pref_sd": "inf"},
+         {"master_seed": -1}],
         ids=["n_agents_not_int", "horizon_list", "replications_inf", "window_without_len",
              "one_time_not_int", "top_level_array",
              "noise_per_option_string", "noise_per_option_int",
              "n_agents_bool", "horizon_fraction", "replications_bool", "master_seed_fraction",
              "window_start_fraction", "window_len_bool",
              "one_time_fraction", "one_time_bool", "noise_sd_nan", "noise_sd_json_infinity",
-             "pref_sd_string_inf"],
+             "pref_sd_string_inf", "master_seed_negative"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, fields):
         cfg = sim_config(tmp_path, **(fields or {}))
@@ -264,9 +265,9 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("flags", [
         ["--t-step", "0"], ["--t-step", "-2"], ["--noise-sd", "-1"], ["--pref-sd", "nan"],
-        ["--modes", "deterministic,bogus"], ["--replications", "0"],
+        ["--modes", "deterministic,bogus"], ["--replications", "0"], ["--seed", "-1"],
     ], ids=["t_step_zero", "t_step_negative", "noise_negative", "pref_nan", "bad_mode",
-            "no_replications"])
+            "no_replications", "seed_negative"])
     def test_bad_input_exits_2_before_any_scan(self, tmp_path, capsys, monkeypatch, flags):
         from commgate import nonmyopic
 

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,14 +30,14 @@ def myopic_config(uniform, **kw):
 # them bit-identical; only an announced change of the random stream may
 # re-record them.
 PINNED_RUNS = {
-    ("myopic", "deterministic", False): ("0x1.39e31f10a0915p+5", "19b1744b3efb41aa"),
-    ("myopic", "stochastic", False): ("0x1.31c442e554538p+5", "5fb113a2a6537976"),
-    ("myopic", "stochastic", True): ("0x1.41ceb6175d182p+5", "eea818e3721e13d4"),
-    ("myopic", "heterogeneous", False): ("0x1.514b81cfb415bp+5", "621feca246b7f6fe"),
-    ("nonmyopic", "deterministic", False): ("0x1.4290801bbf0b0p+5", "02cff96d38a739f2"),
-    ("nonmyopic", "stochastic", False): ("0x1.35910a47aaf24p+5", "2a6e163d1b151432"),
-    ("nonmyopic", "stochastic", True): ("0x1.48d80066dd4e3p+5", "55f5796e09487168"),
-    ("nonmyopic", "heterogeneous", False): ("0x1.50e2129eb7c83p+5", "db6b1aa0da5f6c4c"),
+    ("myopic", "deterministic", False): ("0x1.39b0a82865c37p+5", "c947634811d47f4d"),
+    ("myopic", "stochastic", False): ("0x1.323c797589d79p+5", "34a2fc4e32b0c8c1"),
+    ("myopic", "stochastic", True): ("0x1.42c71e58f9712p+5", "b0482b7627524844"),
+    ("myopic", "heterogeneous", False): ("0x1.512dbd5556ccap+5", "0a5f35912d0b5bf5"),
+    ("nonmyopic", "deterministic", False): ("0x1.4302340d2b1bdp+5", "b1d3670282d3dd8e"),
+    ("nonmyopic", "stochastic", False): ("0x1.360de7b9df2efp+5", "e9dee1d66e1a33c9"),
+    ("nonmyopic", "stochastic", True): ("0x1.4911621bf5bf5p+5", "f9f80d3bca1927bc"),
+    ("nonmyopic", "heterogeneous", False): ("0x1.51494dbe5ac00p+5", "57632acf0296c9da"),
 }
 
 
@@ -55,6 +56,43 @@ def pinned_config(kind, mode, per_option):
                      noise_per_option=per_option, replications=600, master_seed=19)
 
 
+def receipts(config):
+    """Every replication's receipts in ``run(config)``, shaped (R, T+1, N)."""
+    calls = []
+    advance = simulate._advance
+
+    def recording(*args):
+        receipt = advance(*args)
+        calls.append(receipt.copy())
+        return receipt
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_advance", recording)
+        run(config)
+    slots = config.horizon + 1  # run advances a chunk through every slot, chunk by chunk
+    return np.concatenate([np.stack(calls[i : i + slots], axis=1)
+                           for i in range(0, len(calls), slots)])
+
+
+def assert_chunk_independent(config):
+    # replication r's whole receipt row is the same at R and 2R, and with
+    # chunks capped by _CHUNK or by the byte budget (R = 10: partial chunks)
+    R, N = config.replications, config.n_agents
+    full = receipts(replace(config, replications=2 * R))
+    assert np.array_equal(receipts(config), full[:R])
+    for name, value in (("_CHUNK", 8), ("_CHUNK_BYTES", 12 * N * simulate._AGENT_BYTES)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, name, value)
+            assert simulate._chunk_rows(N) in (8, 12)
+            assert np.array_equal(receipts(config), full[:R]), name
+            assert np.array_equal(receipts(replace(config, replications=2 * R)), full), name
+
+
+def philox_counter(gen):
+    words = gen.bit_generator.state["state"]["counter"]
+    return sum(int(w) << (64 * i) for i, w in enumerate(words))
+
+
 class TestConfigValidation:
     def test_nonmyopic_needs_thresholds(self, uniform):
         with pytest.raises(ConfigError):
@@ -68,6 +106,10 @@ class TestConfigValidation:
     def test_bad_mode(self, uniform):
         with pytest.raises(ConfigError):
             myopic_config(uniform, reward_mode="weird")
+
+    def test_negative_seed(self, uniform):
+        with pytest.raises(ConfigError, match="master_seed"):
+            myopic_config(uniform, master_seed=-1)
 
 
 class TestStep:
@@ -231,7 +273,8 @@ class TestRun:
 
     def test_deterministic_receipts_do_not_depend_on_replication_count(self, uniform, monkeypatch):
         # in deterministic mode replication r's rewards come from the option
-        # stream alone, so they match exactly between runs of 3 and 7
+        # stream alone, so they match exactly between runs of 3 and 7, and
+        # between chunkings
         seen = []
         advance = simulate._advance
 
@@ -245,6 +288,81 @@ class TestRun:
             seen.append([])
             run(myopic_config(uniform, replications=reps, master_seed=4))
         assert np.array_equal(np.array(seen[0]), np.array(seen[1]))
+        monkeypatch.undo()
+        assert_chunk_independent(myopic_config(uniform, replications=10, master_seed=4))
+
+    @pytest.mark.parametrize("per_option", [False, True], ids=["per_look", "per_option"])
+    def test_stochastic_receipts_do_not_depend_on_chunking(self, uniform, per_option):
+        # noise quantiles are keyed by (seed, purpose, slot) like the options;
+        # the blocked window keeps agents exploring past the first share
+        assert_chunk_independent(myopic_config(
+            uniform, schedule=CommSchedule(20, ((1, 6),)), reward_mode="stochastic",
+            noise_sd=0.3, noise_per_option=per_option, replications=10, master_seed=4))
+
+    def test_keyed_stream_skips_whole_blocks(self):
+        # a chunk starting at replication r0 skips r0 * N / 4 Philox blocks of
+        # four doubles: its draws continue the slot's stream, key (seed, 0, 7)
+        whole = simulate._keyed(5, 0, 0, 7).random(40)
+        assert np.array_equal(simulate._keyed(5, 3, 0, 7).random(28), whole[12:])
+        assert not np.array_equal(simulate._keyed(5, 0, 1, 7).random(40), whole)
+
+    def test_keyed_spans_never_overlap(self, uniform, monkeypatch):
+        # a two-chunk heterogeneous run draws options, preference offsets and
+        # share appraisals; no (Philox key, counter) block is read twice
+        made = []
+        keyed = simulate._keyed
+
+        def recording(seed, skip, *key):
+            gen = keyed(seed, skip, *key)
+            made.append((key, gen, philox_counter(gen)))
+            return gen
+
+        monkeypatch.setattr(simulate, "_keyed", recording)
+        monkeypatch.setattr(simulate, "_CHUNK", 8)
+        run(myopic_config(uniform, reward_mode="heterogeneous", pref_sd=0.2,
+                          replications=14, master_seed=6))
+        spans = {}
+        for key, gen, start in made:
+            end = philox_counter(gen)
+            if end > start:
+                philox_key = tuple(int(w) for w in gen.bit_generator.state["state"]["key"])
+                spans.setdefault(philox_key, []).append((start, end, key))
+        purposes = {(key[0], len(key)) for span in spans.values() for _, _, key in span}
+        assert purposes == {(0, 2), (1, 2), (2, 3)}  # option, aux, share (slot, chunk)
+        assert {key[2] for span in spans.values() for _, _, key in span if key[0] == 2} == {0, 1}
+        for span in spans.values():
+            span.sort()
+            for (_, end, a), (start, _, b) in zip(span, span[1:]):
+                assert end <= start, (a, b)
+
+    def test_memory_does_not_grow_with_horizon(self, uniform):
+        # only one slot's (rows, N) draws are live; a whole-horizon (R, T+1, N)
+        # option pre-draw alone would hold 80 MiB here at T = 50
+        peaks = []
+        for T in (50, 200):
+            cfg = myopic_config(uniform, n_agents=200, horizon=T,
+                                schedule=CommSchedule.centralized(T), replications=1024)
+            tracemalloc.start()
+            try:
+                run(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2**16
+        assert peaks[0] < 24 * 2**20
+
+    def test_memory_bounded_by_budget_at_ten_thousand_agents(self, uniform):
+        N = 10_000
+        cfg = myopic_config(uniform, n_agents=N, horizon=50, schedule=CommSchedule.centralized(50),
+                            replications=256)
+        assert simulate._chunk_rows(N) < 256  # several chunks
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * simulate._CHUNK_BYTES
 
     @pytest.mark.parametrize("kind,mode,per_option", list(PINNED_RUNS))
     def test_outputs_pinned(self, kind, mode, per_option):
