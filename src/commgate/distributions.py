@@ -76,6 +76,8 @@ class RewardDistribution:
     grid: np.ndarray | None = None
     cdf_values: np.ndarray | None = None
     mean_cache: float = field(default=0.0)
+    # empirical kind: bucket table of `ppf`, built by `empirical()` (see `_segment`)
+    _buckets: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     # -- constructors ---------------------------------------------------
 
@@ -127,7 +129,8 @@ class RewardDistribution:
         c.setflags(write=False)
         # trapezoid of 1 - C is exact for a piecewise-linear CDF
         mean = 1.0 - float(np.trapezoid(c, g))
-        return cls(kind="empirical", grid=g, cdf_values=c, mean_cache=mean)
+        return cls(kind="empirical", grid=g, cdf_values=c, mean_cache=mean,
+                   _buckets=_bucket_table(c))
 
     # -- evaluation -----------------------------------------------------
 
@@ -153,16 +156,44 @@ class RewardDistribution:
             out = special.betaincinv(self.alpha, self.beta_param, arr)
         else:
             c, g = self.cdf_values, self.grid
-            j = np.searchsorted(c, arr, side="left")
-            j = np.clip(j, 0, c.size - 1)
-            out = g[j].copy()
-            interior = (j > 0) & (arr > c[np.maximum(j - 1, 0)])
-            ji = j[interior]
-            c0, c1 = c[ji - 1], c[ji]
-            g0, g1 = g[ji - 1], g[ji]
-            out[interior] = g0 + (arr[interior] - c0) / (c1 - c0) * (g1 - g0)
+            j = self._segment(arr)
+            lo = np.maximum(j - 1, 0)
+            c0, g0 = c[lo], g[lo]
+            edge = ~((arr > c0) & (j > 0))  # u at or below cdf_values[0], or NaN
+            # g0 + (u - c0) / (c1 - c0) * (g1 - g0), evaluated in place
+            span, rise = c[j], g[j]
+            span -= c0
+            rise -= g0
+            out = np.subtract(arr, c0, out=c0)
+            with np.errstate(invalid="ignore", divide="ignore"):  # edge entries only
+                out /= span
+                out *= rise
+            out += g0
+            out[edge] = g[j[edge]]
         out = np.clip(out, 0.0, 1.0)
         return float(out[0]) if np.isscalar(q) else out.reshape(np.shape(q))
+
+    def _segment(self, u: np.ndarray) -> np.ndarray:
+        """``searchsorted(cdf_values, u, side="left")`` clipped to the grid.
+
+        For ``u`` in [0, 1] the bucket ``k = floor(u * M)`` of the table
+        bounds the index to ``start[k] .. start[k+1]``; where that span
+        holds at most two CDF points, two step-forward compares finish the
+        search.  The rare wider buckets (steep stretches of the CDF) and any
+        ``u`` outside [0, 1] go through ``np.searchsorted``.
+        """
+        c = self.cdf_values
+        if not (u.size and 0.0 <= u.min() and u.max() <= 1.0):
+            return np.clip(np.searchsorted(c, u, side="left"), 0, c.size - 1)
+        start, padded, wide = self._buckets
+        k = np.minimum((u * wide.size).astype(np.intp), wide.size - 1)
+        j = start[k]
+        j += padded[j] < u
+        j += padded[j] < u
+        slow = wide[k]
+        if slow.any():
+            j[slow] = np.searchsorted(c, u[slow], side="left")
+        return j
 
     def mean(self) -> float:
         """Mean reward, i.e. the integral of ``1 - F`` over [0, 1]."""
@@ -244,6 +275,25 @@ class RewardDistribution:
         if self.kind == "empirical":
             return f"RewardDistribution.empirical(<{self.grid.size} pts>, mean={self.mean_cache:.4g})"
         return "RewardDistribution.uniform()"
+
+
+def _bucket_table(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bucket table of `RewardDistribution._segment` over the CDF values ``c``.
+
+    ``M`` buckets of width ``1/M`` cover [0, 1], the last one closed; ``M``
+    is the smallest power of two with at least 8 buckets per CDF point, so
+    ``u * M`` and ``k / M`` are exact and most buckets hold no point at all.
+    Returns ``start`` (``M + 1`` entries, ``searchsorted(c, k / M)``), ``c``
+    padded with one value above 1 so the second compare never reads past
+    the end, and the mask of buckets whose span holds more than two points.
+    """
+    M = 1 << (8 * c.size - 1).bit_length()
+    start = np.searchsorted(c, np.arange(M + 1) / M, side="left")
+    padded = np.append(c, 2.0)
+    wide = np.diff(start) > 2
+    for a in (start, padded, wide):
+        a.setflags(write=False)
+    return start, padded, wide
 
 
 def _first_evaluation(integrand: Callable, x: np.ndarray):

@@ -18,17 +18,26 @@ therefore depend neither on the replication count nor on the chunk size, in
 deterministic and in stochastic mode (per-look or per-option noise): the
 first ``R`` replications of a longer run are exactly a run of ``R``.
 
-Heterogeneous mode is the exception.  Shared-option appraisals have their
-own purpose, keyed by ``(master_seed, purpose, slot, chunk)``, and fill a
-chunk's (replication, recipient, option) array padded to the chunk's largest
-offer count with ziggurat normals, so they depend on how replications fall
-into chunks.  An agent's appraisal of an option is fixed: she appraises an
-option she explores when she observes it, and an option another agent
-shares the first time it is offered to her.
+Work follows exploration.  A chunk draws a slot's option quantiles only
+when one of its agents explores, and updates the state through the flat
+index of its explorers, so a slot in which nobody explores draws nothing and
+costs one receipt copy.  Since every stream is keyed by slot, a skipped draw
+moves no other draw.  Per-look noise is the exception: every look is noisy,
+exploits included, so its noise quantiles are drawn and mapped for every
+agent at every slot, O(rows * N) per slot.
+
+Heterogeneous mode depends on the chunking.  Shared-option appraisals have
+their own purpose, keyed by ``(master_seed, purpose, slot, chunk)``, and
+fill a chunk's (replication, recipient, option) array padded to the chunk's
+largest offer count with ziggurat normals, so they depend on how
+replications fall into chunks.  An agent's appraisal of an option is fixed:
+an agent appraises an option it explores when it observes it, and an option
+another agent shares the first time the option is offered to it.
 
 A chunk holds at most ``_CHUNK`` replications and at most what fits the
 byte budget ``_CHUNK_BYTES`` at ``_AGENT_BYTES`` per (replication, agent),
-so memory is O(rows * N) and does not grow with the horizon.
+so memory is O(rows * N) and does not grow with the horizon; a config whose
+4-replication chunk would pass the budget is refused.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy import special
@@ -49,7 +59,7 @@ __all__ = ["AgentState", "SimConfig", "SimResult", "SimState", "run", "step", "t
 
 _CHUNK = 4096  # most replications per chunk
 _CHUNK_BYTES = 32 << 20  # working set of one chunk's slot step
-_AGENT_BYTES = 104  # peak bytes a slot step holds per (replication, agent); 97 measured
+_AGENT_BYTES = 104  # peak bytes a slot step holds per (replication, agent); 81 measured
 _OPTION, _AUX, _SHARE = range(3)  # purposes of the keyed draw streams
 _SHARE_BYTES = 1 << 22  # appraisal buffer of one heterogeneous share step
 _MODES = ("deterministic", "stochastic", "heterogeneous")
@@ -105,6 +115,12 @@ class SimConfig:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if not (0 <= self.noise_sd < math.inf and 0 <= self.pref_sd < math.inf):  # NaN fails too
             raise ConfigError("noise_sd and pref_sd must be finite and nonnegative")
+        if 4 * self.n_agents * _AGENT_BYTES > _CHUNK_BYTES:
+            raise ConfigError(
+                f"n_agents={self.n_agents} is beyond the simulator's memory budget: a chunk of 4 "
+                f"replications needs {4 * self.n_agents * _AGENT_BYTES / 2**20:.1f} MiB of "
+                f"{_CHUNK_BYTES / 2**20:g} MiB (at most {_CHUNK_BYTES // (4 * _AGENT_BYTES)} agents)"
+            )
 
     def describe(self) -> str:
         """Canonical one-line JSON echo of the resolved configuration."""
@@ -204,29 +220,51 @@ def _share_slots(config: SimConfig) -> set[int]:
 
 
 def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_share: int,
-             opt_u, rng) -> np.ndarray:
+             draw) -> np.ndarray:
     """One slot for every replication in the batch; returns received rewards.
 
-    ``opt_u`` holds the slot's option quantiles; everything else is drawn
-    from ``rng``.  ``last_share`` is the previous share slot (-1 if none).
-    All draws are made for every agent, but only explorers' quantiles,
-    preference offsets and per-option noise are mapped through the prior and
-    ``ndtri``; the state is updated in place.
+    ``draw(purpose)`` gives the slot's (R, N) quantiles of ``_OPTION`` or
+    ``_AUX``, or the generator of a heterogeneous share (``_SHARE``), and
+    is called only for what the slot needs (see ``_explore``).
+    ``last_share`` is the previous share slot (-1 if none).  The state is
+    updated in place.  A share is skipped when no agent has improved since
+    ``last_share``: every agent then still holds what the last share (or
+    the start) left, so pooling cannot change anything.
     """
-    R, N = state.m.shape
-    d = config.dist
-    mode = config.reward_mode
-    thr = _threshold_for(config, t)
-    # one quantile per agent: observation noise or exploration preference offset
-    aux_u = rng.random((R, N)) if mode != "deterministic" else None
+    receipt = _explore(state, t, config, draw)
+    N = state.m.shape[1]
+    if share_now and N > 1 and state.best_opt.max() // N > last_share:
+        if config.reward_mode == "heterogeneous":
+            _share_appraised(state, last_share, config.pref_sd, draw(_SHARE))
+        else:
+            _share_pooled(state)
+    return receipt
 
-    explore = state.m < thr
-    base = d.ppf(opt_u[explore])
+
+def _explore(state: SimState, t: int, config: SimConfig, draw) -> np.ndarray:
+    """Explore or exploit for one slot; returns received rewards.
+
+    The state is updated through the flat index of the explorers, so an
+    idle slot is empty index operations and one receipt copy.  Option
+    quantiles are drawn only when someone explores, and only explorers'
+    quantiles, preference offsets and per-option noise are mapped through
+    the prior and ``ndtri``.  Per-look noise is the exception: every look is
+    noisy, exploits included, so its aux quantiles are drawn and mapped for
+    every agent at every slot, O(R * N) per slot.
+    """
+    N = state.m.shape[1]
+    mode = config.reward_mode
+    m = state.m.reshape(-1)  # flat views of the C-contiguous state
+    explore = np.flatnonzero(m < _threshold_for(config, t))
+
+    def explorers(purpose):
+        return draw(purpose).reshape(-1)[explore] if explore.size else np.empty(0)
+
+    base = config.dist.ppf(explorers(_OPTION))
     if mode == "stochastic" and not config.noise_per_option:
-        # every look is noisy, exploits included
-        eps = special.ndtri(aux_u)
+        eps = special.ndtri(draw(_AUX))
         eps *= config.noise_sd
-        obs = np.clip(base + eps[explore], 0.0, 1.0)
+        obs = np.clip(base + eps.reshape(-1)[explore], 0.0, 1.0)
         receipt = np.add(state.best_base, eps, out=eps).clip(0.0, 1.0, out=eps)
     else:
         receipt = state.m.copy()
@@ -236,46 +274,44 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_s
             # one fixed perturbation per option, so an exploit re-observes the
             # same value: per-option noise, or the agent's own preference offset
             sd = config.noise_sd if mode == "stochastic" else config.pref_sd
-            obs = np.clip(base + sd * special.ndtri(aux_u[explore]), 0.0, 1.0)
-    receipt[explore] = obs
+            obs = np.clip(base + sd * special.ndtri(explorers(_AUX)), 0.0, 1.0)
+    receipt.reshape(-1)[explore] = obs
 
-    gain = obs > state.m[explore]
-    improved = explore.copy()
-    improved[explore] = gain
-    found = obs[gain]
-    state.m[improved] = found
-    state.best_base[improved] = base[gain]
-    np.copyto(state.best_opt, t * N + np.arange(N, dtype=np.int64), where=improved)
-    state.explored += explore
-
-    if share_now and N > 1:
-        if mode == "heterogeneous":
-            _share_appraised(state, last_share, config.pref_sd, rng)
-        else:
-            rows = np.arange(R)
-            winner = np.argmax(state.m, axis=1)
-            pool = state.m[rows, winner][:, None]
-            pool_base = state.best_base[rows, winner][:, None]
-            pool_opt = state.best_opt[rows, winner][:, None]
-            adopt = state.m < pool
-            np.copyto(state.m, pool, where=adopt)
-            np.copyto(state.best_base, pool_base, where=adopt)
-            np.copyto(state.best_opt, pool_opt, where=adopt)
+    gain = obs > m[explore]
+    won = explore[gain]
+    m[won] = obs[gain]
+    state.best_base.reshape(-1)[won] = base[gain]
+    state.best_opt.reshape(-1)[won] = t * N + won % N
+    state.explored.reshape(-1)[explore] += 1
     return receipt
+
+
+def _share_pooled(state: SimState) -> None:
+    """Pooling of common values: every agent adopts its replication's best."""
+    rows = np.arange(state.m.shape[0])
+    winner = np.argmax(state.m, axis=1)
+    pool = state.m[rows, winner][:, None]
+    pool_base = state.best_base[rows, winner][:, None]
+    pool_opt = state.best_opt[rows, winner][:, None]
+    adopt = state.m < pool
+    np.copyto(state.m, pool, where=adopt)
+    np.copyto(state.best_base, pool_base, where=adopt)
+    np.copyto(state.best_opt, pool_opt, where=adopt)
 
 
 def _share_appraised(state: SimState, last_share: int, pref_sd: float, rng) -> None:
     """Heterogeneous pooling: sharing reveals the options themselves.
 
-    Every recipient appraises each option offered to her with her own
-    preference offset and keeps her personal best, so pooling creates a
+    Every recipient appraises each option offered to it with its own
+    preference offset and keeps its personal best, so pooling creates a
     variety gain.  Only options found after ``last_share`` are appraised:
     any older option still held was offered at that share, every agent
     appraised it then, and since beliefs never fall it cannot win now.
     Row ``r`` lists its ``counts[r]`` new options in holder order, padded to
     the batch's largest count ``K``; the (recipient, option) appraisals are
-    drawn from ``rng`` as one (R, N, K) normal array, filled in blocks of
-    replications that fit ``_SHARE_BYTES``.
+    drawn from ``rng`` as one (R, N, K) normal array in C order, filled in
+    blocks that fit ``_SHARE_BYTES``: whole replications while one fits,
+    else blocks of one replication's recipients.
     """
     R, N = state.m.shape
     new = state.best_opt // N > last_share
@@ -287,43 +323,53 @@ def _share_appraised(state: SimState, last_share: int, pref_sd: float, rng) -> N
     offered_base = np.take_along_axis(state.best_base, holder, axis=1)
     offered_opt = np.take_along_axis(state.best_opt, holder, axis=1)
     padding = np.arange(K) >= counts[:, None]
-    block = max(1, _SHARE_BYTES // (8 * N * K))
-    buf = np.empty((min(block, R), N, K))
-    for lo in range(0, R, block):
-        rows = slice(lo, min(lo + block, R))
+    fit = max(1, _SHARE_BYTES // (8 * K))  # (recipient, option) rows that fit the buffer
+    reps, recips = (min(fit // N, R), N) if fit >= N else (1, fit)
+    buf = np.empty((reps, recips, K))
+    for lo in range(0, R, reps):
+        rows = slice(lo, min(lo + reps, R))
         h = holder[rows]
-        b = buf[: len(h)]
-        rng.standard_normal(out=b)
-        np.multiply(b, pref_sd, out=b)
-        np.add(b, offered_base[rows, None, :], out=b)
-        np.clip(b, 0.0, 1.0, out=b)
-        b[np.arange(len(h))[:, None], h, np.arange(K)] = -1.0  # own option: value already known
-        np.copyto(b, -1.0, where=padding[rows, None, :])
-        k = b.argmax(axis=2)
-        value = np.take_along_axis(b, k[:, :, None], axis=2)[:, :, 0]
-        adopt = value > state.m[rows]
-        np.copyto(state.m[rows], value, where=adopt)
-        np.copyto(state.best_base[rows], np.take_along_axis(offered_base[rows], k, axis=1), where=adopt)
-        np.copyto(state.best_opt[rows], np.take_along_axis(offered_opt[rows], k, axis=1), where=adopt)
+        for i0 in range(0, N, recips):
+            cols = slice(i0, min(i0 + recips, N))
+            b = buf[: len(h), : cols.stop - i0]
+            rng.standard_normal(out=b)
+            np.multiply(b, pref_sd, out=b)
+            np.add(b, offered_base[rows, None, :], out=b)
+            np.clip(b, 0.0, 1.0, out=b)
+            own_r, own_k = np.nonzero((h >= i0) & (h < cols.stop))
+            b[own_r, h[own_r, own_k] - i0, own_k] = -1.0  # own option: value already known
+            np.copyto(b, -1.0, where=padding[rows, None, :])
+            k = b.argmax(axis=2)
+            value = np.take_along_axis(b, k[:, :, None], axis=2)[:, :, 0]
+            held = state.m[rows, cols]
+            adopt = value > held
+            np.copyto(held, value, where=adopt)
+            np.copyto(state.best_base[rows, cols],
+                      np.take_along_axis(offered_base[rows], k, axis=1), where=adopt)
+            np.copyto(state.best_opt[rows, cols],
+                      np.take_along_axis(offered_opt[rows], k, axis=1), where=adopt)
 
 
 def step(state: SimState, t: int, config: SimConfig, rng: np.random.Generator) -> SimState:
     """Advance a copy of ``state`` through slot ``t``, drawing from ``rng``.
 
-    Draw order per slot is fixed: option quantiles first, then (mode
-    permitting) observation noise or exploration preference offsets, and at a
-    heterogeneous share slot one appraisal per (recipient, option found since
-    the previous share slot of the schedule).  ``state`` is taken to have
-    come through that previous share slot.  ``run`` uses the same mechanics
-    but reads each purpose from its own keyed stream (see ``run``), so a
-    chain of ``step`` calls does not reproduce a ``run``.
+    Draw order per slot is fixed, and unlike ``run`` every call draws both
+    arrays whoever explores: option quantiles first, then (mode permitting)
+    observation noise or exploration preference offsets, each for every
+    agent, and at a heterogeneous share slot one appraisal per (recipient,
+    option found since the previous share slot of the schedule).  ``state``
+    is taken to have come through that previous share slot.  ``run`` uses
+    the same mechanics but reads each purpose from its own keyed stream (see
+    ``run``), so a chain of ``step`` calls does not reproduce a ``run``.
     """
     out = state.copy()
     R, N = out.m.shape
     share_at = _share_slots(config)
     last_share = max((s for s in share_at if s < t), default=-1)
-    opt_u = rng.random((R, N))
-    _advance(out, t, config, t in share_at, last_share, opt_u, rng)
+    draws = {_OPTION: rng.random((R, N)), _SHARE: rng}
+    if config.reward_mode != "deterministic":
+        draws[_AUX] = rng.random((R, N))
+    _advance(out, t, config, t in share_at, last_share, draws.__getitem__)
     return out
 
 
@@ -345,6 +391,13 @@ def _keyed(seed: int, skip: int, *key: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
+def _keyed_draw(seed: int, skip: int, shape: tuple[int, int], t: int, chunk: int, purpose: int):
+    """A chunk's slot-``t`` quantiles of ``purpose``, or its share-appraisal generator."""
+    if purpose == _SHARE:
+        return _keyed(seed, 0, _SHARE, t, chunk)
+    return _keyed(seed, skip, purpose, t).random(shape)
+
+
 def run(config: SimConfig) -> SimResult:
     """Execute all replications and aggregate welfare and exploration counts.
 
@@ -355,16 +408,18 @@ def run(config: SimConfig) -> SimResult:
     option quantiles from the stream keyed ``(master_seed, option, t)`` and,
     outside deterministic mode, its noise or preference quantiles from
     ``(master_seed, aux, t)``, both advanced ``r0 * N / 4`` blocks to the
-    chunk's first row.  Replication ``r`` thus receives the same draws for
-    any replication count and chunk size, runs that differ only in schedule
-    or reward mode share their option draws, and the first ``R``
-    replications of a longer run match a run of ``R`` exactly in
+    chunk's first row.  A stream is opened only when the slot needs it (see
+    ``_advance``): a slot in which no agent of the chunk explores draws no
+    option, and outside per-look noise no aux quantile either.  Skipping a
+    slot's draws moves no other slot's, so replication ``r`` receives the
+    same draws for any replication count and chunk size, runs that differ
+    only in schedule or reward mode share their option draws, and the first
+    ``R`` replications of a longer run match a run of ``R`` exactly in
     deterministic and stochastic mode.  Heterogeneous share appraisals come
     from ``(master_seed, share, t, chunk)`` and depend on the chunking.
     """
     R, N, T = config.replications, config.n_agents, config.horizon
     share_at = _share_slots(config)
-    appraise = config.reward_mode == "heterogeneous" and N > 1
     seed = config.master_seed
     rows = _chunk_rows(N)
 
@@ -380,18 +435,15 @@ def run(config: SimConfig) -> SimResult:
         last_share = -1
         for t in range(T + 1):
             share_now = t in share_at
-            opt_u = _keyed(seed, skip, _OPTION, t).random((rc, N))
-            # a heterogeneous share draws from its own stream, after the slot
-            receipt = _advance(state, t, config, share_now and not appraise, last_share, opt_u,
-                               _keyed(seed, skip, _AUX, t))
+            draw = partial(_keyed_draw, seed, skip, (rc, N), t, c)
+            receipt = _advance(state, t, config, share_now, last_share, draw)
             if share_now:
-                if appraise:
-                    _share_appraised(state, last_share, config.pref_sd, _keyed(seed, 0, _SHARE, t, c))
                 last_share = t
-            rep_mean = receipt.mean(axis=1)
+            rep_sum = receipt.sum(axis=1)
+            rep_mean = rep_sum / N
             slot_sum[t] += rep_mean.sum()
             slot_sq[t] += (rep_mean**2).sum()
-            rep_total += receipt.sum(axis=1)
+            rep_total += rep_sum
         totals.append(rep_total)
         explored_all.append(state.explored.mean(axis=1))
 

@@ -203,6 +203,18 @@ class TestSimulateCommand:
         assert run_cli("simulate", str(cfg)) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_agents_beyond_memory_budget_exit_2(self, tmp_path, capsys, monkeypatch):
+        # even a 4-replication chunk of 200,000 agents passes the byte budget:
+        # the config is refused before any state array is allocated
+        from commgate import simulate
+
+        def refuse(*args):
+            raise AssertionError("allocated state beyond the budget")
+
+        monkeypatch.setattr(simulate.SimState, "initial", refuse)
+        assert run_cli("simulate", str(sim_config(tmp_path, n_agents=200_000))) == 2
+        assert "memory budget" in capsys.readouterr().err
+
     def test_flag_overrides_file(self, tmp_path, capsys):
         cfg = sim_config(tmp_path, replications=50)
         run_cli("simulate", str(cfg), "--replications", "10", "--seed", "1")

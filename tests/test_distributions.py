@@ -271,3 +271,71 @@ def test_empirical_point_mass_at_zero():
     d = KINDS["empirical"]
     assert d.cdf(0.0) == pytest.approx(0.05)
     assert d.ppf(0.01) == 0.0
+
+
+def reference_ppf(d, u):
+    """The empirical inverse CDF through ``np.searchsorted``, the definition."""
+    c, g = d.cdf_values, d.grid
+    j = np.clip(np.searchsorted(c, u, side="left"), 0, c.size - 1)
+    out = g[j].copy()
+    interior = (j > 0) & (u > c[np.maximum(j - 1, 0)])
+    ji = j[interior]
+    out[interior] = g[ji - 1] + (u[interior] - c[ji - 1]) / (c[ji] - c[ji - 1]) * (g[ji] - g[ji - 1])
+    return np.clip(out, 0.0, 1.0)
+
+
+def assert_bucketed_ppf_exact(d, u):
+    u = np.asarray(u, dtype=float)
+    want = np.clip(np.searchsorted(d.cdf_values, u, side="left"), 0, d.cdf_values.size - 1)
+    assert np.array_equal(d._segment(u), want)
+    assert np.array_equal(d.ppf(u), reference_ppf(d, u), equal_nan=True)
+
+
+# CDF increments: flat stretches, near-steps like the hotel fit's tails, and
+# steep stretches that put several points into one bucket
+_INCREMENTS = st.one_of(st.just(0.0), st.floats(1e-300, 1e-270), st.floats(1e-7, 1e-3),
+                        st.floats(1e-2, 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    gaps=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=60),
+    atom=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+    data=st.data(),
+)
+def test_bucketed_ppf_matches_searchsorted(gaps, atom, data):
+    n = len(gaps) + 1
+    grid = np.concatenate([[0.0], np.cumsum(gaps)])
+    grid /= grid[-1]
+    steps = data.draw(st.lists(_INCREMENTS, min_size=n - 2, max_size=n - 2))
+    mass = np.cumsum([atom, *steps, 1.0])  # the last step keeps the total positive
+    d = RewardDistribution.empirical(grid, mass / mass[-1])
+    c = d.cdf_values
+    M = d._buckets[2].size
+    edges = st.integers(0, M).map(lambda k: k / M)
+    points = st.sampled_from(c.tolist())
+    near = points.map(lambda x: float(np.nextafter(x, data.draw(st.sampled_from([0.0, 1.0])))))
+    u = data.draw(st.lists(st.one_of(st.just(0.0), st.just(1.0), edges, points, near,
+                                     st.floats(0.0, 1.0)), min_size=1, max_size=50))
+    assert_bucketed_ppf_exact(d, u)
+
+
+def test_bucketed_ppf_on_hotel_prior(hotel_dist):
+    # 512 CDF points: 4096 buckets, of which the steep 1e-279 tails make 4
+    # span more than two points
+    start, padded, wide = hotel_dist._buckets
+    assert (wide.size, int(wide.sum())) == (4096, 4)
+    for arr in (start, padded, wide):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    assert "_buckets" not in repr(hotel_dist)
+    c = hotel_dist.cdf_values
+    u = np.concatenate([c, np.nextafter(c, 0.0), np.arange(4097) / 4096,
+                        np.random.default_rng(3).random(10_000)])
+    assert_bucketed_ppf_exact(hotel_dist, np.clip(u, 0.0, 1.0))
+
+
+def test_bucketed_ppf_outside_unit_interval():
+    d = KINDS["empirical"]
+    assert_bucketed_ppf_exact(d, [-0.5, 0.3, 1.5, np.nan, 0.0, 1.0])
+    assert_bucketed_ppf_exact(d, np.empty(0))

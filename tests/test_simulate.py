@@ -112,6 +112,14 @@ class TestConfigValidation:
             myopic_config(uniform, master_seed=-1)
 
 
+    def test_agents_beyond_memory_budget(self, uniform):
+        budget = simulate._CHUNK_BYTES // (4 * simulate._AGENT_BYTES)
+        myopic_config(uniform, n_agents=budget)
+        for n in (budget + 1, 200_000):
+            with pytest.raises(ConfigError, match="memory budget"):
+                myopic_config(uniform, n_agents=n)
+
+
 class TestStep:
     def test_single_agent_monotone_state(self, uniform, rng):
         cfg = myopic_config(uniform, n_agents=1)
@@ -208,6 +216,34 @@ class TestStep:
             tracemalloc.stop()
         assert np.all(state.best_opt >= 0)
         assert peak < 48 * 2**20
+
+
+    def test_heterogeneous_share_buffer_bounded_at_large_n(self, uniform):
+        # at N = 2000 one replication's (recipient, option) appraisals alone
+        # are 32 MB; they are filled in blocks of recipients instead
+        cfg = myopic_config(uniform, n_agents=2000, reward_mode="heterogeneous", pref_sd=0.3)
+        rng = np.random.Generator(np.random.Philox(3))
+        state = SimState.initial(4, 2000)
+        tracemalloc.start()
+        try:
+            state = step(state, 0, cfg, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(state.best_opt >= 0)
+        assert peak < 16 * 2**20
+
+    def test_heterogeneous_share_blocks_keep_the_stream(self, uniform, monkeypatch):
+        # blocks of a few recipients draw the appraisals in the same order as
+        # blocks of whole replications, so the outcome is the same
+        cfg = myopic_config(uniform, n_agents=7, reward_mode="heterogeneous", pref_sd=0.3)
+        start = SimState.initial(6, 7)
+        whole = step(start, 0, cfg, np.random.Generator(np.random.Philox(5)))
+        for share_bytes in (8 * 7 * 3, 8 * 7 * 7 * 2 - 8):  # 3 recipients; 1 replication
+            monkeypatch.setattr(simulate, "_SHARE_BYTES", share_bytes)
+            part = step(start, 0, cfg, np.random.Generator(np.random.Philox(5)))
+            for name in ("m", "best_base", "best_opt", "explored"):
+                assert np.array_equal(getattr(part, name), getattr(whole, name)), name
 
 
 class TestRun:
@@ -398,6 +434,38 @@ class TestRun:
         res = run(myopic_config(uniform, reward_mode="stochastic", noise_per_option=True,
                                 replications=300, master_seed=8))
         assert sum(points) == round(300 * 5 * res.exploration_slots_mean)
+
+    @pytest.mark.parametrize("mode,per_option", [("deterministic", False), ("stochastic", False),
+                                                 ("stochastic", True), ("heterogeneous", False)],
+                             ids=["deterministic", "per_look", "per_option", "heterogeneous"])
+    def test_idle_slots_draw_nothing(self, uniform, monkeypatch, mode, per_option):
+        # a (chunk, slot) opens the option stream only if some agent explores,
+        # and the aux stream too, but at every slot under per-look noise
+        slots = []
+        advance, keyed = simulate._advance, simulate._keyed
+
+        def recording_advance(state, t, config, *args):
+            slots.append((t, bool(np.any(state.m < simulate._threshold_for(config, t))), []))
+            return advance(state, t, config, *args)
+
+        def recording_keyed(seed, skip, purpose, t, *chunk):
+            slots[-1][2].append((purpose, t))
+            return keyed(seed, skip, purpose, t, *chunk)
+
+        monkeypatch.setattr(simulate, "_advance", recording_advance)
+        monkeypatch.setattr(simulate, "_keyed", recording_keyed)
+        monkeypatch.setattr(simulate, "_CHUNK", 8)
+        run(myopic_config(uniform, reward_mode=mode, noise_per_option=per_option, noise_sd=0.1,
+                          replications=64, master_seed=2))
+        assert len(slots) == 8 * 21
+        active = [t for t, explores, _ in slots if explores and t > 0]
+        assert 0 < len(active) < 8 * 20  # some chunks idle at some slots, not all
+        per_look = mode == "stochastic" and not per_option
+        for t, explores, opened in slots:
+            assert all(s == t for _, s in opened)
+            assert opened.count((simulate._OPTION, t)) == explores
+            want_aux = per_look or (explores and mode != "deterministic")
+            assert opened.count((simulate._AUX, t)) == want_aux
 
     def test_heterogeneous_reward_flat_after_exploration(self, uniform):
         # a shared option is appraised once per agent: once exploration has

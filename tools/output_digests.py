@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one sha256 per output file of a fixed matrix of CLI commands.
 
-Runs ``fit``, ``optimize`` (all three modes), a three-mode ``sweep`` and 36
+Runs ``fit``, ``optimize`` (all three modes), a three-mode ``sweep`` and 39
 ``simulate`` configs in-process from the checkout's ``src/`` into a
 temporary directory, with relative paths so that no output names the
 directory.  Each command's stdout and exit code are kept as a file too.  Two
@@ -50,12 +50,24 @@ def commands():
         (d, s, m) for d in DISTS.items() for s in SCHEDULES.items() for m in MODES.items()
     ):
         name = f"simulate_{dn}_{sn}_{mn}"
-        Path(name + ".json").write_text(json.dumps({
-            "schema_version": 1, "dist": dist, "n_agents": 6, "horizon": 20,
-            "schedule": schedule, "agent_kind": kind, "reward_mode": mode,
-            "noise_per_option": per_option, "pref_sd": 0.15, "replications": 300,
-            "master_seed": 11, "out": name + ".csv"}))
-        yield name, ["simulate", name + ".json"]
+        yield name, simulate(name, dist, 6, 300, schedule, kind, mode, per_option)
+    # multi-chunk runs: N = 2000 gives 160 replications per chunk, and with
+    # sharing blocked until the horizon each chunk stops exploring at its own
+    # slot (14, 14 and 15 at seed 11 on beta(5, 1))
+    for mn in ("det", "noisy", "per_option"):
+        name = f"simulate_chunks_{mn}"
+        yield name, simulate(name, "beta:5,1", 2000, 400, {"windows": [{"start": 0, "len": 20}]},
+                             "myopic", *MODES[mn])
+
+
+def simulate(name, dist, n_agents, replications, schedule, kind, mode, per_option):
+    """Write a T = 20 simulate config ``name.json``; returns the command's argv."""
+    Path(name + ".json").write_text(json.dumps({
+        "schema_version": 1, "dist": dist, "n_agents": n_agents, "horizon": 20,
+        "schedule": schedule, "agent_kind": kind, "reward_mode": mode,
+        "noise_per_option": per_option, "pref_sd": 0.15, "replications": replications,
+        "master_seed": 11, "out": name + ".csv"}))
+    return ["simulate", name + ".json"]
 
 
 def main():
