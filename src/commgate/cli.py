@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--n-agents", type=int, required=True)
     o.add_argument("--horizon", type=int, required=True)
     o.add_argument("--mode", choices=["myopic-approx", "myopic-exact", "nonmyopic"], required=True)
-    o.add_argument("--max-exact", type=int, default=14, help="horizon cap for the exact search")
+    o.add_argument("--max-exact", type=int, default=14, help="horizon cap for the O(T^2) exact search")
     o.add_argument("--out", default=None, help="CSV of the full candidate scan")
     o.set_defaults(func=cmd_optimize)
 

@@ -68,8 +68,8 @@ def load_ratings(path, format_spec: dict | None = None) -> RatingsTable:
 
     ``format_spec`` maps the logical fields (see ``DEFAULT_COLUMNS``) to the
     file's column names; omitted entries use the defaults and ``rating_sd``
-    is optional in the file.  Rows that fail to parse are reported with
-    their line numbers.
+    is optional in the file.  Rows that fail to parse or hold a non-finite
+    or out-of-range value are reported with their line numbers.
     """
     cols = dict(DEFAULT_COLUMNS)
     cols.update(format_spec or {})
@@ -93,12 +93,12 @@ def load_ratings(path, format_spec: dict | None = None) -> RatingsTable:
                     avg = float(row[cols["avg_rating"]])
                     scale = float(row[cols["rating_scale_max"]])
                     n_rev = int(float(row[cols["n_reviews"]]))
-                    if not (scale > 0 and 0.0 <= avg <= scale and n_rev >= 0):
+                    if not (0 < scale < math.inf and 0.0 <= avg <= scale and n_rev >= 0):
                         raise ValueError("out of range")
                     sd = float(row[cols["rating_sd"]]) if has_sd and row[cols["rating_sd"]] else math.nan
-                    if not math.isnan(sd) and sd < 0:
-                        raise ValueError("negative sd")
-                except (KeyError, TypeError, ValueError) as exc:
+                    if not math.isnan(sd) and not 0 <= sd < math.inf:
+                        raise ValueError("negative or infinite sd")
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     bad_lines.append(f"line {lineno}: {exc}")
                     continue
                 ids.append(row[cols["hotel_id"]])

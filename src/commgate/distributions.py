@@ -113,6 +113,8 @@ class RewardDistribution:
         c = np.asarray(cdf_values, dtype=float)
         if g.ndim != 1 or g.shape != c.shape or g.size < 2:
             raise DistributionError("grid and cdf_values must be 1-d, equal length >= 2")
+        if not (np.isfinite(g).all() and np.isfinite(c).all()):
+            raise DistributionError("grid and cdf_values must be finite")
         if g[0] != 0.0 or g[-1] != 1.0:
             raise DistributionError("empirical grid must start at 0 and end at 1")
         if np.any(np.diff(g) <= 0):

@@ -36,7 +36,7 @@ class SolverError(CommgateError, RuntimeError):
 
 
 class HorizonTooLargeError(CommgateError, ValueError):
-    """Exact schedule search refused: horizon beyond the exponential-search cap."""
+    """Exact schedule search refused: horizon beyond the caller's ``max_T_for_exact`` cap."""
 
 
 class ConfigError(CommgateError, ValueError):

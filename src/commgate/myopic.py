@@ -276,57 +276,48 @@ def optimize_exact(
     max_T_for_exact: int = 14,
     spec: QuadratureSpec = _SPEC,
 ) -> tuple[CommSchedule, float]:
-    """Exhaustive search over all optimal-form window layouts.
+    """Exact optimum over all optimal-form window layouts.
 
     Only layouts with the first window at slot 0 and exactly one open slot
-    between consecutive windows can be optimal, so the search enumerates
-    window-length compositions with ``sum (len_i + 1) <= T``.  Branches whose
-    optimistic bound (remaining horizon times the best positive y, discounted
-    by the decay already accumulated) cannot beat the incumbent are pruned.
-    The search is exponential in T and refuses horizons beyond
-    ``max_T_for_exact``.
+    between consecutive windows can be optimal.  A window ``(s, L)`` adds
+    ``F(mu)^(N s) ((T-s-L) y_(L+1) - sum_(i<=L) x_i)`` and the next window
+    starts at ``s + L + 1``, so a forward dynamic program over start slots
+    finds the optimum in O(T^2) steps.  The first strictly greater total
+    wins, so shorter and earlier layouts win exact ties.  Horizons beyond
+    ``max_T_for_exact`` are refused.
     """
     _, schedule, welfare = _exact_search(d, N, T, max_T_for_exact, spec)
     return schedule, welfare
 
 
 def _exact_search(d, N, T, max_T_for_exact, spec=_SPEC):
-    """``optimize_exact``'s search; also returns the always-open report it
-    measures gains against, as ``(report, schedule, welfare)``."""
+    """``optimize_exact``'s dynamic program; also returns the always-open
+    report it measures gains against, as ``(report, schedule, welfare)``."""
     if T > max_T_for_exact:
         raise HorizonTooLargeError(
-            f"exact search is exponential; T={T} exceeds cap {max_T_for_exact}. "
-            "Use optimize_single_window for large horizons."
+            f"T={T} exceeds the exact search's cap {max_T_for_exact}. "
+            "Raise the cap, or use optimize_single_window for large horizons."
         )
     fmu = _check_prior(d, N)
     base = welfare_centralized(d, N, T, spec)
     xs, ys = _xy_table(d, N, base, T, np.arange(T + 1), spec)
     sx = np.cumsum(xs)
-    max_y = max(0.0, float(ys[2:].max())) if T >= 2 else 0.0
-    decay2 = fmu ** (2 * N)
-    geom_cap = 1.0 / (1.0 - decay2) if decay2 < 1.0 else np.inf
-
-    best_gain = 0.0
-    best_windows: tuple[tuple[int, int], ...] = ()
-
-    def search(start: int, gain: float, windows: tuple[tuple[int, int], ...]):
-        nonlocal best_gain, best_windows
-        if start >= T:
-            return
-        bound = max_y * (T - start) * fmu ** (N * start) * geom_cap + 1e-9
-        if gain + bound <= best_gain:
-            return
-        decay = fmu ** (N * start)
-        for length in range(1, T - start):
-            g = gain + decay * ((T - start - length) * ys[length + 1] - sx[length])
-            wins = windows + ((start, length),)
-            if g > best_gain:
-                best_gain = g
-                best_windows = wins
-            search(start + length + 1, g, wins)
-
-    search(0, 0.0, ())
-    return base, CommSchedule(T, best_windows), base.total_welfare + N * best_gain
+    # best[s]: the largest prefix total whose next window may start at s, and
+    # layouts[s] its windows.  Rounding is monotone, so keeping only the
+    # largest prefix per start never loses the maximum.
+    best = [0.0] + [-np.inf] * T
+    layouts = [()] * (T + 1)
+    best_total, best_windows = 0.0, ()
+    for s in range(T):
+        decay = fmu ** (N * s)
+        for length in range(1, T - s):
+            g = best[s] + decay * ((T - s - length) * ys[length + 1] - sx[length])
+            wins = layouts[s] + ((s, length),)
+            if g > best[s + length + 1]:
+                best[s + length + 1], layouts[s + length + 1] = g, wins
+            if g > best_total:
+                best_total, best_windows = g, wins
+    return base, CommSchedule(T, best_windows), base.total_welfare + N * best_total
 
 
 def approximation_ratio(d: RewardDistribution, N: int, T: int) -> float:

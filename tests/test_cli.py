@@ -30,9 +30,10 @@ class TestFitCommand:
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        bad.write_text("hotel_id,avg_rating,rating_scale_max,n_reviews\nx,oops,10,3\n")
-        assert run_cli("fit", str(bad), str(tmp_path / "o.csv")) == 2
-        assert "error" in capsys.readouterr().err
+        for row in ("x,oops,10,3", "x,4,10,inf", "x,inf,inf,3"):
+            bad.write_text(f"hotel_id,avg_rating,rating_scale_max,n_reviews\ny,4,10,3\n{row}\n")
+            assert run_cli("fit", str(bad), str(tmp_path / "o.csv"), "--bandwidth", "0.05") == 2
+            assert "line 3" in capsys.readouterr().err
 
 
 class TestOptimizeCommand:
@@ -235,6 +236,16 @@ class TestSimulateCommand:
         assert run_cli("simulate", str(cfg)) == 0
         header = (tmp_path / "sim.csv").read_text().splitlines()[0]
         assert "empirical" in header
+
+    def test_non_finite_csv_dist_exits_2(self, tmp_path, capsys):
+        prior = tmp_path / "prior.csv"
+        prior.write_text("r,cdf\n0,0\n0.5,nan\n1,1\n")
+        cfg = sim_config(tmp_path, dist={"csv": str(prior)})
+        assert run_cli("simulate", str(cfg)) == 2
+        assert "finite" in capsys.readouterr().err
+        assert run_cli("optimize", "--dist", str(prior), "--n-agents", "3",
+                       "--horizon", "8", "--mode", "myopic-approx") == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_dist_object_without_csv_exits_2(self, tmp_path, capsys):
         cfg = sim_config(tmp_path, dist={"path": "prior.csv"})

@@ -62,9 +62,11 @@ class TestLoadRatings:
             load_ratings(p)
 
     def test_out_of_range_rating_rejected(self, tmp_path):
-        p = write_csv(tmp_path / "oor.csv", ["a,11,10,5,0.5"])
-        with pytest.raises(DatasetError):
-            load_ratings(p)
+        for row in ("a,11,10,5,0.5", "a,4,10,inf,0.5", "a,inf,inf,5,0.5", "a,4,inf,5,0.5",
+                    "a,4,10,5,inf"):
+            p = write_csv(tmp_path / "oor.csv", ["b,4,10,5,0.5", row])
+            with pytest.raises(DatasetError, match="line 3"):
+                load_ratings(p)
 
     def test_column_mapping(self, tmp_path):
         p = tmp_path / "map.csv"

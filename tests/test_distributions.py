@@ -237,6 +237,10 @@ def test_empirical_validation_errors():
         RewardDistribution.empirical([0.1, 1.0], [0.0, 1.0])  # grid must start at 0
     with pytest.raises(DistributionError):
         RewardDistribution.empirical([0.0, 0.5, 1.0], [0.0, 0.8, 0.5])  # decreasing cdf
+    for grid, cdf in (([0.0, 0.5, 1.0], [0.0, np.nan, 1.0]), ([0.0, np.nan, 1.0], [0.0, 0.5, 1.0]),
+                      ([0.0, 0.5, 1.0], [0.0, np.inf, 1.0])):
+        with pytest.raises(DistributionError, match="finite"):
+            RewardDistribution.empirical(grid, cdf)
     with pytest.raises(DistributionError):
         RewardDistribution.beta(-1.0, 2.0)
     for a, b in ((np.inf, 2.0), (2.0, np.inf), (np.nan, 2.0)):

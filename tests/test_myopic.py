@@ -197,23 +197,26 @@ class TestOptimizers:
             prev_end = start + length - 1
         assert welfare >= optimize_single_window(uniform, 5, 12)[1] - 1e-9
 
-    def test_exact_beats_brute_force_enumeration(self, uniform):
-        # independent brute force over all window layouts for a small horizon
-        N, T = 3, 8
-        best = welfare_centralized(uniform, N, T).total_welfare
-        layouts = [()]
-        def extend(prefix, start):
-            nonlocal best, layouts
-            for length in range(1, T - start):
-                wins = prefix + ((start, length),)
-                layouts.append(wins)
-                extend(wins, start + length + 1)
-        extend((), 0)
-        for wins in layouts:
-            w = welfare_schedule(uniform, N, CommSchedule(T, wins)).total_welfare
-            best = max(best, w)
-        _, welfare = optimize_exact(uniform, N, T)
-        assert welfare == pytest.approx(best, rel=1e-10)
+    def test_exact_beats_brute_force_enumeration(self, uniform, hotel_dist):
+        # independent brute force over every valid window layout: any start,
+        # any gap of at least one open slot, windows allowed to reach T.  Each
+        # set of blocked slots is one layout, its maximal runs the windows.
+        T = 8
+        for d in (uniform, RewardDistribution.beta(2, 5), hotel_dist):
+            for N in (2, 5):
+                best = -np.inf
+                for mask in range(2 ** (T + 1)):
+                    windows = []
+                    for t in range(T + 1):
+                        if not mask >> t & 1:
+                            continue
+                        if windows and sum(windows[-1]) == t:
+                            windows[-1][1] += 1
+                        else:
+                            windows.append([t, 1])
+                    best = max(best, welfare_schedule(d, N, CommSchedule(T, windows)).total_welfare)
+                _, welfare = optimize_exact(d, N, T)
+                assert welfare == pytest.approx(best, rel=1e-12)
 
 
 class TestApproximationRatio:

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Print one sha256 per output file of a fixed matrix of CLI commands.
 
-Runs ``fit``, ``optimize`` (all three modes), a three-mode ``sweep`` and 39
-``simulate`` configs in-process from the checkout's ``src/`` into a
-temporary directory, with relative paths so that no output names the
+Runs ``fit``, eight ``optimize`` commands (all three modes), a three-mode
+``sweep`` and 39 ``simulate`` configs in-process from the checkout's ``src/``
+into a temporary directory, with relative paths so that no output names the
 directory.  Each command's stdout and exit code are kept as a file too.  Two
 checkouts give byte-identical outputs when their listings diff clean:
 
@@ -43,6 +43,12 @@ def commands():
                                               "--out", f"optimize_{mode}_{name}.csv"]
     yield "optimize_exact", ["optimize", "--dist", "beta:2,5", "--n-agents", "5", "--horizon",
                              "10", "--mode", "myopic-exact", "--out", "optimize_exact.csv"]
+    # multi-window exact layouts at the default cap T = 14
+    for name, dist, n in (("hotel", "hotel.csv", 5), ("uniform", "uniform", 2),
+                          ("beta", "beta:0.7,0.9", 3)):
+        yield f"optimize_exact_{name}", ["optimize", "--dist", dist, "--n-agents", str(n),
+                                         "--horizon", "14", "--mode", "myopic-exact",
+                                         "--out", f"optimize_exact_{name}.csv"]
     yield "sweep", ["sweep", "--dist", "hotel.csv", "--n-agents", "5", "--t-start", "10",
                     "--t-stop", "20", "--modes", "deterministic,stochastic,heterogeneous",
                     "--replications", "200", "--seed", "3", "--out", "sweep.csv"]
