@@ -146,11 +146,16 @@ def fit_reward_cdf(
     if len(table) < 2:
         raise DatasetError("need at least 2 hotels to fit")
     x = table.normalized
-    h = bandwidth if bandwidth is not None else silverman_bandwidth(x)
-    if not h > 1e-12:  # zero up to float summation noise
-        raise DatasetError(
-            "degenerate ratings (zero spread); pass an explicit bandwidth > 0"
-        )
+    if bandwidth is None:
+        h = silverman_bandwidth(x)
+        if not h > 1e-12:  # zero up to float summation noise
+            raise DatasetError(
+                "degenerate ratings (zero spread); pass an explicit bandwidth > 0"
+            )
+    elif 0 < bandwidth < math.inf:  # NaN fails too
+        h = bandwidth
+    else:
+        raise DatasetError(f"bandwidth must be finite and > 0, got {bandwidth!r}")
     grid = np.linspace(0.0, 1.0, grid_points)
     g = grid[:, None]
     # reflected-kernel CDF: direct mass plus mirror images at 0 and at 1

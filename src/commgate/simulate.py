@@ -18,13 +18,21 @@ therefore depend neither on the replication count nor on the chunk size, in
 deterministic and in stochastic mode (per-look or per-option noise): the
 first ``R`` replications of a longer run are exactly a run of ``R``.
 
-Work follows exploration.  A chunk draws a slot's option quantiles only
-when one of its agents explores, and updates the state through the flat
-index of its explorers, so a slot in which nobody explores draws nothing and
-costs one receipt copy.  Since every stream is keyed by slot, a skipped draw
-moves no other draw.  Per-look noise is the exception: every look is noisy,
-exploits included, so its noise quantiles are drawn and mapped for every
-agent at every slot, O(rows * N) per slot.
+Work follows exploration.  A chunk draws a slot's option quantiles, and
+its noise or preference quantiles, only when one of its agents explores, and
+updates the state through the flat index of its explorers, so a slot in
+which nobody explores draws nothing and costs one receipt copy.  Since every
+stream is keyed by slot, a skipped draw moves no other draw.
+
+Under per-look noise an exploit is a fresh noisy look at the option held,
+but that look never feeds back into the state, so an exploiting agent
+receives its conditional mean ``E[clip(b + noise_sd * Z, 0, 1)]`` at the
+option's base reward ``b`` instead of a draw (Rao-Blackwellisation: the
+expected welfare is the same and its variance is no larger).  The mean is
+stored per agent and recomputed only where an agent takes a new option.
+Explorers still observe with drawn noise, so states and exploration counts
+are those of fully noisy looks; reported standard errors are those of this
+estimator.
 
 Heterogeneous mode depends on the chunking.  Shared-option appraisals have
 their own purpose, keyed by ``(master_seed, purpose, slot, chunk)``, and
@@ -59,9 +67,14 @@ __all__ = ["AgentState", "SimConfig", "SimResult", "SimState", "run", "step", "t
 
 _CHUNK = 4096  # most replications per chunk
 _CHUNK_BYTES = 32 << 20  # working set of one chunk's slot step
-_AGENT_BYTES = 104  # peak bytes a slot step holds per (replication, agent); 81 measured
+# peak bytes a slot step holds per (replication, agent); traced run peak at
+# N = 50 on the fitted hotel prior, one 4096-row chunk: 105 B in every mode
+# (deterministic, per-look, per-option noise, heterogeneous), at slot 0's
+# prior lookup for every agent
+_AGENT_BYTES = 104
 _OPTION, _AUX, _SHARE = range(3)  # purposes of the keyed draw streams
 _SHARE_BYTES = 1 << 22  # appraisal buffer of one heterogeneous share step
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _MODES = ("deterministic", "stochastic", "heterogeneous")
 
 
@@ -150,16 +163,20 @@ class SimState:
     the agent receives when exploiting it (in heterogeneous mode the agent's
     own fixed appraisal of the option), except under per-look noise, where an
     exploit is a fresh noisy look at ``best_base``, the true base reward of
-    the option behind ``m``.  ``best_opt`` is the option id (slot * N +
-    creator, -1 while unset).  The slot in an id tells a share step whether
-    the option is new since the previous share; an agent whose ``best_opt``
-    is -1 has nothing to offer.
+    the option behind ``m``, and enters at its conditional mean ``exploit``
+    (see ``_look_mean``).  ``exploit`` is None outside per-look noise and
+    until the first per-look slot fills it from ``best_base``; after that it
+    changes only where ``best_base`` does.  ``best_opt`` is the option id
+    (slot * N + creator, -1 while unset).  The slot in an id tells a share
+    step whether the option is new since the previous share; an agent whose
+    ``best_opt`` is -1 has nothing to offer.
     """
 
     m: np.ndarray
     best_base: np.ndarray
     best_opt: np.ndarray
     explored: np.ndarray
+    exploit: np.ndarray | None = None
 
     @classmethod
     def initial(cls, replications: int, n_agents: int) -> "SimState":
@@ -174,6 +191,7 @@ class SimState:
     def copy(self) -> "SimState":
         return SimState(
             self.m.copy(), self.best_base.copy(), self.best_opt.copy(), self.explored.copy(),
+            None if self.exploit is None else self.exploit.copy(),
         )
 
     def agent(self, rep: int, i: int) -> AgentState:
@@ -245,15 +263,17 @@ def _explore(state: SimState, t: int, config: SimConfig, draw) -> np.ndarray:
     """Explore or exploit for one slot; returns received rewards.
 
     The state is updated through the flat index of the explorers, so an
-    idle slot is empty index operations and one receipt copy.  Option
-    quantiles are drawn only when someone explores, and only explorers'
-    quantiles, preference offsets and per-option noise are mapped through
-    the prior and ``ndtri``.  Per-look noise is the exception: every look is
-    noisy, exploits included, so its aux quantiles are drawn and mapped for
-    every agent at every slot, O(R * N) per slot.
+    idle slot is empty index operations and one receipt copy.  Option, noise
+    and preference quantiles are drawn only when someone explores, and only
+    explorers' quantiles are mapped through the prior and ``ndtri``.
+    Explorers observe with noise or their preference offset; an exploit
+    receives ``m``, or under per-look noise the conditional mean of a noisy
+    look at ``best_base`` (``state.exploit``), which is evaluated only for
+    the agents that take a new option.
     """
     N = state.m.shape[1]
     mode = config.reward_mode
+    per_look = mode == "stochastic" and not config.noise_per_option
     m = state.m.reshape(-1)  # flat views of the C-contiguous state
     explore = np.flatnonzero(m < _threshold_for(config, t))
 
@@ -261,42 +281,78 @@ def _explore(state: SimState, t: int, config: SimConfig, draw) -> np.ndarray:
         return draw(purpose).reshape(-1)[explore] if explore.size else np.empty(0)
 
     base = config.dist.ppf(explorers(_OPTION))
-    if mode == "stochastic" and not config.noise_per_option:
-        eps = special.ndtri(draw(_AUX))
-        eps *= config.noise_sd
-        obs = np.clip(base + eps.reshape(-1)[explore], 0.0, 1.0)
-        receipt = np.add(state.best_base, eps, out=eps).clip(0.0, 1.0, out=eps)
+    if mode == "deterministic":
+        obs = base
     else:
-        receipt = state.m.copy()
-        if mode == "deterministic":
-            obs = base
-        else:
-            # one fixed perturbation per option, so an exploit re-observes the
-            # same value: per-option noise, or the agent's own preference offset
-            sd = config.noise_sd if mode == "stochastic" else config.pref_sd
-            obs = np.clip(base + sd * special.ndtri(explorers(_AUX)), 0.0, 1.0)
+        # explorers' looks: observation noise (per look, or fixed per option)
+        # or the agent's own fixed preference offset
+        sd = config.noise_sd if mode == "stochastic" else config.pref_sd
+        obs = np.clip(base + sd * special.ndtri(explorers(_AUX)), 0.0, 1.0)
+    if per_look and state.exploit is None:
+        held = state.best_base.copy()
+        state.exploit = _look_mean(held, config.noise_sd, np.empty_like(held), np.empty_like(held))
+    receipt = (state.exploit if per_look else state.m).copy()
     receipt.reshape(-1)[explore] = obs
 
     gain = obs > m[explore]
     won = explore[gain]
     m[won] = obs[gain]
-    state.best_base.reshape(-1)[won] = base[gain]
+    won_base = base[gain]
+    state.best_base.reshape(-1)[won] = won_base
     state.best_opt.reshape(-1)[won] = t * N + won % N
     state.explored.reshape(-1)[explore] += 1
+    if per_look:
+        # base and obs are spent; their heads are the scratch buffers
+        n = won.size
+        state.exploit.reshape(-1)[won] = _look_mean(won_base, config.noise_sd, base[:n], obs[:n])
     return receipt
+
+
+def _look_mean(b: np.ndarray, sd: float, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """``E[clip(b + sd * Z, 0, 1)]`` for standard normal ``Z``, in place on ``b``.
+
+    For ``b`` in [0, 1] this is ``sd * (g(b/sd) - g((b-1)/sd))`` with
+    ``g(x) = x Phi(x) + phi(x)`` the normal partial expectation, exactly
+    ``b`` at ``sd = 0``.  It is evaluated as ``b + sd * (h(-b/sd) -
+    h((b-1)/sd))`` with ``h = g - phi(0)`` (``g(x) = x + g(-x)``), whose
+    absolute error stays near 1e-16 at any ``sd``: at small ``sd`` both
+    ``h`` are near ``-phi(0)`` and scaled by ``sd``, at large ``sd`` both are
+    O(1/sd).  ``s1`` and ``s2`` are scratch buffers of ``b``'s size.
+    """
+    if sd == 0:
+        return b
+    with np.errstate(over="ignore", invalid="ignore"):  # a subnormal sd gives x = -inf
+        np.divide(b, -sd, out=s1)
+        _shifted_partial_expectation(s1, s2)
+        s1 *= sd
+        s1 += b  # E[max(b + sd Z, 0)]
+        np.subtract(b, 1.0, out=s2)
+        s2 /= sd
+        _shifted_partial_expectation(s2, b)
+        s2 *= sd  # E[max(b + sd Z - 1, 0)] - sd phi(0)
+        return np.subtract(s1, s2, out=b)
+
+
+def _shifted_partial_expectation(x: np.ndarray, scratch: np.ndarray) -> None:
+    """``h(x) = x Phi(x) + phi(0) expm1(-x^2 / 2) = g(x) - phi(0)``, in place on ``x``."""
+    special.ndtr(x, out=scratch)
+    scratch *= x
+    np.nan_to_num(scratch, copy=False)  # -inf * Phi(-inf) to its limit 0
+    np.square(x, out=x)
+    x *= -0.5
+    np.expm1(x, out=x)
+    x *= _INV_SQRT_2PI
+    x += scratch
 
 
 def _share_pooled(state: SimState) -> None:
     """Pooling of common values: every agent adopts its replication's best."""
     rows = np.arange(state.m.shape[0])
     winner = np.argmax(state.m, axis=1)
-    pool = state.m[rows, winner][:, None]
-    pool_base = state.best_base[rows, winner][:, None]
-    pool_opt = state.best_opt[rows, winner][:, None]
-    adopt = state.m < pool
-    np.copyto(state.m, pool, where=adopt)
-    np.copyto(state.best_base, pool_base, where=adopt)
-    np.copyto(state.best_opt, pool_opt, where=adopt)
+    adopt = state.m < state.m[rows, winner][:, None]
+    for held in (state.m, state.best_base, state.best_opt, state.exploit):
+        if held is not None:
+            np.copyto(held, held[rows, winner][:, None], where=adopt)
 
 
 def _share_appraised(state: SimState, last_share: int, pref_sd: float, rng) -> None:
@@ -409,14 +465,16 @@ def run(config: SimConfig) -> SimResult:
     outside deterministic mode, its noise or preference quantiles from
     ``(master_seed, aux, t)``, both advanced ``r0 * N / 4`` blocks to the
     chunk's first row.  A stream is opened only when the slot needs it (see
-    ``_advance``): a slot in which no agent of the chunk explores draws no
-    option, and outside per-look noise no aux quantile either.  Skipping a
-    slot's draws moves no other slot's, so replication ``r`` receives the
-    same draws for any replication count and chunk size, runs that differ
-    only in schedule or reward mode share their option draws, and the first
-    ``R`` replications of a longer run match a run of ``R`` exactly in
-    deterministic and stochastic mode.  Heterogeneous share appraisals come
-    from ``(master_seed, share, t, chunk)`` and depend on the chunking.
+    ``_advance``): a slot in which no agent of the chunk explores draws
+    nothing.  Skipping a slot's draws moves no other slot's, so replication
+    ``r`` receives the same draws for any replication count and chunk size,
+    runs that differ only in schedule or reward mode share their option
+    draws, and the first ``R`` replications of a longer run match a run of
+    ``R`` exactly in deterministic and stochastic mode.  Heterogeneous share
+    appraisals come from ``(master_seed, share, t, chunk)`` and depend on the
+    chunking.  Under per-look noise exploits enter the welfare at their
+    conditional mean (see ``_explore``), so the reported standard errors are
+    those of that estimator, not of fully drawn noisy receipts.
     """
     R, N, T = config.replications, config.n_agents, config.horizon
     share_at = _share_slots(config)
@@ -436,10 +494,10 @@ def run(config: SimConfig) -> SimResult:
         for t in range(T + 1):
             share_now = t in share_at
             draw = partial(_keyed_draw, seed, skip, (rc, N), t, c)
-            receipt = _advance(state, t, config, share_now, last_share, draw)
+            # the receipt is summed at once, so it is not live during the next slot
+            rep_sum = _advance(state, t, config, share_now, last_share, draw).sum(axis=1)
             if share_now:
                 last_share = t
-            rep_sum = receipt.sum(axis=1)
             rep_mean = rep_sum / N
             slot_sum[t] += rep_mean.sum()
             slot_sq[t] += (rep_mean**2).sum()

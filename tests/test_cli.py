@@ -35,6 +35,13 @@ class TestFitCommand:
             assert run_cli("fit", str(bad), str(tmp_path / "o.csv"), "--bandwidth", "0.05") == 2
             assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bandwidth", ["nan", "-1", "0", "inf"])
+    def test_bad_bandwidth_exits_2(self, tmp_path, capsys, bandwidth):
+        out = tmp_path / "o.csv"
+        assert run_cli("fit", HOTEL, str(out), "--bandwidth", bandwidth) == 2
+        assert "bandwidth must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOptimizeCommand:
     def test_myopic_approx_condition_fails(self, capsys, tmp_path):

@@ -104,8 +104,16 @@ class TestFit:
     def test_degenerate_data_needs_bandwidth(self):
         with pytest.raises(DatasetError, match="bandwidth"):
             fit_reward_cdf(make_table([0.4] * 20))
-        d = fit_reward_cdf(make_table([0.4] * 20), bandwidth=0.05)
-        assert 0.35 < d.mean() < 0.45
+        for bandwidth in (0.05, 1e-13):  # the zero-spread floor is Silverman's, not the user's
+            d = fit_reward_cdf(make_table([0.4] * 20), bandwidth=bandwidth)
+            assert 0.35 < d.mean() < 0.45
+
+    @pytest.mark.parametrize("bandwidth", [math.nan, -1.0, 0.0, math.inf])
+    def test_bad_bandwidth_named(self, hotel_table, bandwidth):
+        # an explicit bandwidth must be finite and positive; the error names it
+        # rather than the spread of the ratings or the fitted CDF
+        with pytest.raises(DatasetError, match=f"bandwidth must be finite and > 0, got {bandwidth}"):
+            fit_reward_cdf(hotel_table, bandwidth=bandwidth)
 
     def test_fit_deterministic(self, hotel_table):
         a = fit_reward_cdf(hotel_table)

@@ -1,9 +1,11 @@
 import hashlib
+import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from commgate import simulate
 from commgate.distributions import RewardDistribution
@@ -27,18 +29,25 @@ def myopic_config(uniform, **kw):
 # Exact outputs of one small run per (agent kind, reward mode, noise per
 # option): total welfare as float.hex and the first 16 hex digits of the
 # sha256 of the per-slot means.  Work on the simulator's hot loop must keep
-# them bit-identical; only an announced change of the random stream may
-# re-record them.
+# them bit-identical; only an announced change of the random stream or of an
+# estimator may re-record them.  The per-look entries (stochastic, False)
+# were re-recorded when exploit looks began to enter at their conditional
+# mean.
 PINNED_RUNS = {
     ("myopic", "deterministic", False): ("0x1.39b0a82865c37p+5", "c947634811d47f4d"),
-    ("myopic", "stochastic", False): ("0x1.323c797589d79p+5", "34a2fc4e32b0c8c1"),
+    ("myopic", "stochastic", False): ("0x1.32317c3e1d0dap+5", "d53a1b98652cc416"),
     ("myopic", "stochastic", True): ("0x1.42c71e58f9712p+5", "b0482b7627524844"),
     ("myopic", "heterogeneous", False): ("0x1.512dbd5556ccap+5", "0a5f35912d0b5bf5"),
     ("nonmyopic", "deterministic", False): ("0x1.4302340d2b1bdp+5", "b1d3670282d3dd8e"),
-    ("nonmyopic", "stochastic", False): ("0x1.360de7b9df2efp+5", "e9dee1d66e1a33c9"),
+    ("nonmyopic", "stochastic", False): ("0x1.361049e5af7e1p+5", "11ac5bbd1a76698a"),
     ("nonmyopic", "stochastic", True): ("0x1.4911621bf5bf5p+5", "f9f80d3bca1927bc"),
     ("nonmyopic", "heterogeneous", False): ("0x1.51494dbe5ac00p+5", "57632acf0296c9da"),
 }
+
+# exploration_slots_mean of the per-look pinned runs as float.hex, recorded
+# while every exploit was still a drawn noisy look: explorers' looks and so
+# every state are unchanged by the conditional-mean receipts
+PINNED_PER_LOOK_EXPLORATION = {"myopic": "0x1.1740da740da74p+0", "nonmyopic": "0x1.fc00000000000p+1"}
 
 
 def pinned_config(kind, mode, per_option):
@@ -86,6 +95,15 @@ def assert_chunk_independent(config):
             assert simulate._chunk_rows(N) in (8, 12)
             assert np.array_equal(receipts(config), full[:R]), name
             assert np.array_equal(receipts(replace(config, replications=2 * R)), full), name
+
+
+def clipped_normal_mean(b, sd):
+    """``E[clip(b + sd Z, 0, 1)]`` by quadrature, split where the clip bends."""
+    pdf = lambda z: math.exp(-z * z / 2) / math.sqrt(2 * math.pi)  # noqa: E731
+    lo, hi = -b / sd, (1 - b) / sd  # the clip bends here; pdf is 0 in double past 40
+    tol = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
+    mid = integrate.quad(lambda z: (b + sd * z) * pdf(z), max(lo, -40), min(hi, 40), **tol)[0]
+    return mid + integrate.quad(pdf, hi, math.inf, **tol)[0]
 
 
 def philox_counter(gen):
@@ -167,6 +185,54 @@ class TestStep:
         for t in range(5):
             state = step(state, t, cfg, rng)
         assert np.all(state.m >= 0.0) and np.all(state.m <= 1.0)
+
+    @pytest.mark.parametrize("sd", [1e-3, 0.1, 5.0, 1e6])
+    def test_look_mean_matches_quadrature(self, sd):
+        b = np.array([0.0, 0.3, 0.999, 1.0])
+        got = simulate._look_mean(b.copy(), sd, np.empty(4), np.empty(4))
+        want = [clipped_normal_mean(x, sd) for x in b]
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_look_mean_at_extreme_noise(self):
+        # no noise, or noise below any reward's resolution, returns b itself;
+        # overwhelming noise clips to 0 or 1 with even odds
+        b = np.array([0.0, 0.3, 1.0])
+        for sd in (0.0, 5e-324):
+            assert np.array_equal(simulate._look_mean(b.copy(), sd, np.empty(3), np.empty(3)), b)
+        huge = simulate._look_mean(b.copy(), 1e300, np.empty(3), np.empty(3))
+        assert np.allclose(huge, 0.5, rtol=0, atol=1e-15)
+
+    def test_exploit_means_follow_best_base(self, uniform):
+        # the stored means are updated only for new holdings and share
+        # adopters, yet equal the mean at every agent's best_base after each slot
+        T, sd = 20, 0.3
+        cfg = myopic_config(uniform, horizon=T, schedule=CommSchedule(T, ((1, 3), (8, 2))),
+                            reward_mode="stochastic", noise_sd=sd)
+        rng = np.random.Generator(np.random.Philox(1))
+        state = SimState.initial(1000, 5)
+        for t in range(T + 1):
+            state = step(state, t, cfg, rng)
+            scratch = [np.empty_like(state.m) for _ in range(2)]
+            fresh = simulate._look_mean(state.best_base.copy(), sd, *scratch)
+            assert np.allclose(state.exploit, fresh, rtol=0, atol=1e-15), t
+
+    def test_exploit_of_nothing_receives_mean_look(self, uniform):
+        # a zero threshold makes agents that hold nothing exploit: each
+        # receives the mean of a noisy look at base 0, and nothing is drawn
+        T, sd = 6, 0.3
+        seq = ThresholdSequence(T, T - 1, np.zeros(T), np.zeros(T))
+        cfg = SimConfig(dist=uniform, n_agents=3, horizon=T, schedule=CommSchedule.centralized(T),
+                        agent_kind="nonmyopic", thresholds=seq, reward_mode="stochastic",
+                        noise_sd=sd)
+        state = SimState.initial(2, 3)
+
+        def no_draw(purpose):
+            pytest.fail(f"slot drew purpose {purpose}")
+
+        receipt = simulate._advance(state, 1, cfg, False, -1, no_draw)
+        assert np.allclose(receipt, clipped_normal_mean(0.0, sd), rtol=0, atol=1e-12)
+        assert np.array_equal(state.exploit, receipt)
+        assert not state.m.any() and not state.explored.any()
 
     def test_heterogeneous_share_is_personal_appraisal(self, uniform, rng):
         # after pooling, each agent holds a value she could actually have
@@ -373,19 +439,21 @@ class TestRun:
 
     def test_memory_does_not_grow_with_horizon(self, uniform):
         # only one slot's (rows, N) draws are live; a whole-horizon (R, T+1, N)
-        # option pre-draw alone would hold 80 MiB here at T = 50
-        peaks = []
-        for T in (50, 200):
-            cfg = myopic_config(uniform, n_agents=200, horizon=T,
-                                schedule=CommSchedule.centralized(T), replications=1024)
-            tracemalloc.start()
-            try:
-                run(cfg)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert abs(peaks[1] - peaks[0]) < 2**16
-        assert peaks[0] < 24 * 2**20
+        # option pre-draw alone would hold 80 MiB here at T = 50.  Per-look
+        # noise holds one more state array, the exploit means.
+        for mode in ("deterministic", "stochastic"):
+            peaks = []
+            for T in (50, 200):
+                cfg = myopic_config(uniform, n_agents=200, horizon=T, reward_mode=mode,
+                                    schedule=CommSchedule.centralized(T), replications=1024)
+                tracemalloc.start()
+                try:
+                    run(cfg)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert abs(peaks[1] - peaks[0]) < 2**16, mode
+            assert peaks[0] < 24 * 2**20, mode
 
     def test_memory_bounded_by_budget_at_ten_thousand_agents(self, uniform):
         N = 10_000
@@ -405,6 +473,18 @@ class TestRun:
         res = run(pinned_config(kind, mode, per_option))
         digest = hashlib.sha256(res.per_slot_mean_reward.astype("<f8").tobytes()).hexdigest()[:16]
         assert (res.total_welfare_mean.hex(), digest) == PINNED_RUNS[kind, mode, per_option]
+
+    @pytest.mark.parametrize("kind", ["myopic", "nonmyopic"])
+    def test_per_look_exploration_pinned(self, kind):
+        res = run(pinned_config(kind, "stochastic", False))
+        assert res.exploration_slots_mean.hex() == PINNED_PER_LOOK_EXPLORATION[kind]
+
+    @pytest.mark.parametrize("kind", ["myopic", "nonmyopic"])
+    def test_noiseless_per_look_is_deterministic(self, kind):
+        # at noise_sd = 0 a look, drawn or at its mean, is the base reward
+        res = run(replace(pinned_config(kind, "stochastic", False), noise_sd=0.0))
+        digest = hashlib.sha256(res.per_slot_mean_reward.astype("<f8").tobytes()).hexdigest()[:16]
+        assert (res.total_welfare_mean.hex(), digest) == PINNED_RUNS[kind, "deterministic", False]
 
     def test_prior_evaluated_for_explorers_only(self, uniform, monkeypatch):
         # the prior maps an option quantile only where an agent explores; the
@@ -440,7 +520,8 @@ class TestRun:
                              ids=["deterministic", "per_look", "per_option", "heterogeneous"])
     def test_idle_slots_draw_nothing(self, uniform, monkeypatch, mode, per_option):
         # a (chunk, slot) opens the option stream only if some agent explores,
-        # and the aux stream too, but at every slot under per-look noise
+        # and outside deterministic mode the aux stream too; per-look exploits
+        # receive their conditional mean and draw nothing
         slots = []
         advance, keyed = simulate._advance, simulate._keyed
 
@@ -460,11 +541,10 @@ class TestRun:
         assert len(slots) == 8 * 21
         active = [t for t, explores, _ in slots if explores and t > 0]
         assert 0 < len(active) < 8 * 20  # some chunks idle at some slots, not all
-        per_look = mode == "stochastic" and not per_option
         for t, explores, opened in slots:
             assert all(s == t for _, s in opened)
             assert opened.count((simulate._OPTION, t)) == explores
-            want_aux = per_look or (explores and mode != "deterministic")
+            want_aux = explores and mode != "deterministic"
             assert opened.count((simulate._AUX, t)) == want_aux
 
     def test_heterogeneous_reward_flat_after_exploration(self, uniform):
