@@ -227,6 +227,8 @@ def cmd_sweep(args) -> int:
     if args.t_step < 1:
         raise ConfigError(f"--t-step must be >= 1, got {args.t_step}")
     horizons = list(range(args.t_start, args.t_stop + 1, args.t_step))
+    if not horizons:
+        raise ConfigError(f"empty horizon range: --t-start {args.t_start} > --t-stop {args.t_stop}")
     # one validated simulation config per mode, before any scan runs; each
     # horizon replaces its horizon, schedule and thresholds
     configs = [

@@ -6,9 +6,8 @@ sharing slot ``T1``.  Before ``T1`` each agent follows a time-varying
 exploration threshold that anticipates the pooled reveal; afterwards she is
 on her own and follows the solo optimal-stopping thresholds.  The pre-sharing
 thresholds solve a coupled nonlinear system (the belief over other agents'
-progress depends on the thresholds themselves); we solve it with a damped
-diagonal-Jacobian Newton iteration warm-started from the solo sequence, with
-per-coordinate bracketed bisection as a fallback.
+progress depends on the thresholds themselves); we solve it from the solo
+sequence with a full diagonal-Newton step, else one exact G-frozen sweep.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
 _SPEC = QuadratureSpec()
 _RESID_TOL = 1e-8
 _MAX_ITER = 200
-_FLIP_CAP = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,19 +260,15 @@ class _OneTimeSystem:
         fu = d.cdf(u)
         slope = (T - T1 - ks) * frozen.G._given(u, fu) ** (N - 1) * fu**ks
         jac = 1.0 + (1.0 - fu) * ((T1 - np.arange(T1) - 1) + slope)
-        return g, jac, ks
+        return g, jac
 
 
 def _enforce_decreasing(u, mu):
     """Clamp into (mu, 1) and repair any non-strict ordering from a raw step."""
     out = np.clip(u, mu, 1.0 - 1e-12)
-    repairs = 0
     for i in range(1, out.size):
-        cap = out[i - 1] - 1e-12
-        if out[i] > cap:
-            out[i] = max(cap, mu)
-            repairs += 1
-    return out, repairs
+        out[i] = min(out[i], max(out[i - 1] - 1e-12, mu))
+    return out
 
 
 def solve_one_time(
@@ -291,10 +285,12 @@ def solve_one_time(
     Post-sharing slots reuse the solo benchmark; the ``T1`` pre-sharing
     thresholds are solved as a coupled system whose active branch per
     coordinate depends on where the value falls among the post-sharing
-    thresholds (half-open bands, lower edge included).  ``method="newton"``
-    runs the damped diagonal-Jacobian iteration warm-started from the
-    benchmark; ``method="bisection"`` runs cold-started fixed-point sweeps
-    with exact per-coordinate bisection, used as a solver-independence check.
+    thresholds (half-open bands, lower edge included).  Each iteration takes
+    the full diagonal-Newton step when it lowers ``max|g|``, else one exact
+    sweep of every coordinate with the belief G frozen (counted in
+    ``diagnostics["bisection_rescues"]``).  ``method="newton"`` starts from
+    the benchmark; ``method="bisection"`` starts cold and only sweeps, a
+    solver-independence check.
     """
     if not 1 <= T1 <= T - 1:
         raise DistributionError(f"T1 must lie in [1, {T - 1}], got {T1}")
@@ -307,65 +303,33 @@ def solve_one_time(
     post = bench.values[T1:]
     system = _OneTimeSystem(d, N, T, T1, post, spec)
 
-    diag = {"repairs": 0, "damped": 0, "bisection_rescues": 0, "iterations": 0}
+    diag = {"bisection_rescues": 0, "iterations": 0}
     if method == "bisection":
-        u = np.full(T1, 0.5 * (mu + 1.0))
-        u, _ = _enforce_decreasing(u, mu)
+        u = _enforce_decreasing(np.full(T1, 0.5 * (mu + 1.0)), mu)
     elif method == "newton":
         u = bench.values[:T1].copy()
     else:
         raise DistributionError(f"unknown method {method!r}")
 
-    flips = np.zeros(T1, dtype=int)
-    prev_cases = None
-    g, jac, ks = system.residuals(u)
+    g, jac = system.residuals(u)
     for it in range(_MAX_ITER):
         diag["iterations"] = it + 1
         norm = float(np.max(np.abs(g)))
         if norm < _RESID_TOL:
             break
-        if prev_cases is not None:
-            flips += (ks != prev_cases).astype(int)
-        prev_cases = ks
-
-        if method == "bisection":
-            u = _bisection_sweep(system, u, np.ones(T1, dtype=bool), mu)
-            g, jac, ks = system.residuals(u)
-            continue
-
-        force = flips > _FLIP_CAP  # chattering coordinates leave Newton for good
-        step = -g / jac
-        accepted = False
-        scale = 1.0
-        for _ in range(25):
-            cand = u + scale * step
-            if force.any():
-                swept = _bisection_sweep(system, u, force, mu)
-                cand[force] = swept[force]
-            cand, rep = _enforce_decreasing(cand, mu)
-            g_c, jac_c, ks_c = system.residuals(cand)
+        if method == "newton":
+            cand = _enforce_decreasing(u - g / jac, mu)
+            g_c, jac_c = system.residuals(cand)
             if float(np.max(np.abs(g_c))) < norm:
-                u, g, jac, ks = cand, g_c, jac_c, ks_c
-                diag["repairs"] += rep
-                accepted = True
-                break
-            scale *= 0.5
-            diag["damped"] += 1
-        if not accepted:
-            # quasi-Newton stalled: one exact sweep against the current belief
+                u, g, jac = cand, g_c, jac_c
+                continue
             diag["bisection_rescues"] += 1
-            if diag["bisection_rescues"] > 20:
-                raise SolverError(
-                    f"one-time solver stalled at T1={T1}",
-                    diagnostics={**diag, "residual": norm},
-                )
-            u = _bisection_sweep(system, u, np.ones(T1, dtype=bool), mu)
-            g, jac, ks = system.residuals(u)
+        u = _bisection_sweep(system, u, mu)
+        g, jac = system.residuals(u)
     else:
-        osc = np.nonzero(flips > _FLIP_CAP)[0] + 1
         raise SolverError(
             f"one-time solver did not converge at T1={T1} after {_MAX_ITER} iterations",
-            diagnostics={**diag, "residual": float(np.max(np.abs(g))), "oscillating": osc.tolist()},
+            diagnostics={**diag, "residual": float(np.max(np.abs(g)))},
         )
 
     values = np.concatenate([u, post])
@@ -373,22 +337,20 @@ def solve_one_time(
     return ThresholdSequence(T, T1, values, residuals, diag)
 
 
-def _bisection_sweep(system, u, mask, mu):
-    """Solve each masked coordinate exactly by bisection with G frozen.
+def _bisection_sweep(system, u, mu):
+    """Solve every coordinate exactly by bisection with G frozen at ``u``.
 
     A probe at ``mu`` builds the segment table and pins to ``mu`` every
     coordinate whose residual is already nonnegative there; ``_bisect``
     solves the rest together, one ``integrate`` call per halving.
     """
-    i = np.flatnonzero(mask)
-    g_lo, frozen = system.residual(system.freeze(u), i, np.full(i.size, mu))
-    out = u.copy()
-    out[i[g_lo >= 0.0]] = mu
+    i = np.arange(u.size)
+    g_lo, frozen = system.residual(system.freeze(u), i, np.full(u.size, mu))
+    out = np.where(g_lo >= 0.0, mu, u)
     i = i[g_lo < 0.0]
     if i.size:
         out[i] = _bisect(lambda v: system.residual(frozen, i, v)[0], mu, i.size)
-    out, _ = _enforce_decreasing(out, mu)
-    return out
+    return _enforce_decreasing(out, mu)
 
 
 def solve_centralized_nonmyopic(

@@ -296,8 +296,9 @@ class TestSweepCommand:
     @pytest.mark.parametrize("flags", [
         ["--t-step", "0"], ["--t-step", "-2"], ["--noise-sd", "-1"], ["--pref-sd", "nan"],
         ["--modes", "deterministic,bogus"], ["--replications", "0"], ["--seed", "-1"],
+        ["--t-start", "9"],
     ], ids=["t_step_zero", "t_step_negative", "noise_negative", "pref_nan", "bad_mode",
-            "no_replications", "seed_negative"])
+            "no_replications", "seed_negative", "empty_horizon_range"])
     def test_bad_input_exits_2_before_any_scan(self, tmp_path, capsys, monkeypatch, flags):
         from commgate import nonmyopic
 

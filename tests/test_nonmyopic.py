@@ -204,6 +204,20 @@ class TestOneTime:
             b = solve_one_time(d, N, T, T1, method="bisection")
             assert np.max(np.abs(a.values - b.values)) < 1e-6
 
+    @pytest.mark.parametrize(
+        "ab, N, T, T1", [((2, 50), 30, 20, 5), ((2, 5), 5, 300, 75), ((50, 2), 200, 300, 75)]
+    )
+    def test_sweep_fallback_converges(self, ab, N, T, T1):
+        # the full Newton step is rejected at least once in each of these
+        d = RewardDistribution.beta(*ab)
+        seq = solve_one_time(d, N, T, T1)
+        assert np.max(np.abs(seq.residuals)) < 1e-8
+        assert seq.diagnostics["bisection_rescues"] >= 1
+        u = seq.prefix
+        assert np.all(np.diff(u) < 0) and d.mean() < u[-1] and u[0] < 1.0
+        ref = solve_one_time(d, N, T, T1, method="bisection")
+        assert np.max(np.abs(u - ref.prefix)) < 1e-6
+
     def test_csv_export(self, uniform, tmp_path):
         seq = solve_one_time(uniform, 3, 6, 2)
         path = tmp_path / "thresholds.csv"
@@ -246,7 +260,7 @@ class TestIntegrateCalls:
         N, T, T1 = 5, 12, 5
         bench = solve_single_agent(uniform, T)
         system = _OneTimeSystem(uniform, N, T, T1, bench.values[T1:], QuadratureSpec())
-        _bisection_sweep(system, bench.values[:T1].copy(), np.ones(T1, dtype=bool), 0.5)
+        _bisection_sweep(system, bench.values[:T1].copy(), 0.5)
         # the table and the probe at mu, then 60 halvings of all coordinates
         assert calls == [T - T1 - 1 + T1] + [T1] * 60
 
@@ -291,7 +305,9 @@ class TestNarrowBands:
         # so that they read the segment table over the narrow top bands
         u = np.array([post[5], 0.5 * (post[300] + post[301]), post[700]])
         spec = QuadratureSpec()
-        g, _, ks = _OneTimeSystem(d, N, T, T1, post, spec).residuals(u)
+        system = _OneTimeSystem(d, N, T, T1, post, spec)
+        g, _ = system.residuals(u)
+        ks = system.cases(u)
         assert ks.tolist() == [5, 301, 700]
 
         G = BeliefCdf(d, u)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one sha256 per output file of a fixed matrix of CLI commands.
 
-Runs ``fit``, eight ``optimize`` commands (all three modes), a three-mode
+Runs ``fit``, nine ``optimize`` commands (all three modes), a three-mode
 ``sweep`` and 39 ``simulate`` configs in-process from the checkout's ``src/``
 into a temporary directory, with relative paths so that no output names the
 directory.  Each command's stdout and exit code are kept as a file too.  Two
@@ -41,6 +41,10 @@ def commands():
             yield f"optimize_{mode}_{name}", ["optimize", "--dist", dist, "--n-agents", str(n),
                                               "--horizon", str(t), "--mode", mode,
                                               "--out", f"optimize_{mode}_{name}.csv"]
+    # the full Newton step is rejected at T1 = 5, so this scan takes the sweep fallback
+    yield "optimize_nonmyopic_beta_2_50", ["optimize", "--dist", "beta:2,50", "--n-agents", "30",
+                                           "--horizon", "20", "--mode", "nonmyopic",
+                                           "--out", "optimize_nonmyopic_beta_2_50.csv"]
     yield "optimize_exact", ["optimize", "--dist", "beta:2,5", "--n-agents", "5", "--horizon",
                              "10", "--mode", "myopic-exact", "--out", "optimize_exact.csv"]
     # multi-window exact layouts at the default cap T = 14
