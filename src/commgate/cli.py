@@ -88,7 +88,7 @@ def cmd_optimize(args) -> int:
         print(f"welfare {welfare:.6f} vs centralized {base.total_welfare:.6f} "
               f"(gain {welfare - base.total_welfare:+.6f})")
     elif args.mode == "myopic-exact":
-        base, sched, welfare = myopic._exact_search(d, N, T, args.max_exact)
+        base, sched, welfare = myopic._exact_search(d, N, T)
         print(f"exact windows: {list(sched.windows)}")
         print(f"welfare {welfare:.6f} vs centralized {base.total_welfare:.6f} "
               f"(gain {welfare - base.total_welfare:+.6f})")
@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--n-agents", type=int, required=True)
     o.add_argument("--horizon", type=int, required=True)
     o.add_argument("--mode", choices=["myopic-approx", "myopic-exact", "nonmyopic"], required=True)
-    o.add_argument("--max-exact", type=int, default=14, help="horizon cap for the O(T^2) exact search")
     o.add_argument("--out", default=None, help="CSV of the full candidate scan")
     o.set_defaults(func=cmd_optimize)
 

@@ -159,20 +159,21 @@ class RewardDistribution:
         else:
             c, g = self.cdf_values, self.grid
             j = self._segment(arr)
-            lo = np.maximum(j - 1, 0)
-            c0, g0 = c[lo], g[lo]
+            c0 = np.take(c, j - 1, mode="clip")  # "clip" takes index -1 to 0
             edge = ~((arr > c0) & (j > 0))  # u at or below cdf_values[0], or NaN
             # g0 + (u - c0) / (c1 - c0) * (g1 - g0), evaluated in place
-            span, rise = c[j], g[j]
+            span = c[j]
             span -= c0
-            rise -= g0
             out = np.subtract(arr, c0, out=c0)
             with np.errstate(invalid="ignore", divide="ignore"):  # edge entries only
                 out /= span
+                g0 = np.take(g, j - 1, out=span, mode="clip")
+                rise = g[j]
+                rise -= g0
                 out *= rise
             out += g0
             out[edge] = g[j[edge]]
-        out = np.clip(out, 0.0, 1.0)
+        np.clip(out, 0.0, 1.0, out=out)
         return float(out[0]) if np.isscalar(q) else out.reshape(np.shape(q))
 
     def _segment(self, u: np.ndarray) -> np.ndarray:

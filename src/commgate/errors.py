@@ -35,10 +35,6 @@ class SolverError(CommgateError, RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-class HorizonTooLargeError(CommgateError, ValueError):
-    """Exact schedule search refused: horizon beyond the caller's ``max_T_for_exact`` cap."""
-
-
 class ConfigError(CommgateError, ValueError):
     """Invalid simulation or experiment configuration."""
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import QuadratureSpec, RewardDistribution, integrate
-from .errors import DistributionError, HorizonTooLargeError
+from .errors import DistributionError
 from .schedules import CommSchedule
 
 __all__ = [
@@ -270,11 +270,7 @@ def optimize_single_window(
 
 
 def optimize_exact(
-    d: RewardDistribution,
-    N: int,
-    T: int,
-    max_T_for_exact: int = 14,
-    spec: QuadratureSpec = _SPEC,
+    d: RewardDistribution, N: int, T: int, spec: QuadratureSpec = _SPEC
 ) -> tuple[CommSchedule, float]:
     """Exact optimum over all optimal-form window layouts.
 
@@ -282,42 +278,44 @@ def optimize_exact(
     between consecutive windows can be optimal.  A window ``(s, L)`` adds
     ``F(mu)^(N s) ((T-s-L) y_(L+1) - sum_(i<=L) x_i)`` and the next window
     starts at ``s + L + 1``, so a forward dynamic program over start slots
-    finds the optimum in O(T^2) steps.  The first strictly greater total
-    wins, so shorter and earlier layouts win exact ties.  Horizons beyond
-    ``max_T_for_exact`` are refused.
+    finds the optimum in O(T^2) arithmetic on the one x/y table that the
+    single-window scan also builds.  The first strictly greater total wins,
+    so shorter and earlier layouts win exact ties.
     """
-    _, schedule, welfare = _exact_search(d, N, T, max_T_for_exact, spec)
+    _, schedule, welfare = _exact_search(d, N, T, spec)
     return schedule, welfare
 
 
-def _exact_search(d, N, T, max_T_for_exact, spec=_SPEC):
+def _exact_search(d, N, T, spec=_SPEC):
     """``optimize_exact``'s dynamic program; also returns the always-open
     report it measures gains against, as ``(report, schedule, welfare)``."""
-    if T > max_T_for_exact:
-        raise HorizonTooLargeError(
-            f"T={T} exceeds the exact search's cap {max_T_for_exact}. "
-            "Raise the cap, or use optimize_single_window for large horizons."
-        )
     fmu = _check_prior(d, N)
     base = welfare_centralized(d, N, T, spec)
     xs, ys = _xy_table(d, N, base, T, np.arange(T + 1), spec)
     sx = np.cumsum(xs)
     # best[s]: the largest prefix total whose next window may start at s, and
-    # layouts[s] its windows.  Rounding is monotone, so keeping only the
-    # largest prefix per start never loses the maximum.
-    best = [0.0] + [-np.inf] * T
-    layouts = [()] * (T + 1)
-    best_total, best_windows = 0.0, ()
-    for s in range(T):
-        decay = fmu ** (N * s)
-        for length in range(1, T - s):
-            g = best[s] + decay * ((T - s - length) * ys[length + 1] - sx[length])
-            wins = layouts[s] + ((s, length),)
-            if g > best[s + length + 1]:
-                best[s + length + 1], layouts[s + length + 1] = g, wins
-            if g > best_total:
-                best_total, best_windows = g, wins
-    return base, CommSchedule(T, best_windows), base.total_welfare + N * best_total
+    # prev[s] the start of that prefix's last window.  Rounding is monotone,
+    # so keeping only the largest prefix per start never loses the maximum.
+    best = np.full(T + 1, -np.inf)
+    best[0] = 0.0
+    prev = np.zeros(T + 1, dtype=int)
+    best_total, last = 0.0, None
+    for s in range(T - 1):
+        lengths = np.arange(1, T - s)
+        g = best[s] + fmu ** (N * s) * ((T - s - lengths) * ys[lengths + 1] - sx[lengths])
+        ends = best[s + 2 :]  # window (s, L) lets the next one start at s + L + 1
+        wins = g > ends
+        ends[wins] = g[wins]
+        prev[s + 2 :][wins] = s
+        k = int(np.argmax(g))
+        if g[k] > best_total:
+            best_total, last = float(g[k]), (s, k + 1)
+    windows = []
+    while last is not None:
+        windows.insert(0, last)
+        s = last[0]
+        last = (prev[s], s - prev[s] - 1) if s > 0 else None
+    return base, CommSchedule(T, tuple(windows)), base.total_welfare + N * best_total
 
 
 def approximation_ratio(d: RewardDistribution, N: int, T: int) -> float:

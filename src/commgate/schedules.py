@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 
 from .errors import ScheduleError
 
@@ -28,9 +29,13 @@ class CommSchedule:
     windows: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        slots = (self.horizon_T, *(v for window in self.windows for v in window))
+        if any(isinstance(v, bool) or not isinstance(v, Integral) for v in slots):
+            raise ScheduleError(f"schedule slots must be integers, got {slots}")
         if self.horizon_T < 1:
             raise ScheduleError(f"horizon must be >= 1, got {self.horizon_T}")
         wins = tuple((int(s), int(d)) for s, d in self.windows)
+        object.__setattr__(self, "horizon_T", int(self.horizon_T))
         object.__setattr__(self, "windows", wins)
         prev_end = None
         for start, length in wins:
@@ -93,7 +98,6 @@ class CommSchedule:
     def from_json(cls, text: str) -> "CommSchedule":
         try:
             obj = json.loads(text)
-            wins = tuple((int(w["start"]), int(w["len"])) for w in obj["windows"])
-            return cls(int(obj["T"]), wins)
+            return cls(obj["T"], tuple((w["start"], w["len"]) for w in obj["windows"]))
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise ScheduleError(f"bad schedule record: {exc}") from exc

@@ -9,7 +9,7 @@ forward-looking agents only at the last open slot before the horizon).
 
 Options form an unbounded stream of i.i.d. draws from the prior, so option
 identities never collide.  Replications are vectorized in chunks, and every
-dense draw of ``run`` comes from a Philox stream keyed by ``(master_seed,
+dense draw comes from a Philox stream keyed by ``(master_seed,
 purpose, slot)``: one purpose holds the option quantiles and one the
 observation noise or preference offsets, each laid out replication-major, so
 replication ``r`` reads draws ``r*N .. r*N+N-1`` of the slot's stream and a
@@ -68,9 +68,9 @@ __all__ = ["AgentState", "SimConfig", "SimResult", "SimState", "run", "step", "t
 _CHUNK = 4096  # most replications per chunk
 _CHUNK_BYTES = 32 << 20  # working set of one chunk's slot step
 # peak bytes a slot step holds per (replication, agent); traced run peak at
-# N = 50 on the fitted hotel prior, one 4096-row chunk: 105 B in every mode
-# (deterministic, per-look, per-option noise, heterogeneous), at slot 0's
-# prior lookup for every agent
+# N = 50 on the fitted hotel prior, one 4096-row chunk, at slot 0 where every
+# agent explores: 81 B deterministic, 97 B per-look, 89 B per-option noise
+# and 90 B heterogeneous
 _AGENT_BYTES = 104
 _OPTION, _AUX, _SHARE = range(3)  # purposes of the keyed draw streams
 _SHARE_BYTES = 1 << 22  # appraisal buffer of one heterogeneous share step
@@ -169,7 +169,8 @@ class SimState:
     changes only where ``best_base`` does.  ``best_opt`` is the option id
     (slot * N + creator, -1 while unset).  The slot in an id tells a share
     step whether the option is new since the previous share; an agent whose
-    ``best_opt`` is -1 has nothing to offer.
+    ``best_opt`` is -1 has nothing to offer.  Row ``r`` is replication
+    ``r`` of one chunk; ``step`` takes the rows as the first chunk's.
     """
 
     m: np.ndarray
@@ -406,26 +407,20 @@ def _share_appraised(state: SimState, last_share: int, pref_sd: float, rng) -> N
                       np.take_along_axis(offered_opt[rows], k, axis=1), where=adopt)
 
 
-def step(state: SimState, t: int, config: SimConfig, rng: np.random.Generator) -> SimState:
-    """Advance a copy of ``state`` through slot ``t``, drawing from ``rng``.
+def step(state: SimState, t: int, config: SimConfig) -> SimState:
+    """Advance a copy of ``state`` through slot ``t`` on ``run``'s keyed draws.
 
-    Draw order per slot is fixed, and unlike ``run`` every call draws both
-    arrays whoever explores: option quantiles first, then (mode permitting)
-    observation noise or exploration preference offsets, each for every
-    agent, and at a heterogeneous share slot one appraisal per (recipient,
-    option found since the previous share slot of the schedule).  ``state``
-    is taken to have come through that previous share slot.  ``run`` uses
-    the same mechanics but reads each purpose from its own keyed stream (see
-    ``run``), so a chain of ``step`` calls does not reproduce a ``run``.
+    The rows of ``state`` are replications ``0 .. R-1`` of ``run``'s first
+    chunk, which has come through the schedule's previous share slot.  A
+    chain of ``step`` calls from ``SimState.initial(R, N)`` over every slot
+    is then ``run`` itself; in heterogeneous mode only for
+    ``R <= _chunk_rows(N)``, since share appraisals are keyed per chunk.
     """
     out = state.copy()
-    R, N = out.m.shape
     share_at = _share_slots(config)
     last_share = max((s for s in share_at if s < t), default=-1)
-    draws = {_OPTION: rng.random((R, N)), _SHARE: rng}
-    if config.reward_mode != "deterministic":
-        draws[_AUX] = rng.random((R, N))
-    _advance(out, t, config, t in share_at, last_share, draws.__getitem__)
+    draw = partial(_keyed_draw, config.master_seed, 0, out.m.shape, t, 0)
+    _advance(out, t, config, t in share_at, last_share, draw)
     return out
 
 

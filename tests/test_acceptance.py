@@ -117,22 +117,22 @@ def test_criterion_4_window_structure():
 
 
 def test_criteria_3_and_4_at_large_horizons(uniform, hotel_dist):
-    # the exact optimum is a dynamic program, so criteria 3 and 4 can be
-    # checked far beyond the default cap of optimize_exact
+    # the exact optimum is an O(T^2) dynamic program, so criteria 3 and 4
+    # can be checked at horizons where enumerating layouts is out of reach
     priors = {"uniform": uniform, "beta(2,5)": RewardDistribution.beta(2, 5),
               "beta(0.7,0.9)": RewardDistribution.beta(0.7, 0.9), "hotel": hotel_dist}
     for T in (20, 40, 80):
         for name, d in priors.items():
             for N in (2, 5, 20):
                 _, approx_w = optimize_single_window(d, N, T)
-                exact_sched, exact_w = optimize_exact(d, N, T, max_T_for_exact=T)
+                exact_sched, exact_w = optimize_exact(d, N, T)
                 case = f"{name}, N={N}, T={T}"
                 assert approx_w >= approximation_ratio(d, N, T) * exact_w - 1e-9, case
                 assert exact_w >= approx_w, case
                 layout_w = welfare_schedule(d, N, exact_sched).total_welfare
                 assert layout_w == pytest.approx(exact_w, rel=1e-12), case
-        low, _ = optimize_exact(RewardDistribution.beta_with_mean(0.024), 5, T, max_T_for_exact=T)
-        high, _ = optimize_exact(RewardDistribution.beta_with_mean(0.33), 5, T, max_T_for_exact=T)
+        low, _ = optimize_exact(RewardDistribution.beta_with_mean(0.024), 5, T)
+        high, _ = optimize_exact(RewardDistribution.beta_with_mean(0.33), 5, T)
         lens_low = [length for _, length in low.windows]
         lens_high = [length for _, length in high.windows]
         assert lens_low and all(a >= b for a, b in zip(lens_low, lens_low[1:])), (T, lens_low)

@@ -60,9 +60,10 @@ class TestOptimizeCommand:
         assert lines[0] == "window_len,welfare"
         assert len(lines) == 10  # header + window lengths 1..9
 
-    def test_myopic_exact_refuses_big_horizon(self, capsys):
+    def test_myopic_exact_past_old_cap(self, capsys):
         assert run_cli("optimize", "--dist", "uniform", "--n-agents", "3",
-                       "--horizon", "20", "--mode", "myopic-exact") == 2
+                       "--horizon", "20", "--mode", "myopic-exact") == 0
+        assert capsys.readouterr().out.startswith("exact windows: [(0, ")
 
     def test_myopic_exact_solves_centralized_once(self, capsys, monkeypatch):
         from commgate import myopic

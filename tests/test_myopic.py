@@ -6,7 +6,7 @@ import pytest
 
 from commgate import myopic
 from commgate.distributions import RewardDistribution
-from commgate.errors import HorizonTooLargeError, ScheduleError
+from commgate.errors import ScheduleError
 from commgate.myopic import (
     approximation_ratio,
     deviation_condition,
@@ -52,6 +52,31 @@ class TestSchedules:
 
     def test_json_roundtrip(self):
         s = CommSchedule(12, ((0, 2), (4, 3)))
+        assert CommSchedule.from_json(s.to_json()) == s
+
+    @pytest.mark.parametrize("T,windows", [(10.5, ((0, 2),)), (10, ((0.9, 2),)), (10, ((0, 2.2),)),
+                                           (10.0, ()), (True, ()), (10, ((True, 2),)),
+                                           (10, ((0, np.float64(2)),))],
+                             ids=["T_fraction", "start_fraction", "len_fraction", "T_float",
+                                  "T_bool", "start_bool", "len_numpy_float"])
+    def test_fields_must_be_integers(self, T, windows):
+        # a fraction or a boolean used to be truncated to an int silently
+        with pytest.raises(ScheduleError, match="integers"):
+            CommSchedule(T, windows)
+
+    @pytest.mark.parametrize("record", ['{"T": 10.9, "windows": []}',
+                                        '{"T": 10, "windows": [{"start": true, "len": 2}]}',
+                                        '{"T": 10, "windows": [{"start": 0, "len": 2.7}]}',
+                                        '{"T": 10.9, "windows": [{"start": true, "len": 2.7}]}'],
+                             ids=["T_fraction", "start_bool", "len_fraction", "all_three"])
+    def test_json_fields_must_be_integers(self, record):
+        with pytest.raises(ScheduleError, match="integers"):
+            CommSchedule.from_json(record)
+
+    def test_numpy_integers_accepted(self):
+        s = CommSchedule(np.int64(10), ((np.int32(0), np.int64(2)),))
+        assert s == CommSchedule(10, ((0, 2),))
+        assert type(s.horizon_T) is int and all(type(v) is int for v in s.windows[0])
         assert CommSchedule.from_json(s.to_json()) == s
 
 
@@ -181,9 +206,18 @@ class TestOptimizers:
         gc.collect()
         assert ref() is None
 
-    def test_exact_refuses_large_horizon(self, uniform):
-        with pytest.raises(HorizonTooLargeError):
-            optimize_exact(uniform, 5, 15)
+    @pytest.mark.parametrize("T", [100, 300])
+    def test_exact_at_long_horizons(self, hotel_dist, T):
+        # the dynamic program has no horizon cap: its layout keeps the
+        # optimal form, beats the scan, and is scored by welfare_schedule
+        for d in (RewardDistribution.beta(2, 5), hotel_dist):
+            sched, welfare = optimize_exact(d, 5, T)
+            assert sched.windows and sched.windows[0][0] == 0
+            for (s, length), (nxt, _) in zip(sched.windows, sched.windows[1:]):
+                assert nxt == s + length + 1
+            assert welfare >= optimize_single_window(d, 5, T)[1]
+            layout = welfare_schedule(d, 5, sched).total_welfare
+            assert welfare == pytest.approx(layout, rel=1e-12, abs=0)
 
     def test_exact_structure_and_dominance(self, uniform):
         sched, welfare = optimize_exact(uniform, 5, 12)

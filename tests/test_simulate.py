@@ -139,22 +139,45 @@ class TestConfigValidation:
 
 
 class TestStep:
-    def test_single_agent_monotone_state(self, uniform, rng):
+    @pytest.mark.parametrize("kind,mode,per_option", list(PINNED_RUNS))
+    def test_step_chain_is_run(self, kind, mode, per_option, monkeypatch):
+        # step reads run's keyed streams, so a chain of steps through every
+        # slot ends in the state that run leaves its one chunk in
+        config = pinned_config(kind, mode, per_option)
+        assert simulate._chunk_rows(config.n_agents) >= config.replications
+        final = []
+        advance = simulate._advance
+
+        def recording(state, *args):
+            receipt = advance(state, *args)
+            final[:] = [state.copy()]
+            return receipt
+
+        monkeypatch.setattr(simulate, "_advance", recording)
+        run(config)
+        monkeypatch.undo()
+        state = SimState.initial(config.replications, config.n_agents)
+        for t in range(config.horizon + 1):
+            state = step(state, t, config)
+        for name in ("m", "best_base", "best_opt", "explored"):
+            assert np.array_equal(getattr(state, name), getattr(final[0], name)), name
+
+    def test_single_agent_monotone_state(self, uniform):
         cfg = myopic_config(uniform, n_agents=1)
         state = SimState.initial(64, 1)
         prev = state.m.copy()
         for t in range(21):
-            state = step(state, t, cfg, rng)
+            state = step(state, t, cfg)
             assert np.all(state.m >= prev)
             prev = state.m.copy()
 
-    def test_myopic_open_slot_pools_states(self, uniform, rng):
+    def test_myopic_open_slot_pools_states(self, uniform):
         cfg = myopic_config(uniform)
         state = SimState.initial(128, 5)
-        state = step(state, 0, cfg, rng)
+        state = step(state, 0, cfg)
         assert np.allclose(state.m, state.m[:, :1])
 
-    def test_nonmyopic_withholds_before_share_slot(self, uniform, rng):
+    def test_nonmyopic_withholds_before_share_slot(self, uniform):
         T, T1 = 10, 6
         seq = solve_one_time(uniform, 5, T, T1)
         cfg = SimConfig(dist=uniform, n_agents=5, horizon=T,
@@ -162,28 +185,28 @@ class TestStep:
                         thresholds=seq, replications=1, master_seed=0)
         state = SimState.initial(256, 5)
         for t in range(T1):
-            state = step(state, t, cfg, rng)
+            state = step(state, t, cfg)
         # everyone has a distinct private state: no pooling happened
         assert np.all(np.ptp(state.m, axis=1) > 0)
-        state = step(state, T1, cfg, rng)
+        state = step(state, T1, cfg)
         assert np.allclose(state.m, state.m[:, :1])
 
-    def test_option_ids_unique_within_run(self, uniform, rng):
+    def test_option_ids_unique_within_run(self, uniform):
         cfg = myopic_config(uniform, n_agents=3)
         state = SimState.initial(16, 3)
         for t in range(21):
-            state = step(state, t, cfg, rng)
+            state = step(state, t, cfg)
         # ids encode (slot, agent): the same id can only be held via sharing,
         # and every agent's view is a valid AgentState
         view = state.agent(0, 0)
         assert view.explored_count >= 1
         assert view.best_option is not None
 
-    def test_stochastic_rewards_clamped(self, uniform, rng):
+    def test_stochastic_rewards_clamped(self, uniform):
         cfg = myopic_config(uniform, reward_mode="stochastic", noise_sd=0.5)
         state = SimState.initial(512, 5)
         for t in range(5):
-            state = step(state, t, cfg, rng)
+            state = step(state, t, cfg)
         assert np.all(state.m >= 0.0) and np.all(state.m <= 1.0)
 
     @pytest.mark.parametrize("sd", [1e-3, 0.1, 5.0, 1e6])
@@ -207,11 +230,10 @@ class TestStep:
         # adopters, yet equal the mean at every agent's best_base after each slot
         T, sd = 20, 0.3
         cfg = myopic_config(uniform, horizon=T, schedule=CommSchedule(T, ((1, 3), (8, 2))),
-                            reward_mode="stochastic", noise_sd=sd)
-        rng = np.random.Generator(np.random.Philox(1))
+                            reward_mode="stochastic", noise_sd=sd, master_seed=1)
         state = SimState.initial(1000, 5)
         for t in range(T + 1):
-            state = step(state, t, cfg, rng)
+            state = step(state, t, cfg)
             scratch = [np.empty_like(state.m) for _ in range(2)]
             fresh = simulate._look_mean(state.best_base.copy(), sd, *scratch)
             assert np.allclose(state.exploit, fresh, rtol=0, atol=1e-15), t
@@ -234,7 +256,7 @@ class TestStep:
         assert np.array_equal(state.exploit, receipt)
         assert not state.m.any() and not state.explored.any()
 
-    def test_heterogeneous_share_is_personal_appraisal(self, uniform, rng):
+    def test_heterogeneous_share_is_personal_appraisal(self, uniform):
         # after pooling, each agent holds a value she could actually have
         # appraised: at least her own find, at most the best base plus offset
         cfg = myopic_config(uniform, reward_mode="heterogeneous", pref_sd=0.2)
@@ -242,41 +264,44 @@ class TestStep:
         before = None
         for t in range(3):
             before = state.m.copy()
-            state = step(state, t, cfg, rng)
+            state = step(state, t, cfg)
             assert np.all(state.m >= before - 1e-12)  # appraisals never degrade beliefs
         assert np.all(state.m <= 1.0)
         # the per-replication best base propagates to adopters
         assert np.all(state.best_base <= 1.0)
 
-    def test_heterogeneous_share_without_discovery_is_inert(self, uniform):
+    def test_heterogeneous_share_without_discovery_is_inert(self, uniform, monkeypatch):
         # appraisals are fixed per (agent, option): a share slot that follows
         # another with nothing found in between changes nobody's holding and
-        # draws no appraisal at all
-        cfg = myopic_config(uniform, reward_mode="heterogeneous", pref_sd=0.2)
-        rng = np.random.Generator(np.random.Philox(7))
-        state = step(SimState.initial(2048, 5), 0, cfg, rng)
+        # opens no stream at all
+        cfg = myopic_config(uniform, reward_mode="heterogeneous", pref_sd=0.2, master_seed=7)
+        state = step(SimState.initial(2048, 5), 0, cfg)
         keep = np.all(state.m >= uniform.mean(), axis=1)  # nobody explores at t=1
         assert keep.sum() > 100
         state = SimState(state.m[keep], state.best_base[keep], state.best_opt[keep],
                          state.explored[keep])
-        expected_rng = np.random.Generator(np.random.Philox(7))
-        expected_rng.bit_generator.state = rng.bit_generator.state
-        expected_rng.random(state.m.shape)  # option quantiles
-        expected_rng.random(state.m.shape)  # exploration preference offsets
-        after = step(state, 1, cfg, rng)
-        assert np.array_equal(rng.random(8), expected_rng.random(8))  # same stream position
+        opened = []
+        keyed = simulate._keyed
+
+        def recording(seed, skip, *key):
+            opened.append(key)
+            return keyed(seed, skip, *key)
+
+        monkeypatch.setattr(simulate, "_keyed", recording)
+        after = step(state, 1, cfg)
+        assert opened == []
         for name in ("m", "best_base", "best_opt", "explored"):
             assert np.array_equal(getattr(after, name), getattr(state, name)), name
 
     def test_heterogeneous_share_memory_is_bounded(self, uniform):
         # one share step at N=200 appraises 256 x 200 x 200 pairs; the
         # appraisals are filled in blocks, not as one (R, N, N) array
-        cfg = myopic_config(uniform, n_agents=200, reward_mode="heterogeneous", pref_sd=0.3)
-        rng = np.random.Generator(np.random.Philox(3))
+        cfg = myopic_config(uniform, n_agents=200, reward_mode="heterogeneous", pref_sd=0.3,
+                            master_seed=3)
         state = SimState.initial(256, 200)
         tracemalloc.start()
         try:
-            state = step(state, 0, cfg, rng)
+            state = step(state, 0, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -287,12 +312,12 @@ class TestStep:
     def test_heterogeneous_share_buffer_bounded_at_large_n(self, uniform):
         # at N = 2000 one replication's (recipient, option) appraisals alone
         # are 32 MB; they are filled in blocks of recipients instead
-        cfg = myopic_config(uniform, n_agents=2000, reward_mode="heterogeneous", pref_sd=0.3)
-        rng = np.random.Generator(np.random.Philox(3))
+        cfg = myopic_config(uniform, n_agents=2000, reward_mode="heterogeneous", pref_sd=0.3,
+                            master_seed=3)
         state = SimState.initial(4, 2000)
         tracemalloc.start()
         try:
-            state = step(state, 0, cfg, rng)
+            state = step(state, 0, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -302,12 +327,13 @@ class TestStep:
     def test_heterogeneous_share_blocks_keep_the_stream(self, uniform, monkeypatch):
         # blocks of a few recipients draw the appraisals in the same order as
         # blocks of whole replications, so the outcome is the same
-        cfg = myopic_config(uniform, n_agents=7, reward_mode="heterogeneous", pref_sd=0.3)
+        cfg = myopic_config(uniform, n_agents=7, reward_mode="heterogeneous", pref_sd=0.3,
+                            master_seed=5)
         start = SimState.initial(6, 7)
-        whole = step(start, 0, cfg, np.random.Generator(np.random.Philox(5)))
+        whole = step(start, 0, cfg)
         for share_bytes in (8 * 7 * 3, 8 * 7 * 7 * 2 - 8):  # 3 recipients; 1 replication
             monkeypatch.setattr(simulate, "_SHARE_BYTES", share_bytes)
-            part = step(start, 0, cfg, np.random.Generator(np.random.Philox(5)))
+            part = step(start, 0, cfg)
             for name in ("m", "best_base", "best_opt", "explored"):
                 assert np.array_equal(getattr(part, name), getattr(whole, name)), name
 
@@ -467,6 +493,35 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert peak < 2 * simulate._CHUNK_BYTES
+
+    @pytest.mark.parametrize("mode,per_option", [("deterministic", False), ("stochastic", False),
+                                                 ("stochastic", True), ("heterogeneous", False)],
+                             ids=["deterministic", "per_look", "per_option", "heterogeneous"])
+    def test_slot_step_peak_within_agent_bytes(self, hotel_dist, monkeypatch, mode, per_option):
+        # the chunk budget takes a slot step to hold at most _AGENT_BYTES per
+        # (replication, agent); slot 0, where every agent explores and the
+        # empirical prior maps every quantile, is the largest
+        R, N, T = 4096, 50, 2
+        assert simulate._chunk_rows(N) == R  # one chunk
+        peaks = []
+        advance = simulate._advance
+
+        def tracing(*args):
+            tracemalloc.reset_peak()
+            receipt = advance(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return receipt
+
+        monkeypatch.setattr(simulate, "_advance", tracing)
+        cfg = SimConfig(dist=hotel_dist, n_agents=N, horizon=T, schedule=CommSchedule.centralized(T),
+                        reward_mode=mode, noise_per_option=per_option, replications=R,
+                        master_seed=1)
+        tracemalloc.start()
+        try:
+            run(cfg)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) <= simulate._AGENT_BYTES * R * N, max(peaks) / (R * N)
 
     @pytest.mark.parametrize("kind,mode,per_option", list(PINNED_RUNS))
     def test_outputs_pinned(self, kind, mode, per_option):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one sha256 per output file of a fixed matrix of CLI commands.
 
-Runs ``fit``, nine ``optimize`` commands (all three modes), a three-mode
+Runs ``fit``, ten ``optimize`` commands (all three modes), a three-mode
 ``sweep`` and 39 ``simulate`` configs in-process from the checkout's ``src/``
 into a temporary directory, with relative paths so that no output names the
 directory.  Each command's stdout and exit code are kept as a file too.  Two
@@ -47,12 +47,15 @@ def commands():
                                            "--out", "optimize_nonmyopic_beta_2_50.csv"]
     yield "optimize_exact", ["optimize", "--dist", "beta:2,5", "--n-agents", "5", "--horizon",
                              "10", "--mode", "myopic-exact", "--out", "optimize_exact.csv"]
-    # multi-window exact layouts at the default cap T = 14
+    # multi-window exact layouts at T = 14, and one at T = 60
     for name, dist, n in (("hotel", "hotel.csv", 5), ("uniform", "uniform", 2),
                           ("beta", "beta:0.7,0.9", 3)):
         yield f"optimize_exact_{name}", ["optimize", "--dist", dist, "--n-agents", str(n),
                                          "--horizon", "14", "--mode", "myopic-exact",
                                          "--out", f"optimize_exact_{name}.csv"]
+    yield "optimize_exact_hotel_60", ["optimize", "--dist", "hotel.csv", "--n-agents", "5",
+                                      "--horizon", "60", "--mode", "myopic-exact",
+                                      "--out", "optimize_exact_hotel_60.csv"]
     yield "sweep", ["sweep", "--dist", "hotel.csv", "--n-agents", "5", "--t-start", "10",
                     "--t-stop", "20", "--modes", "deterministic,stochastic,heterogeneous",
                     "--replications", "200", "--seed", "3", "--out", "sweep.csv"]
