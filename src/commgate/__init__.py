@@ -22,7 +22,6 @@ from .myopic import (
 from .nonmyopic import (
     BeliefCdf,
     ThresholdSequence,
-    belief_cdf,
     optimize_comm_time,
     solve_centralized_nonmyopic,
     solve_one_time,
@@ -51,7 +50,6 @@ __all__ = [
     "approximation_ratio",
     "ThresholdSequence",
     "BeliefCdf",
-    "belief_cdf",
     "solve_single_agent",
     "solve_centralized_nonmyopic",
     "solve_one_time",

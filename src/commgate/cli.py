@@ -45,7 +45,7 @@ def parse_dist(spec: str) -> RewardDistribution:
 
 
 def cmd_fit(args) -> int:
-    table = dataset.load_ratings(args.dataset, None)
+    table = dataset.load_ratings(args.dataset)
     bandwidth = args.bandwidth if args.bandwidth is not None else dataset.silverman_bandwidth(table.normalized)
     d = dataset.fit_reward_cdf(table, bandwidth)
     d.to_csv(args.out)
@@ -164,9 +164,10 @@ def load_sim_config(path, overrides: dict | None = None) -> tuple[SimConfig, dic
         if key not in obj:
             raise ConfigError(f"{path}: missing field '{key}'")
     if isinstance(obj["dist"], dict):
-        if "csv" not in obj["dist"]:
-            raise ConfigError(f"{path}: dist object must carry 'csv'")
-        d = RewardDistribution.from_csv(obj["dist"]["csv"])
+        csv_path = obj["dist"].get("csv")
+        if not isinstance(csv_path, str):
+            raise ConfigError(f"{path}: dist object must carry 'csv', a path string, got {csv_path!r}")
+        d = RewardDistribution.from_csv(csv_path)
     else:
         d = parse_dist(str(obj["dist"]))
     N = _field(obj, "n_agents", int, path)

@@ -29,14 +29,6 @@ __all__ = [
 
 _GRID_POINTS = 512
 
-DEFAULT_COLUMNS = {
-    "hotel_id": "hotel_id",
-    "avg_rating": "avg_rating",
-    "rating_scale_max": "rating_scale_max",
-    "n_reviews": "n_reviews",
-    "rating_sd": "rating_sd",
-}
-
 
 @dataclass(frozen=True)
 class RatingsTable:
@@ -63,45 +55,42 @@ class RatingsTable:
         return self.rating_sd / self.scale_max
 
 
-def load_ratings(path, format_spec: dict | None = None) -> RatingsTable:
+def load_ratings(path) -> RatingsTable:
     """Parse and validate a ratings CSV.
 
-    ``format_spec`` maps the logical fields (see ``DEFAULT_COLUMNS``) to the
-    file's column names; omitted entries use the defaults and ``rating_sd``
-    is optional in the file.  Rows that fail to parse or hold a non-finite
-    or out-of-range value are reported with their line numbers.
+    The columns are ``hotel_id``, ``avg_rating``, ``rating_scale_max``,
+    ``n_reviews`` and, optionally, ``rating_sd``.  Rows that fail to parse
+    or hold a non-finite or out-of-range value are reported with their line
+    numbers.
     """
-    cols = dict(DEFAULT_COLUMNS)
-    cols.update(format_spec or {})
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise DatasetError(f"{path}: empty file")
             missing = [
-                cols[k]
-                for k in ("hotel_id", "avg_rating", "rating_scale_max", "n_reviews")
-                if cols[k] not in reader.fieldnames
+                k for k in ("hotel_id", "avg_rating", "rating_scale_max", "n_reviews")
+                if k not in reader.fieldnames
             ]
             if missing:
                 raise DatasetError(f"{path}: missing columns {missing}")
-            has_sd = cols["rating_sd"] in reader.fieldnames
+            has_sd = "rating_sd" in reader.fieldnames
             ids, avgs, scales, counts, sds = [], [], [], [], []
             bad_lines = []
             for lineno, row in enumerate(reader, start=2):
                 try:
-                    avg = float(row[cols["avg_rating"]])
-                    scale = float(row[cols["rating_scale_max"]])
-                    n_rev = int(float(row[cols["n_reviews"]]))
+                    avg = float(row["avg_rating"])
+                    scale = float(row["rating_scale_max"])
+                    n_rev = int(float(row["n_reviews"]))
                     if not (0 < scale < math.inf and 0.0 <= avg <= scale and n_rev >= 0):
                         raise ValueError("out of range")
-                    sd = float(row[cols["rating_sd"]]) if has_sd and row[cols["rating_sd"]] else math.nan
+                    sd = float(row["rating_sd"]) if has_sd and row["rating_sd"] else math.nan
                     if not math.isnan(sd) and not 0 <= sd < math.inf:
                         raise ValueError("negative or infinite sd")
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     bad_lines.append(f"line {lineno}: {exc}")
                     continue
-                ids.append(row[cols["hotel_id"]])
+                ids.append(row["hotel_id"])
                 avgs.append(avg)
                 scales.append(scale)
                 counts.append(n_rev)
@@ -133,9 +122,7 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     return 0.9 * scale * n ** (-0.2)
 
 
-def fit_reward_cdf(
-    table: RatingsTable, bandwidth: float | None = None, grid_points: int = _GRID_POINTS
-) -> RewardDistribution:
+def fit_reward_cdf(table: RatingsTable, bandwidth: float | None = None) -> RewardDistribution:
     """Gaussian-KDE fit of the normalized average ratings, as an empirical CDF.
 
     The kernel mass is reflected at 0 and 1, the CDF is evaluated on a
@@ -156,7 +143,7 @@ def fit_reward_cdf(
         h = bandwidth
     else:
         raise DatasetError(f"bandwidth must be finite and > 0, got {bandwidth!r}")
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, _GRID_POINTS)
     g = grid[:, None]
     # reflected-kernel CDF: direct mass plus mirror images at 0 and at 1
     direct = special.ndtr((g - x) / h) - special.ndtr((0.0 - x) / h)

@@ -11,7 +11,8 @@ The integrator takes scalar bounds or arrays of bounds.  An array call
 refines the pieces of every ``(lo, hi)`` pair together, one vectorized
 integrand call per refinement depth, and gives each pair the nodes and the
 estimate it would get alone; callers batch many small integrals into one
-call that way.
+call that way.  Integrands are vectorized: each maps the array of nodes to
+an array of the same shape.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ class RewardDistribution:
             c, g = self.cdf_values, self.grid
             j = self._segment(arr)
             c0 = np.take(c, j - 1, mode="clip")  # "clip" takes index -1 to 0
-            edge = ~((arr > c0) & (j > 0))  # u at or below cdf_values[0], or NaN
+            edge = (arr <= c0) | (j == 0)  # u at or below cdf_values[0]; NaN stays NaN
             # g0 + (u - c0) / (c1 - c0) * (g1 - g0), evaluated in place
             span = c[j]
             span -= c0
@@ -299,25 +300,16 @@ def _bucket_table(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return start, padded, wide
 
 
-def _first_evaluation(integrand: Callable, x: np.ndarray):
-    """Values of ``integrand`` at ``x``, and the evaluator for later nodes.
-
-    The evaluator is the integrand itself when it maps the array ``x`` to an
-    array of the same shape, else an element-by-element wrapper for
-    integrands written for scalars.  Integrands must be pure, so a rejected
-    array call is side-effect free.
-    """
-    try:
-        y = np.asarray(integrand(x), dtype=float)
-        if y.shape == x.shape:
-            return y, lambda v: np.asarray(integrand(v), dtype=float)
-    except (TypeError, ValueError):
-        pass
-
-    def elementwise(v: np.ndarray) -> np.ndarray:
-        return np.fromiter((float(integrand(e)) for e in v), dtype=float, count=v.size)
-
-    return elementwise(x), elementwise
+def _evaluate(integrand: Callable, x: np.ndarray) -> np.ndarray:
+    """``integrand`` at the node array ``x``, which it must map to an array
+    of the same shape."""
+    y = np.asarray(integrand(x), dtype=float)
+    if y.shape != x.shape:
+        raise TypeError(
+            f"integrand must map an array of shape {x.shape} to one of the same shape, "
+            f"got shape {y.shape}"
+        )
+    return y
 
 
 def _kinks(dist: RewardDistribution, spec: QuadratureSpec) -> np.ndarray:
@@ -346,7 +338,8 @@ def integrate(
     fits its share of ``spec.abs_tol``, which is split between the pieces of
     a pair in proportion to their width.  So each pair gets the nodes and
     the estimate it would get alone.  All pieces of all pairs at the same
-    refinement depth are evaluated in one vectorized integrand call.
+    refinement depth are evaluated in one integrand call, which must map
+    the node array to an array of the same shape.
     Zero-width pairs give 0 without evaluating the integrand.  The values at
     a piece's ends are taken ``1e-12`` of the pair's width inside the piece,
     and at least one float inside, so the integrand may jump or be undefined
@@ -354,6 +347,9 @@ def integrate(
 
     Raises
     ------
+    TypeError
+        If the integrand does not map the node array to an array of the
+        same shape (a scalar-only or constant integrand, say).
     DistributionError
         If a pair is outside ``0 <= lo <= hi <= 1``; the first such pair is
         named.
@@ -405,7 +401,7 @@ def integrate(
         eps = 1e-12 * width[pid]
         a_in = np.maximum(a + eps, np.nextafter(a, b))
         b_in = np.minimum(b - eps, np.nextafter(b, a))
-        y, f = _first_evaluation(integrand, np.concatenate([a_in, b_in, m]))
+        y = _evaluate(integrand, np.concatenate([a_in, b_in, m]))
         n = a.size
         fa, fb, fm = y[:n], y[n : 2 * n], y[2 * n :]
         s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -415,7 +411,7 @@ def integrate(
         while a.size:
             lm = 0.5 * (a + m)
             rm = 0.5 * (m + b)
-            y = f(np.concatenate([lm, rm]))
+            y = _evaluate(integrand, np.concatenate([lm, rm]))
             flm, frm = y[: a.size], y[a.size :]
             sl = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
             sr = (b - m) / 6.0 * (fb + 4.0 * frm + fm)

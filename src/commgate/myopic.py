@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import QuadratureSpec, RewardDistribution, integrate
+from .distributions import RewardDistribution, integrate
 from .errors import DistributionError
 from .schedules import CommSchedule
 
@@ -37,8 +37,6 @@ __all__ = [
     "optimize_exact",
     "approximation_ratio",
 ]
-
-_SPEC = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ def _check_prior(d: RewardDistribution, N: int) -> float:
     return fmu
 
 
-def _xy_table(d: RewardDistribution, N: int, base: MyopicWelfareReport, T: int, idx, spec):
+def _xy_table(d: RewardDistribution, N: int, base: MyopicWelfareReport, T: int, idx):
     """``x_i`` and ``y_i`` for every window index in ``idx`` (index 0 gives 0).
 
     The self-only and pooled CDF mixtures are affine in ``c = F(mu)^i``, so
@@ -103,13 +101,11 @@ def _xy_table(d: RewardDistribution, N: int, base: MyopicWelfareReport, T: int, 
             pooled = (f**N - fmu_n) / denom_n + ci_n * (1.0 - f**N) / denom_n
             return pooled - single**N
 
-        ys[k] = integrate(d, gap, mu, 1.0, spec)
+        ys[k] = integrate(d, gap, mu, 1.0)
     return xs, ys
 
 
-def xy_terms(
-    d: RewardDistribution, N: int, i: int, spec: QuadratureSpec = _SPEC
-) -> tuple[float, float]:
+def xy_terms(d: RewardDistribution, N: int, i: int) -> tuple[float, float]:
     """Per-slot exploitation loss ``x_i`` and post-window exploration benefit
     ``y_i`` of running a closed window whose ``i``-th blocked slot this is.
 
@@ -121,7 +117,7 @@ def xy_terms(
     """
     if i < 1:
         raise DistributionError(f"index i must be >= 1, got {i}")
-    xs, ys = _xy_table(d, N, welfare_centralized(d, N, 1, spec), 1, [i], spec)
+    xs, ys = _xy_table(d, N, welfare_centralized(d, N, 1), 1, [i])
     return float(xs[0]), float(ys[0])
 
 
@@ -132,9 +128,7 @@ def _geom(q: float, t0: int, t1: int) -> float:
     return float(np.sum(q ** np.arange(t0, t1 + 1, dtype=float)))
 
 
-def welfare_centralized(
-    d: RewardDistribution, N: int, T: int, spec: QuadratureSpec = _SPEC
-) -> MyopicWelfareReport:
+def welfare_centralized(d: RewardDistribution, N: int, T: int) -> MyopicWelfareReport:
     """Welfare and per-agent exploration count under the always-open policy.
 
     All agents explore in lockstep until the pooled best reward clears mu,
@@ -145,7 +139,7 @@ def welfare_centralized(
         raise DistributionError(f"horizon must be >= 1, got {T}")
     mu = d.mean()
     q = fmu**N
-    tail = integrate(d, lambda r: d.cdf(r) ** N, mu, 1.0, spec)
+    tail = integrate(d, lambda r: d.cdf(r) ** N, mu, 1.0)
     # pooled best reward given it clears mu, and its residual loss P = E - mu
     exploit = (1.0 - mu * q - tail) / (1.0 - q)
     loss = (1.0 - mu - tail) / (1.0 - q)
@@ -154,9 +148,7 @@ def welfare_centralized(
     return MyopicWelfareReport(total, count)
 
 
-def welfare_schedule(
-    d: RewardDistribution, N: int, schedule: CommSchedule, spec: QuadratureSpec = _SPEC
-) -> MyopicWelfareReport:
+def welfare_schedule(d: RewardDistribution, N: int, schedule: CommSchedule) -> MyopicWelfareReport:
     """Welfare under an arbitrary window schedule.
 
     Each window starting at ``s`` with length ``L`` shifts welfare by
@@ -167,11 +159,11 @@ def welfare_schedule(
     """
     T = schedule.horizon_T
     fmu = _check_prior(d, N)
-    base = welfare_centralized(d, N, T, spec)
+    base = welfare_centralized(d, N, T)
     if schedule.is_centralized:
         return base
     max_len = max(length for _, length in schedule.windows)
-    xs, ys = _xy_table(d, N, base, T, np.arange(max_len + 2), spec)
+    xs, ys = _xy_table(d, N, base, T, np.arange(max_len + 2))
     sx = np.cumsum(xs)
 
     terms = []
@@ -196,14 +188,14 @@ class _WindowTable(NamedTuple):
     best: tuple[CommSchedule, float]  # optimize_single_window's result
 
 
-def _single_window_table(d, N, T, spec=_SPEC) -> _WindowTable:
+def _single_window_table(d, N, T) -> _WindowTable:
     """Centralized report, deviation test, window scan and best single window,
     all read off one x/y table and its prefix sums."""
     _check_prior(d, N)
     if T < 2:
         raise DistributionError(f"horizon must be >= 2, got {T}")
-    base = welfare_centralized(d, N, T, spec)
-    xs, ys = _xy_table(d, N, base, T, np.arange(T + 1), spec)
+    base = welfare_centralized(d, N, T)
+    xs, ys = _xy_table(d, N, base, T, np.arange(T + 1))
     sx = np.cumsum(xs)
     best_len = 0
     best_rhs = np.inf
@@ -230,9 +222,7 @@ def _single_window_table(d, N, T, spec=_SPEC) -> _WindowTable:
     return _WindowTable(base, (holds, best_len, float(best_rhs)), scan, best)
 
 
-def deviation_condition(
-    d: RewardDistribution, N: int, T: int, spec: QuadratureSpec = _SPEC
-) -> tuple[bool, int, float]:
+def deviation_condition(d: RewardDistribution, N: int, T: int) -> tuple[bool, int, float]:
     """Whether any window schedule beats the always-open policy.
 
     Returns ``(holds, minimizing_length, threshold_T)`` where the condition is
@@ -242,23 +232,19 @@ def deviation_condition(
     where no sharing benefit exists and the condition is declared false).
     Needs ``T >= 2``.
     """
-    return _single_window_table(d, N, T, spec).condition
+    return _single_window_table(d, N, T).condition
 
 
-def scan_single_window(
-    d: RewardDistribution, N: int, T: int, spec: QuadratureSpec = _SPEC
-) -> list[tuple[int, float]]:
+def scan_single_window(d: RewardDistribution, N: int, T: int) -> list[tuple[int, float]]:
     """Welfare of the single leading window {0..L-1} for every L in 1..T-1.
 
     Each row is the centralized welfare plus the window's gain
     ``N ((T-L) y_(L+1) - sum_(i<=L) x_i)``.  Needs ``T >= 2``.
     """
-    return _single_window_table(d, N, T, spec).scan
+    return _single_window_table(d, N, T).scan
 
 
-def optimize_single_window(
-    d: RewardDistribution, N: int, T: int, spec: QuadratureSpec = _SPEC
-) -> tuple[CommSchedule, float]:
+def optimize_single_window(d: RewardDistribution, N: int, T: int) -> tuple[CommSchedule, float]:
     """Linear-time scan for the best single leading no-communication window.
 
     If the deviation condition fails, the always-open schedule is returned
@@ -266,12 +252,10 @@ def optimize_single_window(
     ``scan_single_window`` rows wins.  The x/y terms are computed once and
     reused through prefix sums, so the scan costs O(T) objective evaluations.
     """
-    return _single_window_table(d, N, T, spec).best
+    return _single_window_table(d, N, T).best
 
 
-def optimize_exact(
-    d: RewardDistribution, N: int, T: int, spec: QuadratureSpec = _SPEC
-) -> tuple[CommSchedule, float]:
+def optimize_exact(d: RewardDistribution, N: int, T: int) -> tuple[CommSchedule, float]:
     """Exact optimum over all optimal-form window layouts.
 
     Only layouts with the first window at slot 0 and exactly one open slot
@@ -282,16 +266,16 @@ def optimize_exact(
     single-window scan also builds.  The first strictly greater total wins,
     so shorter and earlier layouts win exact ties.
     """
-    _, schedule, welfare = _exact_search(d, N, T, spec)
+    _, schedule, welfare = _exact_search(d, N, T)
     return schedule, welfare
 
 
-def _exact_search(d, N, T, spec=_SPEC):
+def _exact_search(d, N, T):
     """``optimize_exact``'s dynamic program; also returns the always-open
     report it measures gains against, as ``(report, schedule, welfare)``."""
     fmu = _check_prior(d, N)
-    base = welfare_centralized(d, N, T, spec)
-    xs, ys = _xy_table(d, N, base, T, np.arange(T + 1), spec)
+    base = welfare_centralized(d, N, T)
+    xs, ys = _xy_table(d, N, base, T, np.arange(T + 1))
     sx = np.cumsum(xs)
     # best[s]: the largest prefix total whose next window may start at s, and
     # prev[s] the start of that prefix's last window.  Rounding is monotone,

@@ -24,7 +24,6 @@ from .errors import DistributionError, SolverError
 __all__ = [
     "ThresholdSequence",
     "BeliefCdf",
-    "belief_cdf",
     "solve_single_agent",
     "solve_centralized_nonmyopic",
     "solve_one_time",
@@ -127,11 +126,6 @@ class BeliefCdf:
         return np.clip(out, 0.0, 1.0)
 
 
-def belief_cdf(d: RewardDistribution, prefix_thresholds) -> BeliefCdf:
-    """Build the best-known-reward law induced by a solved threshold prefix."""
-    return BeliefCdf(d, prefix_thresholds)
-
-
 def _bisect(fun, mu, n):
     """Roots in ``[mu, 1]`` of ``n`` increasing functions, negative at ``mu``.
 
@@ -148,9 +142,7 @@ def _bisect(fun, mu, n):
     return 0.5 * (lo + hi)
 
 
-def solve_single_agent(
-    d: RewardDistribution, T: int, spec: QuadratureSpec = _SPEC
-) -> ThresholdSequence:
+def solve_single_agent(d: RewardDistribution, T: int) -> ThresholdSequence:
     """Solo optimal-stopping thresholds: ``u_t - mu = (T-t) * tail(u_t)``.
 
     ``tail(u)`` is the mean excess ``integral_u^1 (1-F)``.  The slots'
@@ -174,7 +166,7 @@ def solve_single_agent(
 
 class _Frozen(NamedTuple):
     G: BeliefCdf
-    spec: QuadratureSpec  # the caller's spec with G's kinks as breakpoints
+    spec: QuadratureSpec  # _SPEC with G's kinks as breakpoints
     w: np.ndarray | None  # segment table indexed by band k; None until integrated
 
 
@@ -203,7 +195,7 @@ class _OneTimeSystem:
     is one ``integrate`` call.
     """
 
-    def __init__(self, d, N, T, T1, post, spec):
+    def __init__(self, d, N, T, T1, post):
         self.d = d
         self.N = N
         self.T = T
@@ -212,12 +204,11 @@ class _OneTimeSystem:
         self.post_asc = self.post[::-1].copy()
         self.upper = np.concatenate([[1.0], self.post])
         self.mu = d.mean()
-        self.spec = spec
 
     def freeze(self, u):
-        """Belief law of the prefix ``u`` and the spec with its kinks, no table yet."""
+        """Belief law of the prefix ``u`` and ``_SPEC`` with its kinks, no table yet."""
         G = BeliefCdf(self.d, u)
-        return _Frozen(G, replace(self.spec, breakpoints=tuple(G.thresholds)), None)
+        return _Frozen(G, replace(_SPEC, breakpoints=tuple(G.thresholds)), None)
 
     def coupling(self, frozen, v):
         """Coupling at every value of ``v``, and ``frozen`` with its segment table.
@@ -276,54 +267,43 @@ def solve_one_time(
     N: int,
     T: int,
     T1: int,
-    spec: QuadratureSpec = _SPEC,
     benchmark: ThresholdSequence | None = None,
-    method: str = "newton",
 ) -> ThresholdSequence:
     """Thresholds under one-time sharing at slot ``T1``.
 
     Post-sharing slots reuse the solo benchmark; the ``T1`` pre-sharing
     thresholds are solved as a coupled system whose active branch per
     coordinate depends on where the value falls among the post-sharing
-    thresholds (half-open bands, lower edge included).  Each iteration takes
-    the full diagonal-Newton step when it lowers ``max|g|``, else one exact
-    sweep of every coordinate with the belief G frozen (counted in
-    ``diagnostics["bisection_rescues"]``).  ``method="newton"`` starts from
-    the benchmark; ``method="bisection"`` starts cold and only sweeps, a
-    solver-independence check.
+    thresholds (half-open bands, lower edge included).  The solve starts from
+    the benchmark's prefix.  Each iteration takes the full diagonal-Newton
+    step when it lowers ``max|g|``, else one exact sweep of every coordinate
+    with the belief G frozen (counted in ``diagnostics["bisection_rescues"]``).
     """
     if not 1 <= T1 <= T - 1:
         raise DistributionError(f"T1 must lie in [1, {T - 1}], got {T1}")
     if N < 1:
         raise DistributionError(f"agent count must be >= 1, got {N}")
-    bench = benchmark if benchmark is not None else solve_single_agent(d, T, spec)
+    bench = benchmark if benchmark is not None else solve_single_agent(d, T)
     if bench.horizon_T != T:
         raise SolverError("benchmark horizon does not match T")
     mu = d.mean()
     post = bench.values[T1:]
-    system = _OneTimeSystem(d, N, T, T1, post, spec)
+    system = _OneTimeSystem(d, N, T, T1, post)
 
     diag = {"bisection_rescues": 0, "iterations": 0}
-    if method == "bisection":
-        u = _enforce_decreasing(np.full(T1, 0.5 * (mu + 1.0)), mu)
-    elif method == "newton":
-        u = bench.values[:T1].copy()
-    else:
-        raise DistributionError(f"unknown method {method!r}")
-
+    u = bench.values[:T1].copy()
     g, jac = system.residuals(u)
     for it in range(_MAX_ITER):
         diag["iterations"] = it + 1
         norm = float(np.max(np.abs(g)))
         if norm < _RESID_TOL:
             break
-        if method == "newton":
-            cand = _enforce_decreasing(u - g / jac, mu)
-            g_c, jac_c = system.residuals(cand)
-            if float(np.max(np.abs(g_c))) < norm:
-                u, g, jac = cand, g_c, jac_c
-                continue
-            diag["bisection_rescues"] += 1
+        cand = _enforce_decreasing(u - g / jac, mu)
+        g_c, jac_c = system.residuals(cand)
+        if float(np.max(np.abs(g_c))) < norm:
+            u, g, jac = cand, g_c, jac_c
+            continue
+        diag["bisection_rescues"] += 1
         u = _bisection_sweep(system, u, mu)
         g, jac = system.residuals(u)
     else:
@@ -353,9 +333,7 @@ def _bisection_sweep(system, u, mu):
     return _enforce_decreasing(out, mu)
 
 
-def solve_centralized_nonmyopic(
-    d: RewardDistribution, N: int, T: int, spec: QuadratureSpec = _SPEC
-) -> ThresholdSequence:
+def solve_centralized_nonmyopic(d: RewardDistribution, N: int, T: int) -> ThresholdSequence:
     """Thresholds under the always-open policy.
 
     Forward-looking agents still withhold until slot ``T-1``, so this is the
@@ -364,7 +342,7 @@ def solve_centralized_nonmyopic(
     """
     if T < 2:
         raise DistributionError(f"horizon must be >= 2, got {T}")
-    return solve_one_time(d, N, T, T - 1, spec)
+    return solve_one_time(d, N, T, T - 1)
 
 
 def welfare_one_time(
@@ -372,7 +350,6 @@ def welfare_one_time(
     N: int,
     T: int,
     seq: ThresholdSequence,
-    spec: QuadratureSpec = _SPEC,
 ) -> tuple[float, float]:
     """Total welfare over slots {0..T} and the per-agent exploration count
     under one-time sharing with the solved thresholds ``seq``.
@@ -385,7 +362,7 @@ def welfare_one_time(
     T1 = seq.comm_slot_T1
     if seq.horizon_T != T or not 1 <= T1 <= T - 1:
         raise DistributionError("sequence does not match (T, T1)")
-    system = _OneTimeSystem(d, N, T, T1, seq.values[T1:], spec)
+    system = _OneTimeSystem(d, N, T, T1, seq.values[T1:])
     frozen = system.freeze(seq.prefix)
     G, post, mu = frozen.G, system.post, system.mu
     u = np.concatenate([[1.0], seq.values])  # u[t] = u_t with u[0] = 1
@@ -403,7 +380,8 @@ def welfare_one_time(
         hi_u * fu[:T1] ** p
         - lo_u * fu[1 : T1 + 1] ** p
         - integrate(
-            d, lambda r: d.cdf(r) ** (1 + _count_at_or_above(prefix_asc, r)), lo_u, hi_u, spec
+            d, lambda r: d.cdf(r) ** (1 + _count_at_or_above(prefix_asc, r)), lo_u, hi_u,
+            frozen.spec,
         )
     )
     tail_mean = 1.0 - hi_u * fu[:T1] - ((1.0 - hi_u) - d.tail_mean_excess(hi_u))
@@ -429,28 +407,28 @@ def welfare_one_time(
 
 
 def scan_comm_times(
-    d: RewardDistribution, N: int, T: int, spec: QuadratureSpec = _SPEC
+    d: RewardDistribution, N: int, T: int
 ) -> list[tuple[int, float, ThresholdSequence | None]]:
     """Solve every candidate sharing slot ``T1 = 1 .. T-1`` and report its welfare.
 
     Rows are ``(T1, welfare, seq)`` in slot order; a candidate whose solver
     fails is reported as ``(T1, nan, None)``.  The solo benchmark is solved
     once and shared.  The last row, ``T1 = T-1``, is the always-open policy:
-    its ``seq`` equals ``solve_centralized_nonmyopic(d, N, T, spec)`` exactly.
+    its ``seq`` equals ``solve_centralized_nonmyopic(d, N, T)`` exactly.
     """
-    bench = solve_single_agent(d, T, spec)
+    bench = solve_single_agent(d, T)
     out = []
     for T1 in range(1, T):
         try:
-            seq = solve_one_time(d, N, T, T1, spec, benchmark=bench)
-            welfare, _ = welfare_one_time(d, N, T, seq, spec)
+            seq = solve_one_time(d, N, T, T1, benchmark=bench)
+            welfare, _ = welfare_one_time(d, N, T, seq)
             out.append((T1, welfare, seq))
         except SolverError:
             out.append((T1, math.nan, None))
     return out
 
 
-def _scan_and_pick(d, N, T, spec=_SPEC):
+def _scan_and_pick(d, N, T):
     """``scan_comm_times`` rows and the best ``(T1, seq, welfare)`` among them.
 
     The first maximum wins, so the earliest slot takes ties; failed rows are
@@ -458,7 +436,7 @@ def _scan_and_pick(d, N, T, spec=_SPEC):
     """
     if T < 2 or N < 1:
         raise DistributionError("need T >= 2 and N >= 1")
-    scan = scan_comm_times(d, N, T, spec)
+    scan = scan_comm_times(d, N, T)
     best = None
     failures = {}
     for T1, welfare, seq in scan:
@@ -473,7 +451,7 @@ def _scan_and_pick(d, N, T, spec=_SPEC):
 
 
 def optimize_comm_time(
-    d: RewardDistribution, N: int, T: int, spec: QuadratureSpec = _SPEC
+    d: RewardDistribution, N: int, T: int
 ) -> tuple[int, ThresholdSequence, float]:
     """Pick the sharing slot maximizing welfare (first slot wins ties).
 
@@ -481,4 +459,4 @@ def optimize_comm_time(
     solo benchmark; failed candidates are skipped, and it is an error if
     every candidate fails.
     """
-    return _scan_and_pick(d, N, T, spec)[1]
+    return _scan_and_pick(d, N, T)[1]

@@ -24,7 +24,7 @@ from commgate.myopic import (
     welfare_schedule,
 )
 from commgate.nonmyopic import (
-    belief_cdf,
+    BeliefCdf,
     optimize_comm_time,
     solve_centralized_nonmyopic,
     solve_one_time,
@@ -208,7 +208,7 @@ def _max_residual_tight(d, N, T, seq):
     """Re-evaluate the defining equations with a 10x tighter integrator."""
     T1 = seq.comm_slot_T1
     mu = d.mean()
-    G = belief_cdf(d, seq.prefix)
+    G = BeliefCdf(d, seq.prefix)
     spec = QuadratureSpec(abs_tol=1e-10, breakpoints=tuple(seq.prefix))
     post = seq.values[T1:]
     worst = 0.0

@@ -69,12 +69,11 @@ class TestLoadRatings:
                 load_ratings(p)
 
     def test_column_mapping(self, tmp_path):
+        # columns are read by name in any order, and rating_sd is optional
         p = tmp_path / "map.csv"
-        p.write_text("name,score,top,reviews\n" "a,4,5,9\n" "b,2,5,9\n")
-        table = load_ratings(
-            p,
-            {"hotel_id": "name", "avg_rating": "score", "rating_scale_max": "top", "n_reviews": "reviews"},
-        )
+        p.write_text("n_reviews,rating_scale_max,avg_rating,hotel_id\n" "9,5,4,a\n" "9,5,2,b\n")
+        table = load_ratings(p)
+        assert table.hotel_ids == ("a", "b")
         assert table.normalized[0] == pytest.approx(0.8)
         assert table.rating_sd is None
 
@@ -120,10 +119,14 @@ class TestFit:
         b = fit_reward_cdf(hotel_table)
         assert np.array_equal(a.cdf_values, b.cdf_values)
 
-    def test_grid_refinement_stability(self, hotel_table):
+    def test_grid_refinement_stability(self, hotel_table, monkeypatch):
         # doubling the CDF grid moves downstream welfare by < 1e-4 relative
+        from commgate import dataset
+
         a = fit_reward_cdf(hotel_table)
-        b = fit_reward_cdf(hotel_table, grid_points=1024)
+        monkeypatch.setattr(dataset, "_GRID_POINTS", 1024)
+        b = fit_reward_cdf(hotel_table)
+        assert (a.grid.size, b.grid.size) == (512, 1024)
         wa = welfare_centralized(a, 10, 20).total_welfare
         wb = welfare_centralized(b, 10, 20).total_welfare
         assert abs(wb - wa) / wa < 1e-4

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,15 +112,32 @@ def test_sampling_ks_statistic(kind, rng):
 def test_integrate_polynomial_exact():
     u = KINDS["uniform"]
     assert integrate(u, lambda r: 1.0 - r, 0.5, 1.0) == pytest.approx(0.125, abs=1e-12)
-    assert integrate(u, lambda r: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert integrate(u, np.ones_like, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_integrate_scalar_integrand_fallback():
-    import math
+@pytest.mark.parametrize("integrand", [math.exp, lambda r: 1.0], ids=["scalar_only", "constant"])
+def test_integrate_rejects_non_vectorized_integrand(integrand):
+    # an integrand maps the node array to an array of the same shape
+    with pytest.raises(TypeError):
+        integrate(KINDS["uniform"], integrand, 0.0, 1.0)
 
-    u = KINDS["uniform"]
-    val = integrate(u, lambda r: math.exp(r), 0.0, 1.0)
-    assert val == pytest.approx(math.e - 1.0, abs=1e-8)
+
+def test_only_integrate_takes_a_quadrature_spec():
+    # the analytic layer runs at one fixed tolerance; only `integrate` takes a spec
+    import inspect
+
+    import commgate
+    from commgate import dataset, myopic, nonmyopic
+
+    takes_spec = sorted({
+        name
+        for module in (commgate, myopic, nonmyopic, dataset)
+        for name in module.__all__
+        if inspect.isfunction(fn := getattr(module, name))
+        and "spec" in inspect.signature(fn).parameters
+    })
+    assert takes_spec == ["integrate"]
+    assert "method" not in inspect.signature(commgate.solve_one_time).parameters
 
 
 def test_integrate_matches_riemann_oracle():
@@ -282,7 +301,7 @@ def reference_ppf(d, u):
     c, g = d.cdf_values, d.grid
     j = np.clip(np.searchsorted(c, u, side="left"), 0, c.size - 1)
     out = g[j].copy()
-    interior = (j > 0) & (u > c[np.maximum(j - 1, 0)])
+    interior = (j > 0) & ~(u <= c[np.maximum(j - 1, 0)])  # NaN stays NaN
     ji = j[interior]
     out[interior] = g[ji - 1] + (u[interior] - c[ji - 1]) / (c[ji] - c[ji - 1]) * (g[ji] - g[ji - 1])
     return np.clip(out, 0.0, 1.0)
@@ -343,3 +362,4 @@ def test_bucketed_ppf_outside_unit_interval():
     d = KINDS["empirical"]
     assert_bucketed_ppf_exact(d, [-0.5, 0.3, 1.5, np.nan, 0.0, 1.0])
     assert_bucketed_ppf_exact(d, np.empty(0))
+    assert math.isnan(d.ppf(math.nan))  # as for the uniform and beta kinds

@@ -4,8 +4,12 @@ import pytest
 from commgate.distributions import QuadratureSpec, RewardDistribution, integrate
 from commgate.errors import DistributionError, SolverError
 from commgate.nonmyopic import (
+    _MAX_ITER,
+    _RESID_TOL,
     BeliefCdf,
-    belief_cdf,
+    _bisection_sweep,
+    _enforce_decreasing,
+    _OneTimeSystem,
     optimize_comm_time,
     scan_comm_times,
     solve_centralized_nonmyopic,
@@ -15,6 +19,19 @@ from commgate.nonmyopic import (
 )
 from commgate.schedules import CommSchedule
 from commgate.simulate import SimConfig, SimState, step
+
+
+def cold_sweep_prefix(d, N, T, T1):
+    """Pre-sharing thresholds by exact G-frozen sweeps alone, started cold halfway
+    between the mean and 1: a reference independent of the Newton steps."""
+    mu = d.mean()
+    system = _OneTimeSystem(d, N, T, T1, solve_single_agent(d, T).values[T1:])
+    u = _enforce_decreasing(np.full(T1, 0.5 * (mu + 1.0)), mu)
+    for _ in range(_MAX_ITER):
+        if np.max(np.abs(system.residuals(u)[0])) < _RESID_TOL:
+            return u
+        u = _bisection_sweep(system, u, mu)
+    raise AssertionError(f"sweep-only solve did not converge at T1={T1}")
 
 
 class TestSingleAgent:
@@ -51,7 +68,7 @@ class TestSingleAgent:
 class TestBeliefCdf:
     def test_normalization_and_bottom_branch(self, uniform):
         seq = solve_single_agent(uniform, 5)
-        G = belief_cdf(uniform, seq.values[:3])
+        G = BeliefCdf(uniform, seq.values[:3])
         assert G(1.0) == pytest.approx(1.0, abs=1e-12)
         last = seq.values[2]
         r = 0.5 * last
@@ -59,12 +76,12 @@ class TestBeliefCdf:
 
     def test_requires_decreasing_prefix(self, uniform):
         with pytest.raises(DistributionError):
-            belief_cdf(uniform, [0.6, 0.7])
+            BeliefCdf(uniform, [0.6, 0.7])
 
     def test_monotone_on_grid(self, uniform, hotel_dist):
         for d in (uniform, hotel_dist):
             seq = solve_one_time(d, 5, 12, 6)
-            G = belief_cdf(d, seq.prefix)
+            G = BeliefCdf(d, seq.prefix)
             grid = np.linspace(0, 1, 10_001)
             vals = G(grid)
             assert np.all(np.diff(vals) >= -1e-12)
@@ -75,7 +92,7 @@ class TestBeliefCdf:
         # from the T=5 solo solve truncated to 3 slots
         seq5 = solve_single_agent(uniform, 5)
         prefix = seq5.values[:3]
-        G = belief_cdf(uniform, prefix)
+        G = BeliefCdf(uniform, prefix)
 
         from commgate.nonmyopic import ThresholdSequence
 
@@ -102,7 +119,7 @@ class TestCentralized:
         mu = 0.5
         assert seq.values[-1] == pytest.approx(mu, abs=1e-8)
         # the t = T-1 equation uses the full belief over the prefix
-        G = belief_cdf(uniform, seq.prefix)
+        G = BeliefCdf(uniform, seq.prefix)
         u = seq.values[T - 2]
         rhs = integrate(
             uniform,
@@ -168,7 +185,7 @@ class TestOneTime:
         N, T, T1 = 5, 12, 5
         tight = QuadratureSpec(abs_tol=1e-10)
         seq = solve_one_time(uniform, N, T, T1)
-        G = belief_cdf(uniform, seq.prefix)
+        G = BeliefCdf(uniform, seq.prefix)
         mu = uniform.mean()
         post = seq.values[T1:]
         for i in range(T1):
@@ -199,9 +216,8 @@ class TestOneTime:
 
     def test_newton_and_bisection_agree(self, uniform, hotel_dist):
         for d, N, T, T1 in ((uniform, 5, 12, 5), (hotel_dist, 10, 10, 3)):
-            a = solve_one_time(d, N, T, T1, method="newton")
-            b = solve_one_time(d, N, T, T1, method="bisection")
-            assert np.max(np.abs(a.values - b.values)) < 1e-6
+            a = solve_one_time(d, N, T, T1)
+            assert np.max(np.abs(a.prefix - cold_sweep_prefix(d, N, T, T1))) < 1e-6
 
     @pytest.mark.parametrize(
         "ab, N, T, T1", [((2, 50), 30, 20, 5), ((2, 5), 5, 300, 75), ((50, 2), 200, 300, 75)]
@@ -214,8 +230,7 @@ class TestOneTime:
         assert seq.diagnostics["bisection_rescues"] >= 1
         u = seq.prefix
         assert np.all(np.diff(u) < 0) and d.mean() < u[-1] and u[0] < 1.0
-        ref = solve_one_time(d, N, T, T1, method="bisection")
-        assert np.max(np.abs(u - ref.prefix)) < 1e-6
+        assert np.max(np.abs(u - cold_sweep_prefix(d, N, T, T1))) < 1e-6
 
     def test_csv_export(self, uniform, tmp_path):
         seq = solve_one_time(uniform, 3, 6, 2)
@@ -244,21 +259,17 @@ class TestIntegrateCalls:
 
     @pytest.mark.parametrize("T1", [1, 4, 9])
     def test_residuals_make_one_call(self, hotel_dist, calls, T1):
-        from commgate.nonmyopic import _OneTimeSystem
-
         N, T = 10, 10
         bench = solve_single_agent(hotel_dist, T)
-        system = _OneTimeSystem(hotel_dist, N, T, T1, bench.values[T1:], QuadratureSpec())
+        system = _OneTimeSystem(hotel_dist, N, T, T1, bench.values[T1:])
         system.residuals(bench.values[:T1].copy())
         # the T-T1-1 band integrals of the segment table plus T1 coordinates
         assert calls == [T - 1]
 
     def test_bisection_makes_one_call_per_step(self, uniform, calls):
-        from commgate.nonmyopic import _bisection_sweep, _OneTimeSystem
-
         N, T, T1 = 5, 12, 5
         bench = solve_single_agent(uniform, T)
-        system = _OneTimeSystem(uniform, N, T, T1, bench.values[T1:], QuadratureSpec())
+        system = _OneTimeSystem(uniform, N, T, T1, bench.values[T1:])
         _bisection_sweep(system, bench.values[:T1].copy(), 0.5)
         # the table and the probe at mu, then 60 halvings of all coordinates
         assert calls == [T - T1 - 1 + T1] + [T1] * 60
@@ -294,23 +305,18 @@ class TestNarrowBands:
         assert np.any(edges + 1e-12 * gaps == edges)
 
     def test_residuals_match_fixed_exponent_bands(self, uniform, bench):
-        from dataclasses import replace
-
-        from commgate.nonmyopic import _OneTimeSystem
-
         d, N, T, T1 = uniform, self.N, self.T, 3
         post = bench.values[T1:]
         # coordinates deep in the post bands, two of them on a band's edge,
         # so that they read the segment table over the narrow top bands
         u = np.array([post[5], 0.5 * (post[300] + post[301]), post[700]])
-        spec = QuadratureSpec()
-        system = _OneTimeSystem(d, N, T, T1, post, spec)
+        system = _OneTimeSystem(d, N, T, T1, post)
         g, _ = system.residuals(u)
         ks = system.cases(u)
         assert ks.tolist() == [5, 301, 700]
 
         G = BeliefCdf(d, u)
-        spec_g = replace(spec, breakpoints=tuple(G.thresholds))
+        spec_g = QuadratureSpec(breakpoints=tuple(G.thresholds))
         upper = np.concatenate([[1.0], post])
 
         def band(k, lo, hi):
@@ -333,8 +339,7 @@ class TestNarrowBands:
 
         d, N, T = uniform, self.N, self.T
         seq = ThresholdSequence(T, T1, bench.values, bench.residuals)
-        spec = QuadratureSpec()
-        welfare, _ = welfare_one_time(d, N, T, seq, spec)
+        welfare, _ = welfare_one_time(d, N, T, seq)
 
         mu = d.mean()
         u = np.concatenate([[1.0], seq.values])
@@ -346,7 +351,7 @@ class TestNarrowBands:
             p = t + 1
             stieltjes = (
                 u[t] * fu[t] ** p - u[t + 1] * fu[t + 1] ** p
-                - integrate(d, lambda r: d.cdf(r) ** p, u[t + 1], u[t], spec)
+                - integrate(d, lambda r: d.cdf(r) ** p, u[t + 1], u[t])
             )
             tail_mean = 1.0 - u[t] * fu[t] - ((1.0 - u[t]) - d.tail_mean_excess(u[t]))
             pre += (T1 - t) * (stieltjes + fu[t] ** t * tail_mean)
@@ -372,14 +377,16 @@ class TestWelfareOneTime:
         )
         assert count_mech <= count_cent
 
-    def test_welfare_stable_under_quadrature_refinement(self, uniform):
+    def test_welfare_stable_under_quadrature_refinement(self, uniform, monkeypatch):
+        from commgate import nonmyopic
+
         N, T, T1 = 5, 14, 6
         seq = solve_one_time(uniform, N, T, T1)
-        w1, _ = welfare_one_time(uniform, N, T, seq, QuadratureSpec())
-        w2, _ = welfare_one_time(uniform, N, T, seq, QuadratureSpec(abs_tol=0.5e-9))
-        w4, _ = welfare_one_time(uniform, N, T, seq, QuadratureSpec(abs_tol=0.25e-9))
-        assert abs(w2 - w1) < 1e-6
-        assert abs(w4 - w1) < 1e-6
+        w1, _ = welfare_one_time(uniform, N, T, seq)
+        for abs_tol in (0.5e-9, 0.25e-9):
+            monkeypatch.setattr(nonmyopic, "_SPEC", QuadratureSpec(abs_tol=abs_tol))
+            w, _ = welfare_one_time(uniform, N, T, seq)
+            assert abs(w - w1) < 1e-6
 
 
 class TestOptimizeCommTime:

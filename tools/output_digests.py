@@ -2,10 +2,11 @@
 """Print one sha256 per output file of a fixed matrix of CLI commands.
 
 Runs ``fit``, ten ``optimize`` commands (all three modes), a three-mode
-``sweep`` and 39 ``simulate`` configs in-process from the checkout's ``src/``
+``sweep`` and 40 ``simulate`` configs in-process from the checkout's ``src/``
 into a temporary directory, with relative paths so that no output names the
-directory.  Each command's stdout and exit code are kept as a file too.  Two
-checkouts give byte-identical outputs when their listings diff clean:
+directory.  Each command's stdout and exit code are kept as a file too; a
+command that raises is kept as ``raised <ExceptionType>`` and the matrix goes
+on.  Two checkouts give byte-identical outputs when their listings diff clean:
 
     python3 tools/output_digests.py > new.txt
     python3 tools/output_digests.py path/to/other/checkout > old.txt
@@ -21,6 +22,7 @@ import json
 import shutil
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent).resolve()
@@ -71,6 +73,9 @@ def commands():
         name = f"simulate_chunks_{mn}"
         yield name, simulate(name, "beta:5,1", 2000, 400, {"windows": [{"start": 0, "len": 20}]},
                              "myopic", *MODES[mn])
+    # a malformed config: the csv path of a dist object must be a string
+    yield "simulate_dist_csv_number", simulate("simulate_dist_csv_number", {"csv": 5}, 6, 300,
+                                               "centralized", "myopic", "deterministic", False)
 
 
 def simulate(name, dist, n_agents, replications, schedule, kind, mode, per_option):
@@ -92,8 +97,12 @@ def main():
         for name, argv in commands():
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
-                code = cli(argv)
-            Path(name + ".stdout").write_text(f"exit {code}\n{out.getvalue()}")
+                try:
+                    status = f"exit {cli(argv)}"
+                except Exception as exc:  # a crash is an outcome to record; the rest still runs
+                    traceback.print_exc()
+                    status = f"raised {type(exc).__name__}"
+            Path(name + ".stdout").write_text(f"{status}\n{out.getvalue()}")
         for path in sorted(Path(tmp).iterdir()):
             print(hashlib.sha256(path.read_bytes()).hexdigest(), path.name)
 
