@@ -155,10 +155,9 @@ def load_sim_config(path, overrides: dict | None = None) -> tuple[SimConfig, dic
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(obj).__name__}")
-    if obj.get("schema_version") != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(
-            f"{path}: schema_version must be {CONFIG_SCHEMA_VERSION}, got {obj.get('schema_version')!r}"
-        )
+    version = obj.get("schema_version")
+    if type(version) is not int or version != CONFIG_SCHEMA_VERSION:  # not True, not 1.0
+        raise ConfigError(f"{path}: schema_version must be {CONFIG_SCHEMA_VERSION}, got {version!r}")
     obj.update(overrides or {})
     for key in ("dist", "n_agents", "horizon", "schedule", "agent_kind"):
         if key not in obj:

@@ -18,11 +18,15 @@ therefore depend neither on the replication count nor on the chunk size, in
 deterministic and in stochastic mode (per-look or per-option noise): the
 first ``R`` replications of a longer run are exactly a run of ``R``.
 
-Work follows exploration.  A chunk draws a slot's option quantiles, and
-its noise or preference quantiles, only when one of its agents explores, and
-updates the state through the flat index of its explorers, so a slot in
-which nobody explores draws nothing and costs one receipt copy.  Since every
-stream is keyed by slot, a skipped draw moves no other draw.
+A slot costs what changes in it.  A chunk draws a slot's option quantiles,
+and its noise or preference quantiles, only when one of its agents explores,
+and updates the state through the flat index of its explorers.  Beliefs
+never fall, so while the threshold does not rise the agents that can explore
+are among the previous slot's explorers, and ``run`` tests only those.  A
+slot in which nobody explores draws nothing, makes no copy and costs O(R):
+its receipt is the state's own array, and a run of such slots reuses one
+per-replication sum.  Since every stream is keyed by slot, a skipped draw
+moves no other draw.
 
 Under per-look noise an exploit is a fresh noisy look at the option held,
 but that look never feeds back into the state, so an exploiting agent
@@ -238,8 +242,30 @@ def _share_slots(config: SimConfig) -> set[int]:
     return {useful[-1]} if useful else set()
 
 
+@dataclass
+class _Scan:
+    """What ``run`` carries from one slot of a chunk to the next.
+
+    ``explorers`` is the previous slot's explorer flat index (ascending) and
+    ``threshold`` that slot's threshold.  Beliefs never fall, so the agents
+    below a threshold no higher than it are among those explorers.
+    ``explorers`` is None where every agent must be tested: at a chunk's
+    first slot and after a slot in which every agent explored, whose index
+    is not held.  ``won`` tells whether an explorer has won since the
+    previous share slot.  ``settled`` tells whether the state is still
+    exactly the previous slot's receipt, and ``repeat`` whether this slot's
+    receipt equals the previous one, whose sums then stand.
+    """
+
+    explorers: np.ndarray | None = None
+    threshold: float = math.nan
+    won: bool = False
+    settled: bool = False
+    repeat: bool = False
+
+
 def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_share: int,
-             draw) -> np.ndarray:
+             draw, scan: _Scan | None = None) -> np.ndarray:
     """One slot for every replication in the batch; returns received rewards.
 
     ``draw(purpose)`` gives the slot's (R, N) quantiles of ``_OPTION`` or
@@ -248,11 +274,24 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_s
     ``last_share`` is the previous share slot (-1 if none).  The state is
     updated in place.  A share is skipped when no agent has improved since
     ``last_share``: every agent then still holds what the last share (or
-    the start) left, so pooling cannot change anything.
+    the start) left, so pooling cannot change anything.  ``scan`` carries
+    ``run``'s chunk from slot to slot; without it every agent is tested.
+    The receipt of an idle slot is the state's own array, valid until the
+    next slot; it is copied only when a share in this slot changes the state.
     """
-    receipt = _explore(state, t, config, draw)
+    receipt = _explore(state, t, config, draw, scan)
     N = state.m.shape[1]
-    if share_now and N > 1 and state.best_opt.max() // N > last_share:
+    if not (share_now and N > 1):
+        return receipt
+    if scan is None:
+        won = state.best_opt.max() // N > last_share
+    else:
+        won, scan.won = scan.won, False
+    if won:
+        if receipt is state.m or receipt is state.exploit:
+            receipt = receipt.copy()
+        if scan is not None:
+            scan.settled = False
         if config.reward_mode == "heterogeneous":
             _share_appraised(state, last_share, config.pref_sd, draw(_SHARE))
         else:
@@ -260,26 +299,46 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_s
     return receipt
 
 
-def _explore(state: SimState, t: int, config: SimConfig, draw) -> np.ndarray:
+def _explore(state: SimState, t: int, config: SimConfig, draw, scan: _Scan | None = None
+             ) -> np.ndarray:
     """Explore or exploit for one slot; returns received rewards.
 
-    The state is updated through the flat index of the explorers, so an
-    idle slot is empty index operations and one receipt copy.  Option, noise
-    and preference quantiles are drawn only when someone explores, and only
-    explorers' quantiles are mapped through the prior and ``ndtri``.
-    Explorers observe with noise or their preference offset; an exploit
-    receives ``m``, or under per-look noise the conditional mean of a noisy
-    look at ``best_base`` (``state.exploit``), which is evaluated only for
-    the agents that take a new option.
+    Only ``scan.explorers`` are tested unless the threshold rose (see
+    ``_Scan``).  The state is updated through the flat index of the
+    explorers.  A slot in which nobody explores draws nothing and returns
+    the state's own ``m`` (or ``exploit``).  Option, noise and preference
+    quantiles are drawn only when someone explores, and only explorers'
+    quantiles are mapped through the prior and ``ndtri``.  Explorers observe
+    with noise or their preference offset; an exploit receives ``m``, or
+    under per-look noise the conditional mean of a noisy look at
+    ``best_base`` (``state.exploit``), which is evaluated only for the agents
+    that take a new option.
     """
     N = state.m.shape[1]
     mode = config.reward_mode
     per_look = mode == "stochastic" and not config.noise_per_option
     m = state.m.reshape(-1)  # flat views of the C-contiguous state
-    explore = np.flatnonzero(m < _threshold_for(config, t))
+    threshold = _threshold_for(config, t)
+    if scan is None or scan.explorers is None or not threshold <= scan.threshold:
+        if scan is not None:
+            scan.explorers = None  # released before the full scan
+        explore = np.flatnonzero(m < threshold)
+    else:
+        explore = scan.explorers[m[scan.explorers] < threshold]
+    if per_look and state.exploit is None:
+        held = state.best_base.copy()
+        state.exploit = _look_mean(held, config.noise_sd, np.empty_like(held), np.empty_like(held))
+    held = state.exploit if per_look else state.m
+    if scan is not None:
+        scan.explorers = explore if explore.size < m.size else None
+        scan.threshold = threshold
+        scan.repeat = scan.settled and not explore.size
+        scan.settled = not explore.size
+    if not explore.size:
+        return held
 
     def explorers(purpose):
-        return draw(purpose).reshape(-1)[explore] if explore.size else np.empty(0)
+        return draw(purpose).reshape(-1)[explore]
 
     base = config.dist.ppf(explorers(_OPTION))
     if mode == "deterministic":
@@ -289,10 +348,7 @@ def _explore(state: SimState, t: int, config: SimConfig, draw) -> np.ndarray:
         # or the agent's own fixed preference offset
         sd = config.noise_sd if mode == "stochastic" else config.pref_sd
         obs = np.clip(base + sd * special.ndtri(explorers(_AUX)), 0.0, 1.0)
-    if per_look and state.exploit is None:
-        held = state.best_base.copy()
-        state.exploit = _look_mean(held, config.noise_sd, np.empty_like(held), np.empty_like(held))
-    receipt = (state.exploit if per_look else state.m).copy()
+    receipt = held.copy()
     receipt.reshape(-1)[explore] = obs
 
     gain = obs > m[explore]
@@ -302,6 +358,8 @@ def _explore(state: SimState, t: int, config: SimConfig, draw) -> np.ndarray:
     state.best_base.reshape(-1)[won] = won_base
     state.best_opt.reshape(-1)[won] = t * N + won % N
     state.explored.reshape(-1)[explore] += 1
+    if scan is not None and won.size:
+        scan.won = True
     if per_look:
         # base and obs are spent; their heads are the scratch buffers
         n = won.size
@@ -461,7 +519,9 @@ def run(config: SimConfig) -> SimResult:
     ``(master_seed, aux, t)``, both advanced ``r0 * N / 4`` blocks to the
     chunk's first row.  A stream is opened only when the slot needs it (see
     ``_advance``): a slot in which no agent of the chunk explores draws
-    nothing.  Skipping a slot's draws moves no other slot's, so replication
+    nothing, makes no copy and costs O(rows), and while the threshold does
+    not rise a slot tests only the previous slot's explorers (see
+    ``_Scan``).  Skipping a slot's draws moves no other slot's, so replication
     ``r`` receives the same draws for any replication count and chunk size,
     runs that differ only in schedule or reward mode share their option
     draws, and the first ``R`` replications of a longer run match a run of
@@ -484,18 +544,22 @@ def run(config: SimConfig) -> SimResult:
         rc = min(rows, R - r0)
         skip = r0 * N // 4
         state = SimState.initial(rc, N)
+        scan = _Scan()
         rep_total = np.zeros(rc)
         last_share = -1
         for t in range(T + 1):
             share_now = t in share_at
             draw = partial(_keyed_draw, seed, skip, (rc, N), t, c)
-            # the receipt is summed at once, so it is not live during the next slot
-            rep_sum = _advance(state, t, config, share_now, last_share, draw).sum(axis=1)
+            receipt = _advance(state, t, config, share_now, last_share, draw, scan)
             if share_now:
                 last_share = t
-            rep_mean = rep_sum / N
-            slot_sum[t] += rep_mean.sum()
-            slot_sq[t] += (rep_mean**2).sum()
+            if not scan.repeat:  # else the receipt and its sums are the previous slot's
+                rep_sum = receipt.sum(axis=1)
+                rep_mean = rep_sum / N
+                mean_sum, sq_sum = rep_mean.sum(), (rep_mean**2).sum()
+            del receipt  # summed at once, so it is not live during the next slot
+            slot_sum[t] += mean_sum
+            slot_sq[t] += sq_sum
             rep_total += rep_sum
         totals.append(rep_total)
         explored_all.append(state.explored.mean(axis=1))

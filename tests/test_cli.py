@@ -196,14 +196,16 @@ class TestSimulateCommand:
          {"schedule": {"windows": [{"start": 0, "len": True}]}},
          {"schedule": {"one_time": 3.5}}, {"schedule": {"one_time": True}},
          {"noise_sd": float("nan")}, {"noise_sd": float("inf")}, {"pref_sd": "inf"},
-         {"master_seed": -1}, {"dist": {"csv": 5}}, {"dist": {"csv": ["a"]}}],
+         {"master_seed": -1}, {"dist": {"csv": 5}}, {"dist": {"csv": ["a"]}},
+         {"schema_version": True}, {"schema_version": 1.0}],
         ids=["n_agents_not_int", "horizon_list", "replications_inf", "window_without_len",
              "one_time_not_int", "top_level_array",
              "noise_per_option_string", "noise_per_option_int",
              "n_agents_bool", "horizon_fraction", "replications_bool", "master_seed_fraction",
              "window_start_fraction", "window_len_bool",
              "one_time_fraction", "one_time_bool", "noise_sd_nan", "noise_sd_json_infinity",
-             "pref_sd_string_inf", "master_seed_negative", "dist_csv_number", "dist_csv_list"],
+             "pref_sd_string_inf", "master_seed_negative", "dist_csv_number", "dist_csv_list",
+             "schema_version_bool", "schema_version_float"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, fields):
         cfg = sim_config(tmp_path, **(fields or {}))

@@ -65,6 +65,63 @@ def pinned_config(kind, mode, per_option):
                      noise_per_option=per_option, replications=600, master_seed=19)
 
 
+# solve_one_time(uniform, 5, 20, 4) to four digits: after the share slot the
+# thresholds restart at their solo values, so the threshold rises from 0.5764
+# at slot 4 to 0.8 at slot 5, where run must test every agent again
+RISING = [0.706, 0.6793, 0.6409, 0.5764, 0.8, 0.7948, 0.7891, 0.7829, 0.776, 0.7683,
+          0.7597, 0.75, 0.7388, 0.7257, 0.7101, 0.691, 0.6667, 0.634, 0.5858, 0.5]
+
+# Exact outputs, recorded as PINNED_RUNS are, of the slot paths in which run
+# tests only the previous slot's explorers: a long idle tail ("idle"), a
+# threshold that rises after the share slot ("rising"), and 75 chunks of 8
+# replications, each with its own scan.  Keyed (config, mode, per_option,
+# _CHUNK), None for the default chunk.
+PINNED_SCAN_RUNS = {
+    ("idle", "deterministic", False, None): ("0x1.77f819ed671d9p+7", "de6215a8056b677f"),
+    ("idle", "stochastic", False, None): ("0x1.6ec4533b9c7fdp+7", "f6285ab25649ae0c"),
+    ("idle", "heterogeneous", False, None): ("0x1.971ef87fde79fp+7", "5c9f26740eb43d90"),
+    ("rising", "deterministic", False, None): ("0x1.6decef6012d14p+6", "e48bdbe33a198e90"),
+    ("rising", "stochastic", False, None): ("0x1.5d8b13066f8fep+6", "e5b63079328d5ca4"),
+    ("rising", "heterogeneous", False, 8): ("0x1.789bf590580e3p+6", "8a0738d639e608a4"),
+}
+
+REWARD_MODES = pytest.mark.parametrize(
+    "mode,per_option",
+    [("deterministic", False), ("stochastic", False), ("stochastic", True), ("heterogeneous", False)],
+    ids=["deterministic", "per_look", "per_option", "heterogeneous"])
+
+
+def scan_config(name, mode, per_option):
+    """The "idle" or "rising" config of ``PINNED_SCAN_RUNS``."""
+    if name == "idle":
+        # myopic and open at every slot to T = 60: after the first few slots
+        # no agent explores
+        return replace(pinned_config("myopic", mode, per_option), horizon=60,
+                       schedule=CommSchedule.centralized(60))
+    T, T1 = 20, 4
+    return SimConfig(dist=RewardDistribution.uniform(), n_agents=5, horizon=T,
+                     schedule=CommSchedule.one_time(T, T1), agent_kind="nonmyopic",
+                     thresholds=ThresholdSequence(T, T1, np.array(RISING), np.zeros(T)),
+                     reward_mode=mode, noise_sd=0.1, pref_sd=0.2, noise_per_option=per_option,
+                     replications=600, master_seed=23)
+
+
+def run_states(config):
+    """The state ``run(config)`` leaves its chunk in after every slot."""
+    states = []
+    advance = simulate._advance
+
+    def recording(state, *args):
+        receipt = advance(state, *args)
+        states.append(state.copy())
+        return receipt
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_advance", recording)
+        run(config)
+    return states
+
+
 def receipts(config):
     """Every replication's receipts in ``run(config)``, shaped (R, T+1, N)."""
     calls = []
@@ -161,6 +218,43 @@ class TestStep:
             state = step(state, t, config)
         for name in ("m", "best_base", "best_opt", "explored"):
             assert np.array_equal(getattr(state, name), getattr(final[0], name)), name
+
+    @pytest.mark.parametrize("name", ["idle", "rising"])
+    @REWARD_MODES
+    def test_step_chain_is_run_slot_by_slot(self, name, mode, per_option):
+        # run tests only the previous slot's explorers unless the threshold
+        # rose, step tests every agent: their states agree after every slot
+        config = scan_config(name, mode, per_option)
+        assert simulate._chunk_rows(config.n_agents) >= config.replications
+        states = run_states(config)
+        state = SimState.initial(config.replications, config.n_agents)
+        for t, want in enumerate(states):
+            state = step(state, t, config)
+            for field in ("m", "best_base", "best_opt", "explored", "exploit"):
+                assert np.array_equal(getattr(state, field), getattr(want, field)), (t, field)
+        if name == "rising":
+            # agents that did not explore at the share slot explore after it
+            looked = [b.explored - a.explored for a, b in zip(states[3:], states[4:])]
+            assert np.any((looked[1] > 0) & (looked[0] == 0))
+
+    def test_rising_thresholds_are_solved(self, uniform):
+        got = solve_one_time(uniform, 5, 20, 4).values
+        assert np.allclose(got, RISING, rtol=0, atol=5e-5)
+
+    @pytest.mark.parametrize("schedule",
+                             [CommSchedule.centralized(20), CommSchedule(20, ((1, 3), (8, 2)))],
+                             ids=["centralized", "two_windows"])
+    @REWARD_MODES
+    def test_beliefs_never_fall(self, uniform, schedule, mode, per_option):
+        # run's explorer scan rests on this: an explore keeps the larger
+        # value, and a pooled or appraised share adopts only larger ones
+        cfg = myopic_config(uniform, schedule=schedule, reward_mode=mode,
+                            noise_per_option=per_option, noise_sd=0.3, pref_sd=0.2, master_seed=5)
+        state = SimState.initial(512, 5)
+        for t in range(21):
+            before = state.m.copy()
+            state = step(state, t, cfg)
+            assert np.all(state.m >= before), t
 
     def test_single_agent_monotone_state(self, uniform):
         cfg = myopic_config(uniform, n_agents=1)
@@ -529,6 +623,15 @@ class TestRun:
         digest = hashlib.sha256(res.per_slot_mean_reward.astype("<f8").tobytes()).hexdigest()[:16]
         assert (res.total_welfare_mean.hex(), digest) == PINNED_RUNS[kind, mode, per_option]
 
+    @pytest.mark.parametrize("name,mode,per_option,chunk", list(PINNED_SCAN_RUNS))
+    def test_scan_paths_pinned(self, name, mode, per_option, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        res = run(scan_config(name, mode, per_option))
+        digest = hashlib.sha256(res.per_slot_mean_reward.astype("<f8").tobytes()).hexdigest()[:16]
+        want = PINNED_SCAN_RUNS[name, mode, per_option, chunk]
+        assert (res.total_welfare_mean.hex(), digest) == want
+
     @pytest.mark.parametrize("kind", ["myopic", "nonmyopic"])
     def test_per_look_exploration_pinned(self, kind):
         res = run(pinned_config(kind, "stochastic", False))
@@ -601,6 +704,25 @@ class TestRun:
             assert opened.count((simulate._OPTION, t)) == explores
             want_aux = explores and mode != "deterministic"
             assert opened.count((simulate._AUX, t)) == want_aux
+
+    @REWARD_MODES
+    def test_idle_share_slot_receives_what_was_held(self, uniform, mode, per_option):
+        # sharing is blocked to slot 4, in which an agent explores; at slot 5
+        # nobody explores, yet the share changes the state: slot 5 receives
+        # what was held before the share and slot 6, idle too, what it left
+        T = 8
+        cfg = myopic_config(uniform, n_agents=2, horizon=T, schedule=CommSchedule(T, ((0, 5),)),
+                            reward_mode=mode, noise_per_option=per_option, pref_sd=0.2,
+                            master_seed=43)
+        reward = run(cfg).per_slot_mean_reward
+        state = SimState.initial(1, 2)
+        for t in range(T + 1):
+            before, state = state, step(state, t, cfg)
+            assert np.array_equal(state.explored, before.explored) == (t > 4), t
+            if t in (5, 6):
+                held = before.m if before.exploit is None else before.exploit
+                assert reward[t] == held.sum() / 2, t
+        assert reward[5] != reward[6]
 
     def test_heterogeneous_reward_flat_after_exploration(self, uniform):
         # a shared option is appraised once per agent: once exploration has

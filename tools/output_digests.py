@@ -2,7 +2,7 @@
 """Print one sha256 per output file of a fixed matrix of CLI commands.
 
 Runs ``fit``, ten ``optimize`` commands (all three modes), a three-mode
-``sweep`` and 40 ``simulate`` configs in-process from the checkout's ``src/``
+``sweep`` and 46 ``simulate`` configs in-process from the checkout's ``src/``
 into a temporary directory, with relative paths so that no output names the
 directory.  Each command's stdout and exit code are kept as a file too; a
 command that raises is kept as ``raised <ExceptionType>`` and the matrix goes
@@ -73,15 +73,24 @@ def commands():
         name = f"simulate_chunks_{mn}"
         yield name, simulate(name, "beta:5,1", 2000, 400, {"windows": [{"start": 0, "len": 20}]},
                              "myopic", *MODES[mn])
+    # idle-heavy runs at T = 300: past the first slots almost no (chunk, slot)
+    # has an explorer; forward-looking agents reveal at 100, after which their
+    # threshold rises
+    long_runs = {"open": SCHEDULES["open"], "reveal": ("nonmyopic", {"one_time": 100})}
+    for sn, (kind, schedule) in long_runs.items():
+        for mn in ("det", "noisy", "het"):
+            name = f"simulate_long_{sn}_{mn}"
+            yield name, simulate(name, DISTS["hotel"], 6, 300, schedule, kind, *MODES[mn],
+                                 horizon=300)
     # a malformed config: the csv path of a dist object must be a string
     yield "simulate_dist_csv_number", simulate("simulate_dist_csv_number", {"csv": 5}, 6, 300,
                                                "centralized", "myopic", "deterministic", False)
 
 
-def simulate(name, dist, n_agents, replications, schedule, kind, mode, per_option):
-    """Write a T = 20 simulate config ``name.json``; returns the command's argv."""
+def simulate(name, dist, n_agents, replications, schedule, kind, mode, per_option, horizon=20):
+    """Write a simulate config ``name.json``; returns the command's argv."""
     Path(name + ".json").write_text(json.dumps({
-        "schema_version": 1, "dist": dist, "n_agents": n_agents, "horizon": 20,
+        "schema_version": 1, "dist": dist, "n_agents": n_agents, "horizon": horizon,
         "schedule": schedule, "agent_kind": kind, "reward_mode": mode,
         "noise_per_option": per_option, "pref_sd": 0.15, "replications": replications,
         "master_seed": 11, "out": name + ".csv"}))
