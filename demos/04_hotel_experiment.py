@@ -16,8 +16,8 @@ from commgate import (
     fit_reward_cdf,
     load_ratings,
     optimize_comm_time,
+    run,
     solve_centralized_nonmyopic,
-    trajectory_compare,
     welfare_one_time,
 )
 from commgate.svg import polyline_chart
@@ -48,7 +48,7 @@ mech = SimConfig(
     pref_sd=pref_sd, replications=500, master_seed=2024,
 )
 cent = replace(mech, schedule=CommSchedule.centralized(T), thresholds=cent_seq)
-r_mech, r_cent = trajectory_compare(mech, cent)
+r_mech, r_cent = run(mech), run(cent)
 print(f"reveal at slot {t1}: welfare {r_mech.total_welfare_mean / N:.2f} per agent "
       f"vs always-open {r_cent.total_welfare_mean / N:.2f}")
 
@@ -77,7 +77,7 @@ for T in range(10, 81, 10):
             noise_sd=0.1, pref_sd=pref_sd, replications=500, master_seed=77,
         )
         cent = replace(mech, schedule=CommSchedule.centralized(T), thresholds=cent_seq)
-        r_mech, r_cent = trajectory_compare(mech, cent)
+        r_mech, r_cent = run(mech), run(cent)
         gain = (r_mech.total_welfare_mean - r_cent.total_welfare_mean) / N
         rows.append(f"{T},{mode},{gain:.6f}")
         line.append(f"{mode} {gain:+.2f}")

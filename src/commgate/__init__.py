@@ -17,7 +17,6 @@ from .myopic import (
     scan_single_window,
     welfare_centralized,
     welfare_schedule,
-    xy_terms,
 )
 from .nonmyopic import (
     BeliefCdf,
@@ -28,7 +27,7 @@ from .nonmyopic import (
     solve_single_agent,
     welfare_one_time,
 )
-from .simulate import AgentState, SimConfig, SimResult, SimState, run, step, trajectory_compare
+from .simulate import SimConfig, SimResult, SimState, run, step
 from .dataset import RatingsTable, estimate_pref_sd, fit_reward_cdf, load_ratings
 from . import errors
 
@@ -40,7 +39,6 @@ __all__ = [
     "integrate",
     "CommSchedule",
     "MyopicWelfareReport",
-    "xy_terms",
     "welfare_centralized",
     "welfare_schedule",
     "deviation_condition",
@@ -55,13 +53,11 @@ __all__ = [
     "solve_one_time",
     "welfare_one_time",
     "optimize_comm_time",
-    "AgentState",
     "SimConfig",
     "SimResult",
     "SimState",
     "run",
     "step",
-    "trajectory_compare",
     "RatingsTable",
     "load_ratings",
     "fit_reward_cdf",

@@ -15,6 +15,7 @@ fixed float formatting.
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import sys
 from dataclasses import replace
@@ -24,9 +25,14 @@ from . import dataset, myopic, nonmyopic, svg
 from .distributions import RewardDistribution
 from .errors import CommgateError, ConfigError, DistributionError, QuadratureError, SolverError
 from .schedules import CommSchedule
-from .simulate import SimConfig, run, trajectory_compare
+from .simulate import SimConfig, _reveal_slot, run
 
 CONFIG_SCHEMA_VERSION = 1
+# the JSON type of each scalar simulate key; an absent key takes SimConfig's default
+SCALAR_KEYS = {"n_agents": int, "horizon": int, "agent_kind": str, "reward_mode": str,
+               "noise_sd": float, "pref_sd": float, "replications": int, "master_seed": int,
+               "noise_per_option": bool}
+CONFIG_KEYS = sorted({"schema_version", "dist", "schedule", "out", *SCALAR_KEYS})
 
 
 def parse_dist(spec: str) -> RewardDistribution:
@@ -132,17 +138,22 @@ def _as_int(value) -> int:
     return int(value)
 
 
-def _field(obj: dict, key: str, kind, path, default=None):
-    """``obj[key]`` (``default`` when absent) read as ``kind`` (int, float or
-    bool); a bad value is a ConfigError.  Only a bool field takes a JSON
-    boolean, and an int field takes no fraction."""
-    value = obj.get(key, default)
+def _scalar(obj: dict, key: str, path):
+    """``obj[key]`` read as its ``SCALAR_KEYS`` type; a bad value is a
+    ConfigError.  A bool or str key takes only that JSON type, a number key
+    any JSON number but no boolean or string, and an int key no fraction."""
+    kind, value = SCALAR_KEYS[key], obj[key]
     try:
-        if isinstance(value, bool) != (kind is bool):
+        if type(value) not in ((kind,) if kind in (bool, str) else (int, float)):
             raise TypeError(f"{value!r} is not a {kind.__name__}")
         return _as_int(value) if kind is int else kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: field '{key}' must be {kind.__name__}, got {value!r}") from exc
+
+
+def _unknown(key: str) -> str:
+    close = difflib.get_close_matches(key, CONFIG_KEYS, n=1)
+    return f"unknown field {key!r}" + (f" (did you mean {close[0]!r}?)" if close else "")
 
 
 def load_sim_config(path, overrides: dict | None = None) -> tuple[SimConfig, dict]:
@@ -159,42 +170,28 @@ def load_sim_config(path, overrides: dict | None = None) -> tuple[SimConfig, dic
     if type(version) is not int or version != CONFIG_SCHEMA_VERSION:  # not True, not 1.0
         raise ConfigError(f"{path}: schema_version must be {CONFIG_SCHEMA_VERSION}, got {version!r}")
     obj.update(overrides or {})
-    for key in ("dist", "n_agents", "horizon", "schedule", "agent_kind"):
+    unknown = [key for key in obj if key not in CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"{path}: " + ", ".join(map(_unknown, unknown)))
+    for key in ("dist", "n_agents", "horizon", "schedule"):
         if key not in obj:
             raise ConfigError(f"{path}: missing field '{key}'")
-    if isinstance(obj["dist"], dict):
-        csv_path = obj["dist"].get("csv")
-        if not isinstance(csv_path, str):
-            raise ConfigError(f"{path}: dist object must carry 'csv', a path string, got {csv_path!r}")
-        d = RewardDistribution.from_csv(csv_path)
+    fields = {key: _scalar(obj, key, path) for key in SCALAR_KEYS if key in obj}
+    dist = obj["dist"]
+    if isinstance(dist, str):
+        d = parse_dist(dist)
+    elif isinstance(dist, dict) and dist.keys() == {"csv"} and isinstance(dist["csv"], str):
+        d = RewardDistribution.from_csv(dist["csv"])
     else:
-        d = parse_dist(str(obj["dist"]))
-    N = _field(obj, "n_agents", int, path)
-    T = _field(obj, "horizon", int, path)
-    schedule = _schedule_from_config(obj["schedule"], T)
-    kind = str(obj["agent_kind"])
-    thresholds = None
-    if kind == "nonmyopic":
-        open_slots = [t for t in schedule.open_slots() if t <= T - 1]
-        if not open_slots:
+        raise ConfigError(f"{path}: dist must be a string; a dist object must carry 'csv', "
+                          f"a path string, and nothing else; got {dist!r}")
+    schedule = _schedule_from_config(obj["schedule"], fields["horizon"])
+    if fields.get("agent_kind", SimConfig.agent_kind) == "nonmyopic":
+        t1 = _reveal_slot(schedule)
+        if t1 is None:
             raise ConfigError(f"{path}: nonmyopic runs need an open slot before the horizon")
-        t1 = open_slots[-1]
-        thresholds = nonmyopic.solve_one_time(d, N, T, t1)
-    cfg = SimConfig(
-        dist=d,
-        n_agents=N,
-        horizon=T,
-        schedule=schedule,
-        agent_kind=kind,
-        thresholds=thresholds,
-        reward_mode=str(obj.get("reward_mode", "deterministic")),
-        noise_sd=_field(obj, "noise_sd", float, path, 0.1),
-        pref_sd=_field(obj, "pref_sd", float, path, 0.1),
-        replications=_field(obj, "replications", int, path, 1),
-        master_seed=_field(obj, "master_seed", int, path, 0),
-        noise_per_option=_field(obj, "noise_per_option", bool, path, False),
-    )
-    return cfg, obj
+        fields["thresholds"] = nonmyopic.solve_one_time(d, fields["n_agents"], fields["horizon"], t1)
+    return SimConfig(dist=d, schedule=schedule, **fields), obj
 
 
 def cmd_simulate(args) -> int:
@@ -205,8 +202,8 @@ def cmd_simulate(args) -> int:
         overrides["master_seed"] = args.seed
     cfg, obj = load_sim_config(args.config, overrides)
     out = args.out or obj.get("out")
-    if not out:
-        raise ConfigError("no output path: pass --out or set 'out' in the config")
+    if not (out and isinstance(out, str)):  # open(True) would write to stdout and close it
+        raise ConfigError(f"no output path: pass --out or set 'out', a path string, got {out!r}")
     result = run(cfg)
     result.to_csv(out)
     print(f"welfare {result.total_welfare_mean:.6f} +- {result.total_welfare_stderr:.6f}, "
@@ -249,7 +246,7 @@ def cmd_sweep(args) -> int:
                 agent_kind="nonmyopic", thresholds=seq,
             )
             cent = replace(mech, schedule=CommSchedule.centralized(T), thresholds=seq_c)
-            r_mech, r_cent = trajectory_compare(mech, cent)
+            r_mech, r_cent = run(mech), run(cent)
             gain = (r_mech.total_welfare_mean - r_cent.total_welfare_mean) / N
             lines.append(
                 f"{T},{config.reward_mode},{t1_star},{r_mech.total_welfare_mean:.12g},"
@@ -295,10 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--t-step", type=int, default=10)
     w.add_argument("--modes", default="deterministic",
                    help="comma list of deterministic,stochastic,heterogeneous")
-    w.add_argument("--noise-sd", type=float, default=0.1)
-    w.add_argument("--pref-sd", type=float, default=0.1)
+    w.add_argument("--noise-sd", type=float, default=SimConfig.noise_sd)
+    w.add_argument("--pref-sd", type=float, default=SimConfig.pref_sd)
     w.add_argument("--replications", type=int, default=500)
-    w.add_argument("--seed", type=int, default=0)
+    w.add_argument("--seed", type=int, default=SimConfig.master_seed)
     w.add_argument("--out", required=True)
     w.set_defaults(func=cmd_sweep)
     return p

@@ -28,7 +28,6 @@ from .schedules import CommSchedule
 
 __all__ = [
     "MyopicWelfareReport",
-    "xy_terms",
     "welfare_centralized",
     "welfare_schedule",
     "deviation_condition",
@@ -48,15 +47,6 @@ class MyopicWelfareReport:
     total_welfare: float
     expected_exploration_slots: float
     per_window_terms: tuple[float, ...] = ()
-
-    def per_agent(self, n_agents: int) -> float:
-        return self.total_welfare / n_agents
-
-    def csv_row(self, label: str, n_agents: int) -> str:
-        return (
-            f"{label},{self.total_welfare:.12g},"
-            f"{self.per_agent(n_agents):.12g},{self.expected_exploration_slots:.12g}"
-        )
 
 
 def _check_prior(d: RewardDistribution, N: int) -> float:
@@ -103,22 +93,6 @@ def _xy_table(d: RewardDistribution, N: int, base: MyopicWelfareReport, T: int, 
 
         ys[k] = integrate(d, gap, mu, 1.0)
     return xs, ys
-
-
-def xy_terms(d: RewardDistribution, N: int, i: int) -> tuple[float, float]:
-    """Per-slot exploitation loss ``x_i`` and post-window exploration benefit
-    ``y_i`` of running a closed window whose ``i``-th blocked slot this is.
-
-    Both are tail integrals over [mu, 1] of differences between the pooled-
-    information CDF mixture and the self-only mixture; they vanish
-    identically for a single agent.  ``x_i`` is closed-form in
-    ``I = integral_mu^1 F^N``, ``mu``, ``F(mu)`` and ``tail(mu)``; only
-    ``y_i`` is integrated.
-    """
-    if i < 1:
-        raise DistributionError(f"index i must be >= 1, got {i}")
-    xs, ys = _xy_table(d, N, welfare_centralized(d, N, 1), 1, [i])
-    return float(xs[0]), float(ys[0])
 
 
 def _geom(q: float, t0: int, t1: int) -> float:

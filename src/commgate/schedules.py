@@ -93,11 +93,3 @@ class CommSchedule:
             },
             sort_keys=True,
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CommSchedule":
-        try:
-            obj = json.loads(text)
-            return cls(obj["T"], tuple((w["start"], w["len"]) for w in obj["windows"]))
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            raise ScheduleError(f"bad schedule record: {exc}") from exc

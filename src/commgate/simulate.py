@@ -56,7 +56,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -67,7 +68,7 @@ from .errors import ConfigError
 from .nonmyopic import ThresholdSequence
 from .schedules import CommSchedule
 
-__all__ = ["AgentState", "SimConfig", "SimResult", "SimState", "run", "step", "trajectory_compare"]
+__all__ = ["SimConfig", "SimResult", "SimState", "run", "step"]
 
 _CHUNK = 4096  # most replications per chunk
 _CHUNK_BYTES = 32 << 20  # working set of one chunk's slot step
@@ -80,15 +81,6 @@ _OPTION, _AUX, _SHARE = range(3)  # purposes of the keyed draw streams
 _SHARE_BYTES = 1 << 22  # appraisal buffer of one heterogeneous share step
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _MODES = ("deterministic", "stochastic", "heterogeneous")
-
-
-@dataclass(frozen=True)
-class AgentState:
-    """Read-only view of one agent in one replication."""
-
-    best_reward: float
-    best_option: int | None
-    explored_count: int
 
 
 @dataclass(frozen=True)
@@ -140,23 +132,11 @@ class SimConfig:
             )
 
     def describe(self) -> str:
-        """Canonical one-line JSON echo of the resolved configuration."""
-        return json.dumps(
-            {
-                "dist": repr(self.dist),
-                "n_agents": self.n_agents,
-                "horizon": self.horizon,
-                "schedule": json.loads(self.schedule.to_json()),
-                "agent_kind": self.agent_kind,
-                "reward_mode": self.reward_mode,
-                "noise_sd": self.noise_sd,
-                "pref_sd": self.pref_sd,
-                "replications": self.replications,
-                "master_seed": self.master_seed,
-                "noise_per_option": self.noise_per_option,
-            },
-            sort_keys=True,
-        )
+        """Canonical one-line JSON echo of every field but the solved thresholds."""
+        echo = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "thresholds"}
+        echo["dist"] = repr(self.dist)
+        echo["schedule"] = json.loads(self.schedule.to_json())
+        return json.dumps(echo, sort_keys=True)
 
 
 @dataclass
@@ -199,10 +179,6 @@ class SimState:
             None if self.exploit is None else self.exploit.copy(),
         )
 
-    def agent(self, rep: int, i: int) -> AgentState:
-        opt = int(self.best_opt[rep, i])
-        return AgentState(float(self.m[rep, i]), None if opt < 0 else opt, int(self.explored[rep, i]))
-
 
 @dataclass(frozen=True)
 class SimResult:
@@ -232,14 +208,25 @@ def _threshold_for(config: SimConfig, t: int) -> float:
     return config.thresholds.threshold_at(t)
 
 
+def _reveal_slot(schedule: CommSchedule) -> int | None:
+    """The last open slot before the horizon, where forward-looking agents
+    share (None if every such slot is blocked).  Windows are sorted and
+    leave an open slot between them, so the slot before the window that
+    holds ``T - 1`` is open."""
+    last = schedule.horizon_T - 1
+    for start, length in schedule.windows:
+        if start <= last < start + length:
+            last = start - 1
+    return last if last >= 0 else None
+
+
 def _share_slots(config: SimConfig) -> set[int]:
-    open_slots = [t for t in range(config.horizon + 1) if not config.schedule.blocked(t)]
     if config.agent_kind == "myopic":
-        return set(open_slots)
+        return set(config.schedule.open_slots())
     # forward-looking agents withhold until the last open slot that can
     # still influence anyone's remaining choices
-    useful = [t for t in open_slots if t <= config.horizon - 1]
-    return {useful[-1]} if useful else set()
+    reveal = _reveal_slot(config.schedule)
+    return set() if reveal is None else {reveal}
 
 
 @dataclass
@@ -568,27 +555,17 @@ def run(config: SimConfig) -> SimResult:
     explored = np.concatenate(explored_all)
     slot_mean = slot_sum / R
     slot_var = np.maximum(slot_sq / R - slot_mean**2, 0.0)
-    slot_se = np.sqrt(slot_var / max(R - 1, 1))
+    with warnings.catch_warnings():  # one replication: every stderr is undefined, nan
+        warnings.simplefilter("ignore", RuntimeWarning)
+        slot_se = np.sqrt(slot_var / (R - 1))
+        welfare_se = float(totals.std(ddof=1) / np.sqrt(R))
+        explored_se = float(explored.std(ddof=1) / np.sqrt(R))
     return SimResult(
         per_slot_mean_reward=slot_mean,
         per_slot_stderr=slot_se,
         total_welfare_mean=float(totals.mean()),
-        total_welfare_stderr=float(totals.std(ddof=1) / np.sqrt(R)) if R > 1 else 0.0,
+        total_welfare_stderr=welfare_se,
         exploration_slots_mean=float(explored.mean()),
-        exploration_slots_stderr=float(explored.std(ddof=1) / np.sqrt(R)) if R > 1 else 0.0,
+        exploration_slots_stderr=explored_se,
         config_echo=config.describe(),
     )
-
-
-def trajectory_compare(config_a: SimConfig, config_b: SimConfig) -> tuple[SimResult, SimResult]:
-    """Run two configurations on common random numbers and pair the series.
-
-    Both runs consume ``config_a.master_seed`` so the option-draw streams are
-    shared; the configs must agree on agent count, horizon, and reward mode.
-    """
-    if (config_a.n_agents, config_a.horizon) != (config_b.n_agents, config_b.horizon):
-        raise ConfigError("trajectory_compare needs matching (n_agents, horizon)")
-    if config_a.reward_mode != config_b.reward_mode:
-        raise ConfigError("trajectory_compare needs matching reward_mode")
-    paired_b = replace(config_b, master_seed=config_a.master_seed)
-    return run(config_a), run(paired_b)

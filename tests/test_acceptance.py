@@ -33,7 +33,7 @@ from commgate.nonmyopic import (
 )
 from commgate.distributions import QuadratureSpec, integrate
 from commgate.schedules import CommSchedule
-from commgate.simulate import SimConfig, run, trajectory_compare
+from commgate.simulate import SimConfig, run
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -314,7 +314,7 @@ def test_criterion_9_robustness(hotel_dist, hotel_table):
                 replications=500, master_seed=900 + T,
             )
             cent = replace(mech, schedule=CommSchedule.centralized(T), thresholds=seq_c)
-            r_mech, r_cent = trajectory_compare(mech, cent)
+            r_mech, r_cent = run(mech), run(cent)
             gains[mode] = (r_mech.total_welfare_mean - r_cent.total_welfare_mean) / N
         ok &= gains["stochastic"] > 0 and gains["heterogeneous"] > 0
         if T <= 50:

@@ -1,9 +1,15 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from commgate.cli import main
+from commgate.cli import load_sim_config, main
 from commgate.distributions import RewardDistribution
+from commgate.errors import CommgateError
+from commgate.schedules import CommSchedule
+from commgate.simulate import SimConfig
 
 HOTEL = "data/hotel_ratings.csv"
 
@@ -136,6 +142,28 @@ def sim_config(tmp_path, **kw):
     return path
 
 
+SUGGESTED = {"replicatoins": "replications", "noise-sd": "noise_sd"}
+# every config key but schema_version, whose checks come first
+FUZZ_KEYS = ["dist", "n_agents", "horizon", "schedule", "agent_kind", "reward_mode",
+             "noise_sd", "pref_sd", "replications", "master_seed", "noise_per_option", "out"]
+NEAR_MISS_KEYS = ["replicatoins", "noise-sd", "thresholds", "n-agents", "Horizon", "seed"]
+BASE_CONFIG = {"dist": "uniform", "n_agents": 3, "horizon": 6, "schedule": "centralized"}
+_SCALARS = st.one_of(
+    st.sampled_from(["uniform", "beta:2,5", "myopic", "nonmyopic", "deterministic",
+                     "stochastic", "heterogeneous", "centralized", "5", ""]),
+    st.integers(0, 8), st.integers(-40, 40), st.floats(-40, 40),
+    st.sampled_from([None, True, False, math.nan, math.inf, -math.inf]),
+)
+JSON_VALUES = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),
+    st.dictionaries(st.sampled_from(["csv", "one_time", "windows"]),
+                    st.one_of(_SCALARS, st.lists(st.dictionaries(
+                        st.sampled_from(["start", "len"]), _SCALARS, max_size=2), max_size=2)),
+                    max_size=2),
+)
+
+
 class TestSimulateCommand:
     def test_basic_run(self, tmp_path, capsys):
         cfg = sim_config(tmp_path)
@@ -144,12 +172,15 @@ class TestSimulateCommand:
         assert lines[1] == "t,mean_reward_per_agent,stderr"
         assert len(lines) == 2 + 9
 
-    def test_single_replication_stable(self, tmp_path):
+    def test_single_replication_stable(self, tmp_path, capsys):
         cfg = sim_config(tmp_path, replications=1)
         run_cli("simulate", str(cfg))
         first = (tmp_path / "sim.csv").read_bytes()
         run_cli("simulate", str(cfg))
         assert (tmp_path / "sim.csv").read_bytes() == first
+        # one replication has no standard error: every one reads nan
+        assert all(line.endswith(",nan") for line in first.decode().splitlines()[2:])
+        assert capsys.readouterr().out.count("+- nan,") == 2
 
     def test_nonmyopic_one_time(self, tmp_path):
         cfg = sim_config(tmp_path, agent_kind="nonmyopic", schedule={"one_time": 3})
@@ -197,7 +228,10 @@ class TestSimulateCommand:
          {"schedule": {"one_time": 3.5}}, {"schedule": {"one_time": True}},
          {"noise_sd": float("nan")}, {"noise_sd": float("inf")}, {"pref_sd": "inf"},
          {"master_seed": -1}, {"dist": {"csv": 5}}, {"dist": {"csv": ["a"]}},
-         {"schema_version": True}, {"schema_version": 1.0}],
+         {"schema_version": True}, {"schema_version": 1.0},
+         {"replicatoins": 1000, "noise-sd": 0.5}, {"thresholds": [0.5]}, {"reward_mode": 5},
+         {"agent_kind": None}, {"n_agents": "5"}, {"dist": 5},
+         {"dist": {"csv": "prior.csv", "sep": ";"}}, {"out": True}],
         ids=["n_agents_not_int", "horizon_list", "replications_inf", "window_without_len",
              "one_time_not_int", "top_level_array",
              "noise_per_option_string", "noise_per_option_int",
@@ -205,14 +239,60 @@ class TestSimulateCommand:
              "window_start_fraction", "window_len_bool",
              "one_time_fraction", "one_time_bool", "noise_sd_nan", "noise_sd_json_infinity",
              "pref_sd_string_inf", "master_seed_negative", "dist_csv_number", "dist_csv_list",
-             "schema_version_bool", "schema_version_float"],
+             "schema_version_bool", "schema_version_float",
+             "typo_keys", "thresholds_key", "reward_mode_number", "agent_kind_null",
+             "n_agents_numeric_string", "dist_number", "dist_object_extra_key",
+             "out_bool"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, fields):
         cfg = sim_config(tmp_path, **(fields or {}))
         if fields is None:
             cfg.write_text(json.dumps([json.loads(cfg.read_text())]))
         assert run_cli("simulate", str(cfg)) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        # the message names every bad key, and an unknown key's closest known one
+        for key in fields or {}:
+            assert key in err
+            if key in SUGGESTED:
+                assert f"unknown field {key!r} (did you mean {SUGGESTED[key]!r}?)" in err
+        if fields == {"thresholds": [0.5]}:  # solved, not read; no known key is close
+            assert "unknown field 'thresholds'" in err and "did you mean" not in err
+
+    def test_absent_keys_take_simconfig_defaults(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "dist": "uniform", "n_agents": 3,
+                                   "horizon": 6, "schedule": "centralized"}))
+        loaded, _ = load_sim_config(cfg)
+        bare = SimConfig(RewardDistribution.uniform(), 3, 6, CommSchedule.centralized(6))
+        assert loaded.describe() == bare.describe()  # every field but the thresholds
+        assert loaded.thresholds is None
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["myopic", "nonmyopic"]),
+           dropped=st.sets(st.sampled_from(sorted(BASE_CONFIG)), max_size=1),
+           extra=st.dictionaries(st.sampled_from(FUZZ_KEYS), JSON_VALUES, max_size=2),
+           near_miss=st.none() | st.dictionaries(st.sampled_from(NEAR_MISS_KEYS), JSON_VALUES,
+                                                 min_size=1, max_size=2))
+    def test_random_config_loads_or_is_refused(self, tmp_path_factory, kind, dropped, extra,
+                                               near_miss):
+        obj = {"schema_version": 1, "agent_kind": kind}
+        obj |= {k: v for k, v in BASE_CONFIG.items() if k not in dropped} | extra | (near_miss or {})
+        cfg = tmp_path_factory.mktemp("fuzz") / "c.json"
+        cfg.write_text(json.dumps(obj))
+        try:
+            loaded, _ = load_sim_config(cfg)
+        except CommgateError:
+            return
+        assert isinstance(loaded, SimConfig)
+
+    @pytest.mark.xfail(strict=True, raises=MemoryError,
+                       reason="no horizon budget: the single-agent solve allocates O(T)")
+    def test_huge_nonmyopic_horizon_is_refused(self, tmp_path):
+        # np.arange(1, T) in solve_single_agent asks for 80 PB and fails at once
+        cfg = sim_config(tmp_path, horizon=10**16, agent_kind="nonmyopic")
+        with pytest.raises(CommgateError):
+            load_sim_config(cfg)
 
     def test_agents_beyond_memory_budget_exit_2(self, tmp_path, capsys, monkeypatch):
         # even a 4-replication chunk of 200,000 agents passes the byte budget:

@@ -1,10 +1,12 @@
 import gc
+import json
 import weakref
 
 import numpy as np
 import pytest
 
 from commgate import myopic
+from commgate.cli import _schedule_from_config
 from commgate.distributions import RewardDistribution
 from commgate.errors import ScheduleError
 from commgate.myopic import (
@@ -15,9 +17,14 @@ from commgate.myopic import (
     scan_single_window,
     welfare_centralized,
     welfare_schedule,
-    xy_terms,
 )
 from commgate.schedules import CommSchedule
+
+
+def xy_terms(d, N, i):
+    """``x_i`` and ``y_i`` from the x/y table (neither depends on the horizon)."""
+    xs, ys = myopic._xy_table(d, N, welfare_centralized(d, N, 1), 1, [i])
+    return float(xs[0]), float(ys[0])
 
 
 def riemann_xy(d, N, i, points=2_000_001):
@@ -51,8 +58,9 @@ class TestSchedules:
         assert s.blocked(0) and s.blocked(10) and not s.blocked(4)
 
     def test_json_roundtrip(self):
+        # the schedule echoed in a simulate CSV header reads back as a config schedule
         s = CommSchedule(12, ((0, 2), (4, 3)))
-        assert CommSchedule.from_json(s.to_json()) == s
+        assert _schedule_from_config(json.loads(s.to_json()), 12) == s
 
     @pytest.mark.parametrize("T,windows", [(10.5, ((0, 2),)), (10, ((0.9, 2),)), (10, ((0, 2.2),)),
                                            (10.0, ()), (True, ()), (10, ((True, 2),)),
@@ -64,20 +72,10 @@ class TestSchedules:
         with pytest.raises(ScheduleError, match="integers"):
             CommSchedule(T, windows)
 
-    @pytest.mark.parametrize("record", ['{"T": 10.9, "windows": []}',
-                                        '{"T": 10, "windows": [{"start": true, "len": 2}]}',
-                                        '{"T": 10, "windows": [{"start": 0, "len": 2.7}]}',
-                                        '{"T": 10.9, "windows": [{"start": true, "len": 2.7}]}'],
-                             ids=["T_fraction", "start_bool", "len_fraction", "all_three"])
-    def test_json_fields_must_be_integers(self, record):
-        with pytest.raises(ScheduleError, match="integers"):
-            CommSchedule.from_json(record)
-
     def test_numpy_integers_accepted(self):
         s = CommSchedule(np.int64(10), ((np.int32(0), np.int64(2)),))
         assert s == CommSchedule(10, ((0, 2),))
         assert type(s.horizon_T) is int and all(type(v) is int for v in s.windows[0])
-        assert CommSchedule.from_json(s.to_json()) == s
 
 
 class TestXYTerms:
@@ -131,14 +129,6 @@ class TestWelfare:
         rep = welfare_centralized(uniform, 5, 20)
         assert 0 < rep.total_welfare <= 5 * 21
         assert 1.0 <= rep.expected_exploration_slots <= 21
-
-    def test_report_csv_row(self, uniform):
-        rep = welfare_centralized(uniform, 5, 20)
-        label, total, per_agent, slots = rep.csv_row("base", 5).split(",")
-        assert label == "base"
-        assert float(total) == pytest.approx(rep.total_welfare)
-        assert float(per_agent) == pytest.approx(rep.total_welfare / 5)
-        assert float(slots) == pytest.approx(rep.expected_exploration_slots)
 
     def test_empty_schedule_equals_centralized(self, uniform):
         base = welfare_centralized(uniform, 5, 20)

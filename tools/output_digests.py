@@ -2,7 +2,7 @@
 """Print one sha256 per output file of a fixed matrix of CLI commands.
 
 Runs ``fit``, ten ``optimize`` commands (all three modes), a three-mode
-``sweep`` and 46 ``simulate`` configs in-process from the checkout's ``src/``
+``sweep`` and 49 ``simulate`` configs in-process from the checkout's ``src/``
 into a temporary directory, with relative paths so that no output names the
 directory.  Each command's stdout and exit code are kept as a file too; a
 command that raises is kept as ``raised <ExceptionType>`` and the matrix goes
@@ -85,15 +85,26 @@ def commands():
     # a malformed config: the csv path of a dist object must be a string
     yield "simulate_dist_csv_number", simulate("simulate_dist_csv_number", {"csv": 5}, 6, 300,
                                                "centralized", "myopic", "deterministic", False)
+    # misspelt keys and a reward mode of the wrong JSON type are refused
+    yield "simulate_typo_keys", simulate("simulate_typo_keys", "uniform", 5, 300, "centralized",
+                                         "myopic", "deterministic", False,
+                                         replicatoins=1000, **{"noise-sd": 0.5})
+    yield "simulate_reward_mode_number", simulate("simulate_reward_mode_number", "uniform", 5,
+                                                  300, "centralized", "myopic", 5, False)
+    # one replication: every standard error is undefined
+    yield "simulate_single_replication", simulate("simulate_single_replication",
+                                                  DISTS["hotel"], 6, 1, "centralized", "myopic",
+                                                  "stochastic", False)
 
 
-def simulate(name, dist, n_agents, replications, schedule, kind, mode, per_option, horizon=20):
-    """Write a simulate config ``name.json``; returns the command's argv."""
+def simulate(name, dist, n_agents, replications, schedule, kind, mode, per_option, horizon=20,
+             **extra):
+    """Write a simulate config ``name.json`` (plus the ``extra`` keys); returns the argv."""
     Path(name + ".json").write_text(json.dumps({
         "schema_version": 1, "dist": dist, "n_agents": n_agents, "horizon": horizon,
         "schedule": schedule, "agent_kind": kind, "reward_mode": mode,
         "noise_per_option": per_option, "pref_sd": 0.15, "replications": replications,
-        "master_seed": 11, "out": name + ".csv"}))
+        "master_seed": 11, "out": name + ".csv", **extra}))
     return ["simulate", name + ".json"]
 
 
