@@ -118,12 +118,17 @@ def cmd_optimize(args) -> int:
 
 
 def _schedule_from_config(obj, T) -> CommSchedule:
+    """``"centralized"``, ``{"one_time": t}`` or ``{"windows": [{"start": s, "len": l}, ...]}``."""
     if obj == "centralized":
         return CommSchedule.centralized(T)
+    if isinstance(obj, dict):
+        _check_keys(obj, ("one_time", "windows"), "schedule")
     try:
-        if isinstance(obj, dict) and "one_time" in obj:
+        if isinstance(obj, dict) and obj.keys() == {"one_time"}:
             return CommSchedule.one_time(T, _as_int(obj["one_time"]))
-        if isinstance(obj, dict) and "windows" in obj:
+        if isinstance(obj, dict) and obj.keys() == {"windows"}:
+            for w in obj["windows"]:
+                _check_keys(w, ("start", "len"), "window")
             wins = tuple((_as_int(w["start"]), _as_int(w["len"])) for w in obj["windows"])
             return CommSchedule(T, wins)
     except (KeyError, TypeError, ValueError) as exc:
@@ -151,9 +156,18 @@ def _scalar(obj: dict, key: str, path):
         raise ConfigError(f"{path}: field '{key}' must be {kind.__name__}, got {value!r}") from exc
 
 
-def _unknown(key: str) -> str:
-    close = difflib.get_close_matches(key, CONFIG_KEYS, n=1)
-    return f"unknown field {key!r}" + (f" (did you mean {close[0]!r}?)" if close else "")
+def _check_keys(obj, known, where: str) -> None:
+    """A ConfigError naming every key of ``obj`` not in ``known``, with its
+    closest known key; ``obj`` must be a JSON object."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {obj!r}")
+    unknown = []
+    for key in obj:
+        if key not in known:
+            close = difflib.get_close_matches(key, known, n=1)
+            unknown.append(f"unknown field {key!r}" + (f" (did you mean {close[0]!r}?)" if close else ""))
+    if unknown:
+        raise ConfigError(f"{where}: " + ", ".join(unknown))
 
 
 def load_sim_config(path, overrides: dict | None = None) -> tuple[SimConfig, dict]:
@@ -170,9 +184,7 @@ def load_sim_config(path, overrides: dict | None = None) -> tuple[SimConfig, dic
     if type(version) is not int or version != CONFIG_SCHEMA_VERSION:  # not True, not 1.0
         raise ConfigError(f"{path}: schema_version must be {CONFIG_SCHEMA_VERSION}, got {version!r}")
     obj.update(overrides or {})
-    unknown = [key for key in obj if key not in CONFIG_KEYS]
-    if unknown:
-        raise ConfigError(f"{path}: " + ", ".join(map(_unknown, unknown)))
+    _check_keys(obj, CONFIG_KEYS, str(path))
     for key in ("dist", "n_agents", "horizon", "schedule"):
         if key not in obj:
             raise ConfigError(f"{path}: missing field '{key}'")

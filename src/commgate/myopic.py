@@ -9,10 +9,13 @@ deterministic function of the reward prior, the number of agents, and the
 schedule; the Monte-Carlo simulator cross-checks these formulas in the test
 suite.
 
-One tail integral ``I = integral_mu^1 F^N`` per (prior, N) gives the
-always-open welfare, and with it every ``x_i`` in closed form in ``I``,
-``mu``, ``F(mu)`` and ``tail(mu)``.  Only ``y_i`` is integrated, once per
-window index.
+None of the terms depends on the horizon.  ``_terms`` builds them once per
+(prior, N) for a number of window indices: with ``F(mu)``, one tail integral
+``I = integral_mu^1 F^N`` gives the exploit mean ``E`` and the residual loss
+``P``, every ``x_i`` is closed-form in ``I``, ``mu``, ``F(mu)`` and
+``tail(mu)``, and only ``y_i`` is integrated, once per index.  The always-open
+welfare for any ``T`` is arithmetic on them, and one window-gain expression,
+``_Terms.gain``, scores every window.
 """
 
 from __future__ import annotations
@@ -41,58 +44,80 @@ __all__ = [
 @dataclass(frozen=True)
 class MyopicWelfareReport:
     """Total expected reward over slots {0..T} for all agents, plus the
-    per-agent expected number of exploration slots and the per-window
-    welfare deltas relative to the always-open policy."""
+    per-agent expected number of exploration slots."""
 
     total_welfare: float
     expected_exploration_slots: float
-    per_window_terms: tuple[float, ...] = ()
 
 
-def _check_prior(d: RewardDistribution, N: int) -> float:
-    if N < 1:
-        raise DistributionError(f"agent count must be >= 1, got {N}")
-    fmu = d.cdf(d.mean())
-    if fmu >= 1.0 - 1e-15:
-        raise DistributionError("prior is degenerate at its mean (F(mu) = 1)")
-    return fmu
+class _Terms(NamedTuple):
+    """Horizon-free terms of a (prior, N) pair for window indices ``0..n-1``.
+
+    ``exploit`` is the pooled best reward given it clears mu, ``E``, and
+    ``loss`` its residual loss ``P = E - mu``.  ``sx[i]`` is the prefix sum
+    ``sum_(j<=i) x_j`` and ``ys[i]`` is ``y_i`` (index 0 gives 0 in both).
+    """
+
+    N: int
+    fmu: float
+    exploit: float
+    loss: float
+    sx: np.ndarray
+    ys: np.ndarray
+
+    def centralized(self, T: int) -> MyopicWelfareReport:
+        """The always-open report for horizon ``T`` (see ``welfare_centralized``)."""
+        if T < 1:
+            raise DistributionError(f"horizon must be >= 1, got {T}")
+        q = self.fmu**self.N
+        count = (1.0 - q ** (T + 1)) / (1.0 - q)
+        return MyopicWelfareReport(self.N * (T + 1) * self.exploit - self.N * count * self.loss, count)
+
+    def gain(self, T: int, s: int, L):
+        """Per-agent gain of the window ``(s, L)`` (``L`` may be an array) over
+        always-open, ``F(mu)^(N s) ((T-s-L) y_(L+1) - sum_(i<=L) x_i)``, with
+        a window that reaches the horizon truncated to existing slots."""
+        return self.fmu ** (self.N * s) * (
+            np.maximum(T - s - L, 0) * self.ys[L + 1] - self.sx[np.minimum(L, T - s)]
+        )
 
 
-def _xy_table(d: RewardDistribution, N: int, base: MyopicWelfareReport, T: int, idx):
-    """``x_i`` and ``y_i`` for every window index in ``idx`` (index 0 gives 0).
+def _terms(d: RewardDistribution, N: int, n: int) -> _Terms:
+    """The terms of ``(d, N)`` for window indices ``0..n-1``.
 
     The self-only and pooled CDF mixtures are affine in ``c = F(mu)^i``, so
     ``x_i = (1 - c^N) P - (1 - c) Q`` in closed form, with
-    ``Q = tail(mu) / (1 - F(mu))`` and the residual loss ``P`` read back from
-    ``base``, the always-open report for horizon ``T``, whose welfare is
-    ``N ((T+1) mu + (T+1 - count) P)``.  Only ``y_i`` takes a quadrature.
+    ``Q = tail(mu) / (1 - F(mu))``.  Only ``y_i`` takes a quadrature.
     """
-    idx = np.asarray(idx)
-    xs = np.zeros(idx.size)
-    ys = np.zeros(idx.size)
-    if N == 1:
-        return xs, ys
+    if N < 1:
+        raise DistributionError(f"agent count must be >= 1, got {N}")
     mu = d.mean()
     fmu = d.cdf(mu)
-    fmu_n = fmu**N
-    denom1 = 1.0 - fmu
-    denom_n = 1.0 - fmu_n
-    P = (base.total_welfare / N - (T + 1) * mu) / (T + 1 - base.expected_exploration_slots)
-    xs = (1.0 - fmu ** (idx * N)) * P - (1.0 - fmu**idx) * (d.tail_mean_excess(mu) / denom1)
-    for k, i in enumerate(idx.tolist()):
-        if i == 0:
-            continue
-        ci = fmu**i
-        ci_n = fmu ** (i * N)
+    if fmu >= 1.0 - 1e-15:
+        raise DistributionError("prior is degenerate at its mean (F(mu) = 1)")
+    q = fmu**N
+    denom_n = 1.0 - q
+    tail = integrate(d, lambda r: d.cdf(r) ** N, mu, 1.0)
+    exploit = (1.0 - mu * q - tail) / denom_n
+    loss = (1.0 - mu - tail) / denom_n
+    idx = np.arange(n)
+    xs = np.zeros(idx.size)
+    ys = np.zeros(idx.size)
+    if N > 1:
+        denom1 = 1.0 - fmu
+        xs = (1.0 - fmu ** (idx * N)) * loss - (1.0 - fmu**idx) * (d.tail_mean_excess(mu) / denom1)
+        for i in range(1, idx.size):
+            ci = fmu**i
+            ci_n = fmu ** (i * N)
 
-        def gap(r):
-            f = d.cdf(r)
-            single = (f - fmu) / denom1 + ci * (1.0 - f) / denom1
-            pooled = (f**N - fmu_n) / denom_n + ci_n * (1.0 - f**N) / denom_n
-            return pooled - single**N
+            def gap(r):
+                f = d.cdf(r)
+                single = (f - fmu) / denom1 + ci * (1.0 - f) / denom1
+                pooled = (f**N - q) / denom_n + ci_n * (1.0 - f**N) / denom_n
+                return pooled - single**N
 
-        ys[k] = integrate(d, gap, mu, 1.0)
-    return xs, ys
+            ys[i] = integrate(d, gap, mu, 1.0)
+    return _Terms(N, fmu, exploit, loss, np.cumsum(xs), ys)
 
 
 def _geom(q: float, t0: int, t1: int) -> float:
@@ -108,51 +133,35 @@ def welfare_centralized(d: RewardDistribution, N: int, T: int) -> MyopicWelfareR
     All agents explore in lockstep until the pooled best reward clears mu,
     then exploit it for the rest of the horizon.
     """
-    fmu = _check_prior(d, N)
-    if T < 1:
-        raise DistributionError(f"horizon must be >= 1, got {T}")
-    mu = d.mean()
-    q = fmu**N
-    tail = integrate(d, lambda r: d.cdf(r) ** N, mu, 1.0)
-    # pooled best reward given it clears mu, and its residual loss P = E - mu
-    exploit = (1.0 - mu * q - tail) / (1.0 - q)
-    loss = (1.0 - mu - tail) / (1.0 - q)
-    count = (1.0 - q ** (T + 1)) / (1.0 - q)
-    total = N * (T + 1) * exploit - N * count * loss
-    return MyopicWelfareReport(total, count)
+    return _terms(d, N, 0).centralized(T)
 
 
 def welfare_schedule(d: RewardDistribution, N: int, schedule: CommSchedule) -> MyopicWelfareReport:
     """Welfare under an arbitrary window schedule.
 
-    Each window starting at ``s`` with length ``L`` shifts welfare by
-    ``N F(mu)^(N s) ((T - s - L) y_(L+1) - sum_(i<=L) x_i)`` relative to the
-    always-open baseline; the per-agent exploration count replaces the pooled
-    geometric decay with self-only decay inside each window.  Windows that
-    run to the end of the horizon are truncated to existing slots.
+    Each window starting at ``s`` with length ``L`` shifts welfare by ``N``
+    times its gain ``F(mu)^(N s) ((T - s - L) y_(L+1) - sum_(i<=L) x_i)``
+    relative to the always-open baseline; the per-agent exploration count
+    replaces the pooled geometric decay with self-only decay inside each
+    window.  Windows that run to the end of the horizon are truncated to
+    existing slots.
     """
     T = schedule.horizon_T
-    fmu = _check_prior(d, N)
-    base = welfare_centralized(d, N, T)
+    # y_(L+1) is read for the longest window L
+    terms = _terms(d, N, max((length + 2 for _, length in schedule.windows), default=0))
+    base = terms.centralized(T)
     if schedule.is_centralized:
         return base
-    max_len = max(length for _, length in schedule.windows)
-    xs, ys = _xy_table(d, N, base, T, np.arange(max_len + 2))
-    sx = np.cumsum(xs)
-
-    terms = []
+    fmu = terms.fmu
     q = fmu**N
+    gains = 0.0
     count = _geom(q, 0, schedule.windows[0][0])
     for m, (s, length) in enumerate(schedule.windows):
-        eff_len = min(length, T - s)  # blocked slots past T never happen
-        gain = N * fmu ** (N * s) * (
-            max(T - s - length, 0) * ys[length + 1] - sx[eff_len]
-        )
-        terms.append(gain)
-        count += fmu ** (N * s) * _geom(fmu, 1, eff_len)
+        gains += N * terms.gain(T, s, length)
+        count += fmu ** (N * s) * _geom(fmu, 1, min(length, T - s))
         next_start = schedule.windows[m + 1][0] if m + 1 < len(schedule.windows) else T
         count += _geom(q, s + length + 1, next_start)
-    return MyopicWelfareReport(base.total_welfare + sum(terms), count, tuple(terms))
+    return MyopicWelfareReport(base.total_welfare + gains, count)
 
 
 class _WindowTable(NamedTuple):
@@ -164,36 +173,29 @@ class _WindowTable(NamedTuple):
 
 def _single_window_table(d, N, T) -> _WindowTable:
     """Centralized report, deviation test, window scan and best single window,
-    all read off one x/y table and its prefix sums."""
-    _check_prior(d, N)
+    all read off one term table as array expressions over the lengths L."""
     if T < 2:
         raise DistributionError(f"horizon must be >= 2, got {T}")
-    base = welfare_centralized(d, N, T)
-    xs, ys = _xy_table(d, N, base, T, np.arange(T + 1))
-    sx = np.cumsum(xs)
-    best_len = 0
-    best_rhs = np.inf
-    for length in range(1, T):
-        y_next = ys[length + 1]
-        if y_next <= 0.0:
-            continue
-        rhs = sx[length] / y_next + length
-        if rhs < best_rhs:
-            best_rhs = rhs
-            best_len = length
+    terms = _terms(d, N, T + 1)
+    base = terms.centralized(T)
+    lengths = np.arange(1, T)
+    y_next = terms.ys[lengths + 1]
+    # lengths with y_(L+1) <= 0 never pay off: their threshold is infinite
+    rhs = np.divide(terms.sx[lengths], y_next, out=np.full(T - 1, np.inf), where=y_next > 0.0)
+    rhs += lengths
+    k = int(np.argmin(rhs))  # first minimum: the shortest minimizing length
+    best_rhs = float(rhs[k])
     holds = T > best_rhs
-
-    scan = [
-        (length, base.total_welfare + N * ((T - length) * ys[length + 1] - sx[length]))
-        for length in range(1, T)
-    ]
+    welfare = base.total_welfare + N * terms.gain(T, 0, lengths)
+    scan = list(zip(lengths.tolist(), welfare.tolist()))
     if holds:
         # first maximum: the smallest maximizing window length wins ties
-        length, welfare = scan[int(np.argmax([w for _, w in scan]))]
-        best = (CommSchedule(T, ((0, length),)), welfare)
+        length, best_welfare = scan[int(np.argmax(welfare))]
+        best = (CommSchedule(T, ((0, length),)), best_welfare)
     else:
         best = (CommSchedule.centralized(T), base.total_welfare)
-    return _WindowTable(base, (holds, best_len, float(best_rhs)), scan, best)
+    condition = (holds, int(lengths[k]) if best_rhs < np.inf else 0, best_rhs)
+    return _WindowTable(base, condition, scan, best)
 
 
 def deviation_condition(d: RewardDistribution, N: int, T: int) -> tuple[bool, int, float]:
@@ -247,10 +249,8 @@ def optimize_exact(d: RewardDistribution, N: int, T: int) -> tuple[CommSchedule,
 def _exact_search(d, N, T):
     """``optimize_exact``'s dynamic program; also returns the always-open
     report it measures gains against, as ``(report, schedule, welfare)``."""
-    fmu = _check_prior(d, N)
-    base = welfare_centralized(d, N, T)
-    xs, ys = _xy_table(d, N, base, T, np.arange(T + 1))
-    sx = np.cumsum(xs)
+    terms = _terms(d, N, T + 1)
+    base = terms.centralized(T)
     # best[s]: the largest prefix total whose next window may start at s, and
     # prev[s] the start of that prefix's last window.  Rounding is monotone,
     # so keeping only the largest prefix per start never loses the maximum.
@@ -259,8 +259,7 @@ def _exact_search(d, N, T):
     prev = np.zeros(T + 1, dtype=int)
     best_total, last = 0.0, None
     for s in range(T - 1):
-        lengths = np.arange(1, T - s)
-        g = best[s] + fmu ** (N * s) * ((T - s - lengths) * ys[lengths + 1] - sx[lengths])
+        g = best[s] + terms.gain(T, s, np.arange(1, T - s))
         ends = best[s + 2 :]  # window (s, L) lets the next one start at s + L + 1
         wins = g > ends
         ends[wins] = g[wins]

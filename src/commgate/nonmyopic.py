@@ -72,16 +72,6 @@ class ThresholdSequence:
         """Pre-sharing thresholds u_1..u_T1."""
         return self.values[: self.comm_slot_T1]
 
-    @property
-    def is_centralized(self) -> bool:
-        return self.comm_slot_T1 == self.horizon_T - 1
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,u_t,residual\n")
-            for t, (u, r) in enumerate(zip(self.values, self.residuals), start=1):
-                fh.write(f"{t},{u:.17g},{r:.17g}\n")
-
 
 class BeliefCdf:
     """Law of one agent's best-known reward after the sharing slot's draws.

@@ -231,7 +231,7 @@ def _share_slots(config: SimConfig) -> set[int]:
 
 @dataclass
 class _Scan:
-    """What ``run`` carries from one slot of a chunk to the next.
+    """What a chunk carries from one slot to the next.
 
     ``explorers`` is the previous slot's explorer flat index (ascending) and
     ``threshold`` that slot's threshold.  Beliefs never fall, so the agents
@@ -252,7 +252,7 @@ class _Scan:
 
 
 def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_share: int,
-             draw, scan: _Scan | None = None) -> np.ndarray:
+             draw, scan: _Scan) -> np.ndarray:
     """One slot for every replication in the batch; returns received rewards.
 
     ``draw(purpose)`` gives the slot's (R, N) quantiles of ``_OPTION`` or
@@ -261,8 +261,8 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_s
     ``last_share`` is the previous share slot (-1 if none).  The state is
     updated in place.  A share is skipped when no agent has improved since
     ``last_share``: every agent then still holds what the last share (or
-    the start) left, so pooling cannot change anything.  ``scan`` carries
-    ``run``'s chunk from slot to slot; without it every agent is tested.
+    the start) left, so pooling cannot change anything; ``scan`` says
+    whether one has (see ``_Scan``).
     The receipt of an idle slot is the state's own array, valid until the
     next slot; it is copied only when a share in this slot changes the state.
     """
@@ -270,15 +270,11 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_s
     N = state.m.shape[1]
     if not (share_now and N > 1):
         return receipt
-    if scan is None:
-        won = state.best_opt.max() // N > last_share
-    else:
-        won, scan.won = scan.won, False
+    won, scan.won = scan.won, False
     if won:
         if receipt is state.m or receipt is state.exploit:
             receipt = receipt.copy()
-        if scan is not None:
-            scan.settled = False
+        scan.settled = False
         if config.reward_mode == "heterogeneous":
             _share_appraised(state, last_share, config.pref_sd, draw(_SHARE))
         else:
@@ -286,8 +282,7 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_s
     return receipt
 
 
-def _explore(state: SimState, t: int, config: SimConfig, draw, scan: _Scan | None = None
-             ) -> np.ndarray:
+def _explore(state: SimState, t: int, config: SimConfig, draw, scan: _Scan) -> np.ndarray:
     """Explore or exploit for one slot; returns received rewards.
 
     Only ``scan.explorers`` are tested unless the threshold rose (see
@@ -306,9 +301,8 @@ def _explore(state: SimState, t: int, config: SimConfig, draw, scan: _Scan | Non
     per_look = mode == "stochastic" and not config.noise_per_option
     m = state.m.reshape(-1)  # flat views of the C-contiguous state
     threshold = _threshold_for(config, t)
-    if scan is None or scan.explorers is None or not threshold <= scan.threshold:
-        if scan is not None:
-            scan.explorers = None  # released before the full scan
+    if scan.explorers is None or not threshold <= scan.threshold:
+        scan.explorers = None  # released before the full scan
         explore = np.flatnonzero(m < threshold)
     else:
         explore = scan.explorers[m[scan.explorers] < threshold]
@@ -316,11 +310,10 @@ def _explore(state: SimState, t: int, config: SimConfig, draw, scan: _Scan | Non
         held = state.best_base.copy()
         state.exploit = _look_mean(held, config.noise_sd, np.empty_like(held), np.empty_like(held))
     held = state.exploit if per_look else state.m
-    if scan is not None:
-        scan.explorers = explore if explore.size < m.size else None
-        scan.threshold = threshold
-        scan.repeat = scan.settled and not explore.size
-        scan.settled = not explore.size
+    scan.explorers = explore if explore.size < m.size else None
+    scan.threshold = threshold
+    scan.repeat = scan.settled and not explore.size
+    scan.settled = not explore.size
     if not explore.size:
         return held
 
@@ -345,7 +338,7 @@ def _explore(state: SimState, t: int, config: SimConfig, draw, scan: _Scan | Non
     state.best_base.reshape(-1)[won] = won_base
     state.best_opt.reshape(-1)[won] = t * N + won % N
     state.explored.reshape(-1)[explore] += 1
-    if scan is not None and won.size:
+    if won.size:
         scan.won = True
     if per_look:
         # base and obs are spent; their heads are the scratch buffers
@@ -465,7 +458,9 @@ def step(state: SimState, t: int, config: SimConfig) -> SimState:
     share_at = _share_slots(config)
     last_share = max((s for s in share_at if s < t), default=-1)
     draw = partial(_keyed_draw, config.master_seed, 0, out.m.shape, t, 0)
-    _advance(out, t, config, t in share_at, last_share, draw)
+    # a fresh scan tests every agent; a win since the last share is read off the state
+    scan = _Scan(won=bool(out.best_opt.max() // out.m.shape[1] > last_share))
+    _advance(out, t, config, t in share_at, last_share, draw, scan)
     return out
 
 

@@ -72,19 +72,21 @@ class TestOptimizeCommand:
         assert capsys.readouterr().out.startswith("exact windows: [(0, ")
 
     def test_myopic_exact_solves_centralized_once(self, capsys, monkeypatch):
+        # the always-open report is arithmetic on the search's own term table:
+        # one tail integral plus one integral per y_i, nothing solved twice
         from commgate import myopic
 
         calls = []
-        solve = myopic.welfare_centralized
+        integrate = myopic.integrate
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return solve(*args, **kwargs)
+            return integrate(*args, **kwargs)
 
-        monkeypatch.setattr(myopic, "welfare_centralized", counting)
+        monkeypatch.setattr(myopic, "integrate", counting)
         assert run_cli("optimize", "--dist", "beta:2,5", "--n-agents", "5",
                        "--horizon", "8", "--mode", "myopic-exact") == 0
-        assert len(calls) == 1
+        assert len(calls) == 1 + 8
         _, welfare = myopic.optimize_exact(RewardDistribution.beta(2, 5), 5, 8)
         assert f"welfare {welfare:.6f} vs centralized" in capsys.readouterr().out
 
@@ -142,7 +144,8 @@ def sim_config(tmp_path, **kw):
     return path
 
 
-SUGGESTED = {"replicatoins": "replications", "noise-sd": "noise_sd"}
+SUGGESTED = {"replicatoins": "replications", "noise-sd": "noise_sd", "one-time": "one_time",
+             "lenght": "len"}
 # every config key but schema_version, whose checks come first
 FUZZ_KEYS = ["dist", "n_agents", "horizon", "schedule", "agent_kind", "reward_mode",
              "noise_sd", "pref_sd", "replications", "master_seed", "noise_per_option", "out"]
@@ -162,6 +165,15 @@ JSON_VALUES = st.one_of(
                         st.sampled_from(["start", "len"]), _SCALARS, max_size=2), max_size=2)),
                     max_size=2),
 )
+
+
+def object_keys(value):
+    """Every key of every JSON object within ``value``."""
+    if isinstance(value, dict):
+        return [k for key, v in value.items() for k in (key, *object_keys(v))]
+    if isinstance(value, list):
+        return [k for v in value for k in object_keys(v)]
+    return []
 
 
 class TestSimulateCommand:
@@ -231,7 +243,10 @@ class TestSimulateCommand:
          {"schema_version": True}, {"schema_version": 1.0},
          {"replicatoins": 1000, "noise-sd": 0.5}, {"thresholds": [0.5]}, {"reward_mode": 5},
          {"agent_kind": None}, {"n_agents": "5"}, {"dist": 5},
-         {"dist": {"csv": "prior.csv", "sep": ";"}}, {"out": True}],
+         {"dist": {"csv": "prior.csv", "sep": ";"}}, {"out": True},
+         {"schedule": {"one_time": 4, "windows": [{"start": 0, "len": 8}]}},
+         {"schedule": {"windows": [{"start": 0, "len": 3, "lenght": 3}]}},
+         {"schedule": {"windows": [{"start": 0, "len": 3}], "one-time": 4}}],
         ids=["n_agents_not_int", "horizon_list", "replications_inf", "window_without_len",
              "one_time_not_int", "top_level_array",
              "noise_per_option_string", "noise_per_option_int",
@@ -242,7 +257,8 @@ class TestSimulateCommand:
              "schema_version_bool", "schema_version_float",
              "typo_keys", "thresholds_key", "reward_mode_number", "agent_kind_null",
              "n_agents_numeric_string", "dist_number", "dist_object_extra_key",
-             "out_bool"],
+             "out_bool", "schedule_one_time_and_windows", "schedule_window_typo",
+             "schedule_key_typo"],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, fields):
         cfg = sim_config(tmp_path, **(fields or {}))
@@ -251,9 +267,11 @@ class TestSimulateCommand:
         assert run_cli("simulate", str(cfg)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        # the message names every bad key, and an unknown key's closest known one
+        # the message names every bad key, and an unknown key's closest known
+        # one, also within the schedule
         for key in fields or {}:
             assert key in err
+        for key in object_keys(fields):
             if key in SUGGESTED:
                 assert f"unknown field {key!r} (did you mean {SUGGESTED[key]!r}?)" in err
         if fields == {"thresholds": [0.5]}:  # solved, not read; no known key is close

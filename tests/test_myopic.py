@@ -22,9 +22,9 @@ from commgate.schedules import CommSchedule
 
 
 def xy_terms(d, N, i):
-    """``x_i`` and ``y_i`` from the x/y table (neither depends on the horizon)."""
-    xs, ys = myopic._xy_table(d, N, welfare_centralized(d, N, 1), 1, [i])
-    return float(xs[0]), float(ys[0])
+    """``x_i`` and ``y_i`` from the horizon-free term table."""
+    terms = myopic._terms(d, N, i + 1)
+    return float(terms.sx[i] - terms.sx[i - 1]), float(terms.ys[i])
 
 
 def riemann_xy(d, N, i, points=2_000_001):
@@ -58,9 +58,12 @@ class TestSchedules:
         assert s.blocked(0) and s.blocked(10) and not s.blocked(4)
 
     def test_json_roundtrip(self):
-        # the schedule echoed in a simulate CSV header reads back as a config schedule
+        # the schedule echoed in a simulate CSV header, less its horizon,
+        # reads back as a config schedule
         s = CommSchedule(12, ((0, 2), (4, 3)))
-        assert _schedule_from_config(json.loads(s.to_json()), 12) == s
+        echo = json.loads(s.to_json())
+        assert echo.pop("T") == 12
+        assert _schedule_from_config(echo, 12) == s
 
     @pytest.mark.parametrize("T,windows", [(10.5, ((0, 2),)), (10, ((0.9, 2),)), (10, ((0, 2.2),)),
                                            (10.0, ()), (True, ()), (10, ((True, 2),)),
@@ -147,6 +150,15 @@ class TestWelfare:
         direct = base + N * fmu ** (N * start) * ((T - start - length) * y - sum(xs))
         assert rep.total_welfare == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("d_name", ["uniform", "beta", "hotel"])
+    def test_single_window_schedule_is_scan_row(self, d_name, uniform, hotel_dist):
+        # welfare_schedule and the scan share one gain expression, so a
+        # leading window scores the same to the last bit on either path
+        d = {"uniform": uniform, "beta": RewardDistribution.beta(2, 5), "hotel": hotel_dist}[d_name]
+        N, T = 5, 16
+        for L, welfare in scan_single_window(d, N, T):
+            assert welfare_schedule(d, N, CommSchedule(T, ((0, L),))).total_welfare == welfare
+
     def test_hotel_deviation_condition_holds(self, hotel_dist):
         holds, _, _ = deviation_condition(hotel_dist, 20, 50)
         assert holds
@@ -158,6 +170,20 @@ class TestDeviationCondition:
             holds, best_len, rhs = deviation_condition(uniform, 1, T)
             assert not holds
             assert rhs == np.inf
+
+    @pytest.mark.parametrize("d_name,N", [("uniform", 1), ("uniform", 5), ("beta", 5), ("hotel", 20)])
+    def test_matches_loop_reference(self, d_name, N, uniform, hotel_dist):
+        # the array expression against the loop it replaced, on the same terms
+        d = {"uniform": uniform, "beta": RewardDistribution.beta(2, 5), "hotel": hotel_dist}[d_name]
+        T = 30
+        terms = myopic._terms(d, N, T + 1)
+        best_len, best_rhs = 0, np.inf
+        for length in range(1, T):
+            if terms.ys[length + 1] > 0.0:
+                rhs = terms.sx[length] / terms.ys[length + 1] + length
+                if rhs < best_rhs:
+                    best_len, best_rhs = length, rhs
+        assert deviation_condition(d, N, T) == (T > best_rhs, best_len, best_rhs)
 
     def test_equivalent_to_exact_search(self, uniform):
         for T in range(2, 13):

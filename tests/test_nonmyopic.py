@@ -232,14 +232,6 @@ class TestOneTime:
         assert np.all(np.diff(u) < 0) and d.mean() < u[-1] and u[0] < 1.0
         assert np.max(np.abs(u - cold_sweep_prefix(d, N, T, T1))) < 1e-6
 
-    def test_csv_export(self, uniform, tmp_path):
-        seq = solve_one_time(uniform, 3, 6, 2)
-        path = tmp_path / "thresholds.csv"
-        seq.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,u_t,residual"
-        assert len(lines) == 7
-
 
 class TestIntegrateCalls:
     """Each residual evaluation, bisection step and welfare term is one batch."""

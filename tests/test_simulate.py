@@ -353,7 +353,7 @@ class TestStep:
         def no_draw(purpose):
             pytest.fail(f"slot drew purpose {purpose}")
 
-        receipt = simulate._advance(state, 1, cfg, False, -1, no_draw)
+        receipt = simulate._advance(state, 1, cfg, False, -1, no_draw, simulate._Scan())
         assert np.allclose(receipt, clipped_normal_mean(0.0, sd), rtol=0, atol=1e-12)
         assert np.array_equal(state.exploit, receipt)
         assert not state.m.any() and not state.explored.any()

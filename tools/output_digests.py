@@ -2,7 +2,7 @@
 """Print one sha256 per output file of a fixed matrix of CLI commands.
 
 Runs ``fit``, ten ``optimize`` commands (all three modes), a three-mode
-``sweep`` and 49 ``simulate`` configs in-process from the checkout's ``src/``
+``sweep`` and 50 ``simulate`` configs in-process from the checkout's ``src/``
 into a temporary directory, with relative paths so that no output names the
 directory.  Each command's stdout and exit code are kept as a file too; a
 command that raises is kept as ``raised <ExceptionType>`` and the matrix goes
@@ -89,6 +89,11 @@ def commands():
     yield "simulate_typo_keys", simulate("simulate_typo_keys", "uniform", 5, 300, "centralized",
                                          "myopic", "deterministic", False,
                                          replicatoins=1000, **{"noise-sd": 0.5})
+    # a schedule object's keys are checked too: a misspelt window key is refused
+    yield "simulate_schedule_window_typo", simulate(
+        "simulate_schedule_window_typo", "uniform", 5, 300,
+        {"one_time": 4, "windows": [{"start": 0, "len": 8, "lenght": 3}]}, "myopic",
+        "deterministic", False)
     yield "simulate_reward_mode_number", simulate("simulate_reward_mode_number", "uniform", 5,
                                                   300, "centralized", "myopic", 5, False)
     # one replication: every standard error is undefined
