@@ -9,11 +9,11 @@ forward-looking agents only at the last open slot before the horizon).
 
 Options form an unbounded stream of i.i.d. draws from the prior, so option
 identities never collide.  Replications are vectorized in chunks, and every
-dense draw comes from a Philox stream keyed by ``(master_seed,
-purpose, slot)``: one purpose holds the option quantiles and one the
-observation noise or preference offsets, each laid out replication-major, so
+dense draw comes from a PCG64 stream keyed by ``(master_seed, purpose,
+slot)``: one purpose holds the option quantiles and one the observation
+noise or preference offsets, each laid out replication-major, so
 replication ``r`` reads draws ``r*N .. r*N+N-1`` of the slot's stream and a
-chunk skips straight to its first row.  Replication ``r``'s receipts
+chunk jumps straight to its first row.  Replication ``r``'s receipts
 therefore depend neither on the replication count nor on the chunk size, in
 deterministic and in stochastic mode (per-look or per-option noise): the
 first ``R`` replications of a longer run are exactly a run of ``R``.
@@ -74,7 +74,7 @@ _CHUNK = 4096  # most replications per chunk
 _CHUNK_BYTES = 32 << 20  # working set of one chunk's slot step
 # peak bytes a slot step holds per (replication, agent); traced run peak at
 # N = 50 on the fitted hotel prior, one 4096-row chunk, at slot 0 where every
-# agent explores: 81 B deterministic, 97 B per-look, 89 B per-option noise
+# agent explores: 81 B deterministic, 95 B per-look, 81 B per-option noise
 # and 90 B heterogeneous
 _AGENT_BYTES = 104
 _OPTION, _AUX, _SHARE = range(3)  # purposes of the keyed draw streams
@@ -294,7 +294,8 @@ def _explore(state: SimState, t: int, config: SimConfig, draw, scan: _Scan) -> n
     with noise or their preference offset; an exploit receives ``m``, or
     under per-look noise the conditional mean of a noisy look at
     ``best_base`` (``state.exploit``), which is evaluated only for the agents
-    that take a new option.
+    that take a new option, and once for every other agent at the first
+    per-look slot.
     """
     N = state.m.shape[1]
     mode = config.reward_mode
@@ -306,16 +307,14 @@ def _explore(state: SimState, t: int, config: SimConfig, draw, scan: _Scan) -> n
         explore = np.flatnonzero(m < threshold)
     else:
         explore = scan.explorers[m[scan.explorers] < threshold]
-    if per_look and state.exploit is None:
-        held = state.best_base.copy()
-        state.exploit = _look_mean(held, config.noise_sd, np.empty_like(held), np.empty_like(held))
-    held = state.exploit if per_look else state.m
     scan.explorers = explore if explore.size < m.size else None
     scan.threshold = threshold
     scan.repeat = scan.settled and not explore.size
     scan.settled = not explore.size
     if not explore.size:
-        return held
+        if per_look and state.exploit is None:
+            _fill_exploit(state, np.arange(m.size), config.noise_sd)
+        return state.exploit if per_look else state.m
 
     def explorers(purpose):
         return draw(purpose).reshape(-1)[explore]
@@ -328,8 +327,6 @@ def _explore(state: SimState, t: int, config: SimConfig, draw, scan: _Scan) -> n
         # or the agent's own fixed preference offset
         sd = config.noise_sd if mode == "stochastic" else config.pref_sd
         obs = np.clip(base + sd * special.ndtri(explorers(_AUX)), 0.0, 1.0)
-    receipt = held.copy()
-    receipt.reshape(-1)[explore] = obs
 
     gain = obs > m[explore]
     won = explore[gain]
@@ -340,11 +337,27 @@ def _explore(state: SimState, t: int, config: SimConfig, draw, scan: _Scan) -> n
     state.explored.reshape(-1)[explore] += 1
     if won.size:
         scan.won = True
+    if per_look and state.exploit is None:
+        # winners' means are evaluated below, from their new base
+        keep = np.ones(m.size, dtype=bool)
+        keep[won] = False
+        _fill_exploit(state, np.flatnonzero(keep), config.noise_sd)
+    # an explorer receives its look; anyone else's held value did not change
+    receipt = (state.exploit if per_look else state.m).copy()
+    receipt.reshape(-1)[explore] = obs
     if per_look:
         # base and obs are spent; their heads are the scratch buffers
         n = won.size
         state.exploit.reshape(-1)[won] = _look_mean(won_base, config.noise_sd, base[:n], obs[:n])
     return receipt
+
+
+def _fill_exploit(state: SimState, agents: np.ndarray, sd: float) -> None:
+    """Allocate ``state.exploit`` and fill it at the flat index ``agents``
+    with the conditional mean of a look at their ``best_base``."""
+    state.exploit = np.empty_like(state.m)
+    b = state.best_base.reshape(-1)[agents]
+    state.exploit.reshape(-1)[agents] = _look_mean(b, sd, np.empty_like(b), np.empty_like(b))
 
 
 def _look_mean(b: np.ndarray, sd: float, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -465,25 +478,32 @@ def step(state: SimState, t: int, config: SimConfig) -> SimState:
 
 
 def _chunk_rows(n_agents: int) -> int:
-    """Replications per chunk: at most ``_CHUNK`` and the byte budget, a multiple of 4."""
-    return max(4, min(_CHUNK, _CHUNK_BYTES // (n_agents * _AGENT_BYTES)) // 4 * 4)
+    """Replications per chunk: at most ``_CHUNK`` and what fits ``_CHUNK_BYTES``.
+
+    ``SimConfig`` refuses an ``n_agents`` whose 4-replication chunk would
+    not fit, so a chunk holds at least 4 replications at the default sizes.
+    """
+    return min(_CHUNK, _CHUNK_BYTES // (n_agents * _AGENT_BYTES))
 
 
 def _keyed(seed: int, skip: int, *key: int) -> np.random.Generator:
-    """Generator on the Philox stream keyed by ``(seed, *key)``, ``skip`` blocks in.
+    """Generator on the PCG64 stream keyed by ``(seed, *key)``, ``skip`` draws in.
 
-    A Philox block is four 64-bit words, one ``random()`` double each.  The
-    key is the seed sequence's spawn key, appended after the seed's entropy
-    is padded to the pool size, so distinct (seed, key) pairs never mix the
-    same entropy, whatever the size of the seed.
+    ``advance`` jumps over ``skip`` 64-bit outputs in O(log skip) steps, and
+    each ``random()`` double takes one output.  The key is the seed
+    sequence's spawn key, appended after the seed's entropy is padded to the
+    pool size, so distinct (seed, key) pairs never mix the same entropy,
+    whatever the size of the seed.
     """
-    bits = np.random.Philox(np.random.SeedSequence(seed, spawn_key=key))
+    bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
     bits.advance(skip)
     return np.random.Generator(bits)
 
 
 def _keyed_draw(seed: int, skip: int, shape: tuple[int, int], t: int, chunk: int, purpose: int):
-    """A chunk's slot-``t`` quantiles of ``purpose``, or its share-appraisal generator."""
+    """A chunk's slot-``t`` quantiles of ``purpose``, ``skip`` draws into the
+    slot's stream, or its share-appraisal generator (keyed per chunk, not
+    skipped)."""
     if purpose == _SHARE:
         return _keyed(seed, 0, _SHARE, t, chunk)
     return _keyed(seed, skip, purpose, t).random(shape)
@@ -492,14 +512,14 @@ def _keyed_draw(seed: int, skip: int, shape: tuple[int, int], t: int, chunk: int
 def run(config: SimConfig) -> SimResult:
     """Execute all replications and aggregate welfare and exploration counts.
 
-    Replications run in chunks of ``_chunk_rows(N)`` (a multiple of 4, at
-    most 4096, fewer where ``N`` rows of ``_AGENT_BYTES`` would pass
-    ``_CHUNK_BYTES``), so memory is O(rows * N) whatever the horizon.  At
-    slot ``t`` a chunk starting at replication ``r0`` draws its (rows, N)
-    option quantiles from the stream keyed ``(master_seed, option, t)`` and,
-    outside deterministic mode, its noise or preference quantiles from
-    ``(master_seed, aux, t)``, both advanced ``r0 * N / 4`` blocks to the
-    chunk's first row.  A stream is opened only when the slot needs it (see
+    Replications run in chunks of ``_chunk_rows(N)`` (at most 4096, fewer
+    where ``N`` rows of ``_AGENT_BYTES`` would pass ``_CHUNK_BYTES``), so
+    memory is O(rows * N) whatever the horizon.  At slot ``t`` a chunk
+    starting at replication ``r0`` draws its (rows, N) option quantiles from
+    the PCG64 stream keyed ``(master_seed, option, t)`` and, outside
+    deterministic mode, its noise or preference quantiles from
+    ``(master_seed, aux, t)``, both advanced ``r0 * N`` draws to the chunk's
+    first row.  A stream is opened only when the slot needs it (see
     ``_advance``): a slot in which no agent of the chunk explores draws
     nothing, makes no copy and costs O(rows), and while the threshold does
     not rise a slot tests only the previous slot's explorers (see
@@ -524,7 +544,7 @@ def run(config: SimConfig) -> SimResult:
     explored_all = []
     for c, r0 in enumerate(range(0, R, rows)):
         rc = min(rows, R - r0)
-        skip = r0 * N // 4
+        skip = r0 * N
         state = SimState.initial(rc, N)
         scan = _Scan()
         rep_total = np.zeros(rc)

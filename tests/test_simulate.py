@@ -30,24 +30,23 @@ def myopic_config(uniform, **kw):
 # option): total welfare as float.hex and the first 16 hex digits of the
 # sha256 of the per-slot means.  Work on the simulator's hot loop must keep
 # them bit-identical; only an announced change of the random stream or of an
-# estimator may re-record them.  The per-look entries (stochastic, False)
-# were re-recorded when exploit looks began to enter at their conditional
-# mean.
+# estimator may re-record them.  All were re-recorded when the keyed streams
+# moved from Philox to PCG64.
 PINNED_RUNS = {
-    ("myopic", "deterministic", False): ("0x1.39b0a82865c37p+5", "c947634811d47f4d"),
-    ("myopic", "stochastic", False): ("0x1.32317c3e1d0dap+5", "d53a1b98652cc416"),
-    ("myopic", "stochastic", True): ("0x1.42c71e58f9712p+5", "b0482b7627524844"),
-    ("myopic", "heterogeneous", False): ("0x1.512dbd5556ccap+5", "0a5f35912d0b5bf5"),
-    ("nonmyopic", "deterministic", False): ("0x1.4302340d2b1bdp+5", "b1d3670282d3dd8e"),
-    ("nonmyopic", "stochastic", False): ("0x1.361049e5af7e1p+5", "11ac5bbd1a76698a"),
-    ("nonmyopic", "stochastic", True): ("0x1.4911621bf5bf5p+5", "f9f80d3bca1927bc"),
-    ("nonmyopic", "heterogeneous", False): ("0x1.51494dbe5ac00p+5", "57632acf0296c9da"),
+    ("myopic", "deterministic", False): ("0x1.39e0a17dca6fep+5", "f47dd301072a00c5"),
+    ("myopic", "stochastic", False): ("0x1.32fbe209d0449p+5", "a1741aa50e06b3b3"),
+    ("myopic", "stochastic", True): ("0x1.44b9c375e9957p+5", "3734d2ffeeb7baff"),
+    ("myopic", "heterogeneous", False): ("0x1.519b8319965c3p+5", "ac61c16894ded26d"),
+    ("nonmyopic", "deterministic", False): ("0x1.40f6920e4ad93p+5", "a3b55c94a0ac58f3"),
+    ("nonmyopic", "stochastic", False): ("0x1.3505dc5eef5c3p+5", "40242ada271dc17f"),
+    ("nonmyopic", "stochastic", True): ("0x1.4847a26b2956ap+5", "233206a8ff2fad4a"),
+    ("nonmyopic", "heterogeneous", False): ("0x1.50890081df98ap+5", "31a204c20ba39651"),
 }
 
-# exploration_slots_mean of the per-look pinned runs as float.hex, recorded
-# while every exploit was still a drawn noisy look: explorers' looks and so
-# every state are unchanged by the conditional-mean receipts
-PINNED_PER_LOOK_EXPLORATION = {"myopic": "0x1.1740da740da74p+0", "nonmyopic": "0x1.fc00000000000p+1"}
+# exploration_slots_mean of the per-look pinned runs as float.hex: explorers'
+# looks, and so every state, do not depend on whether an exploit is a drawn
+# noisy look or enters at its conditional mean
+PINNED_PER_LOOK_EXPLORATION = {"myopic": "0x1.16147ae147ae1p+0", "nonmyopic": "0x1.0155555555555p+2"}
 
 
 def pinned_config(kind, mode, per_option):
@@ -77,12 +76,12 @@ RISING = [0.706, 0.6793, 0.6409, 0.5764, 0.8, 0.7948, 0.7891, 0.7829, 0.776, 0.7
 # replications, each with its own scan.  Keyed (config, mode, per_option,
 # _CHUNK), None for the default chunk.
 PINNED_SCAN_RUNS = {
-    ("idle", "deterministic", False, None): ("0x1.77f819ed671d9p+7", "de6215a8056b677f"),
-    ("idle", "stochastic", False, None): ("0x1.6ec4533b9c7fdp+7", "f6285ab25649ae0c"),
-    ("idle", "heterogeneous", False, None): ("0x1.971ef87fde79fp+7", "5c9f26740eb43d90"),
-    ("rising", "deterministic", False, None): ("0x1.6decef6012d14p+6", "e48bdbe33a198e90"),
-    ("rising", "stochastic", False, None): ("0x1.5d8b13066f8fep+6", "e5b63079328d5ca4"),
-    ("rising", "heterogeneous", False, 8): ("0x1.789bf590580e3p+6", "8a0738d639e608a4"),
+    ("idle", "deterministic", False, None): ("0x1.78c563d0cac3ep+7", "833681a074937d43"),
+    ("idle", "stochastic", False, None): ("0x1.6f9c65cd44ca6p+7", "35da95a6bd778170"),
+    ("idle", "heterogeneous", False, None): ("0x1.97c1a3a8da570p+7", "b3438cf676fbfa26"),
+    ("rising", "deterministic", False, None): ("0x1.6cd3822efcd5bp+6", "4ace9fcc59ca356b"),
+    ("rising", "stochastic", False, None): ("0x1.5be0d106d31b3p+6", "d3ff5031560dcc9b"),
+    ("rising", "heterogeneous", False, 8): ("0x1.78a074e0bb40bp+6", "1fd182cd773491b4"),
 }
 
 REWARD_MODES = pytest.mark.parametrize(
@@ -142,14 +141,16 @@ def receipts(config):
 
 def assert_chunk_independent(config):
     # replication r's whole receipt row is the same at R and 2R, and with
-    # chunks capped by _CHUNK or by the byte budget (R = 10: partial chunks)
+    # chunks capped by _CHUNK or by the byte budget (R = 10: partial chunks),
+    # also at chunk sizes that are not a multiple of 4
     R, N = config.replications, config.n_agents
     full = receipts(replace(config, replications=2 * R))
     assert np.array_equal(receipts(config), full[:R])
-    for name, value in (("_CHUNK", 8), ("_CHUNK_BYTES", 12 * N * simulate._AGENT_BYTES)):
+    for name, value, rows in (("_CHUNK", 8, 8), ("_CHUNK", 7, 7),
+                              ("_CHUNK_BYTES", 9 * N * simulate._AGENT_BYTES, 9)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, name, value)
-            assert simulate._chunk_rows(N) in (8, 12)
+            assert simulate._chunk_rows(N) == rows
             assert np.array_equal(receipts(config), full[:R]), name
             assert np.array_equal(receipts(replace(config, replications=2 * R)), full), name
 
@@ -161,11 +162,6 @@ def clipped_normal_mean(b, sd):
     tol = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
     mid = integrate.quad(lambda z: (b + sd * z) * pdf(z), max(lo, -40), min(hi, 40), **tol)[0]
     return mid + integrate.quad(pdf, hi, math.inf, **tol)[0]
-
-
-def philox_counter(gen):
-    words = gen.bit_generator.state["state"]["counter"]
-    return sum(int(w) << (64 * i) for i, w in enumerate(words))
 
 
 class TestConfigValidation:
@@ -529,41 +525,54 @@ class TestRun:
             uniform, schedule=CommSchedule(20, ((1, 6),)), reward_mode="stochastic",
             noise_sd=0.3, noise_per_option=per_option, replications=10, master_seed=4))
 
-    def test_keyed_stream_skips_whole_blocks(self):
-        # a chunk starting at replication r0 skips r0 * N / 4 Philox blocks of
-        # four doubles: its draws continue the slot's stream, key (seed, 0, 7)
+    def test_keyed_stream_known_answer(self):
+        # the first doubles of the slot-7 option stream of seed 5, whole and
+        # skipped 13 draws in; any change of generator, keying or double
+        # conversion is an announced change of every simulated output
+        whole = [x.hex() for x in simulate._keyed(5, 0, 0, 7).random(3)]
+        assert whole == ["0x1.c43a84a905bfep-2", "0x1.0eec0092571a7p-1", "0x1.1f1af3f381b1fp-1"]
+        skipped = [x.hex() for x in simulate._keyed(5, 13, 0, 7).random(3)]
+        assert skipped == ["0x1.36c022f4f803ap-1", "0x1.b1d1e24b958d0p-3", "0x1.40f3928cdafefp-1"]
+
+    def test_keyed_stream_skips_draws(self):
+        # a chunk starting at replication r0 skips r0 * N draws, one per
+        # double: its draws continue the slot's stream, key (seed, 0, 7)
         whole = simulate._keyed(5, 0, 0, 7).random(40)
-        assert np.array_equal(simulate._keyed(5, 3, 0, 7).random(28), whole[12:])
+        assert np.array_equal(simulate._keyed(5, 13, 0, 7).random(27), whole[13:])
         assert not np.array_equal(simulate._keyed(5, 0, 1, 7).random(40), whole)
 
     def test_keyed_spans_never_overlap(self, uniform, monkeypatch):
-        # a two-chunk heterogeneous run draws options, preference offsets and
-        # share appraisals; no (Philox key, counter) block is read twice
+        # a heterogeneous run in chunks of 7, 7 and 3 draws options,
+        # preference offsets and share appraisals; each draw reads the span
+        # [skip, skip + rows * N) of its keyed stream, a share generator its
+        # stream from the start, and no two spans of one key overlap
         made = []
-        keyed = simulate._keyed
+        keyed, keyed_draw = simulate._keyed, simulate._keyed_draw
 
-        def recording(seed, skip, *key):
-            gen = keyed(seed, skip, *key)
-            made.append((key, gen, philox_counter(gen)))
-            return gen
+        def recording_keyed(seed, skip, *key):
+            made.append([key, skip])
+            return keyed(seed, skip, *key)
 
-        monkeypatch.setattr(simulate, "_keyed", recording)
-        monkeypatch.setattr(simulate, "_CHUNK", 8)
+        def recording_draw(seed, skip, shape, t, chunk, purpose):
+            out = keyed_draw(seed, skip, shape, t, chunk, purpose)  # opens one stream via _keyed
+            made[-1].append(math.inf if purpose == simulate._SHARE else out.size)
+            return out
+
+        monkeypatch.setattr(simulate, "_keyed", recording_keyed)
+        monkeypatch.setattr(simulate, "_keyed_draw", recording_draw)
+        monkeypatch.setattr(simulate, "_CHUNK", 7)
         run(myopic_config(uniform, reward_mode="heterogeneous", pref_sd=0.2,
-                          replications=14, master_seed=6))
+                          replications=17, master_seed=6))
         spans = {}
-        for key, gen, start in made:
-            end = philox_counter(gen)
-            if end > start:
-                philox_key = tuple(int(w) for w in gen.bit_generator.state["state"]["key"])
-                spans.setdefault(philox_key, []).append((start, end, key))
-        purposes = {(key[0], len(key)) for span in spans.values() for _, _, key in span}
-        assert purposes == {(0, 2), (1, 2), (2, 3)}  # option, aux, share (slot, chunk)
-        assert {key[2] for span in spans.values() for _, _, key in span if key[0] == 2} == {0, 1}
-        for span in spans.values():
+        for key, skip, size in made:
+            spans.setdefault(key, []).append((skip, skip + size))
+        assert {(key[0], len(key)) for key in spans} == {(0, 2), (1, 2), (2, 3)}  # option, aux, share
+        assert {key[2] for key in spans if key[0] == simulate._SHARE} == {0, 1, 2}
+        assert max(len(span) for span in spans.values()) == 3  # a slot drawn by every chunk
+        for key, span in spans.items():
             span.sort()
-            for (_, end, a), (start, _, b) in zip(span, span[1:]):
-                assert end <= start, (a, b)
+            for (_, end), (start, _) in zip(span, span[1:]):
+                assert end <= start, key
 
     def test_memory_does_not_grow_with_horizon(self, uniform):
         # only one slot's (rows, N) draws are live; a whole-horizon (R, T+1, N)
@@ -721,7 +730,7 @@ class TestRun:
         T = 8
         cfg = myopic_config(uniform, n_agents=2, horizon=T, schedule=CommSchedule(T, ((0, 5),)),
                             reward_mode=mode, noise_per_option=per_option, pref_sd=0.2,
-                            master_seed=43)
+                            master_seed=16)
         reward = run(cfg).per_slot_mean_reward
         state = SimState.initial(1, 2)
         for t in range(T + 1):
