@@ -24,7 +24,7 @@ from pathlib import Path
 from . import dataset, myopic, nonmyopic, svg
 from .distributions import RewardDistribution
 from .errors import CommgateError, ConfigError, DistributionError, QuadratureError, SolverError
-from .schedules import CommSchedule
+from .schedules import CommSchedule, check_horizon
 from .simulate import SimConfig, _reveal_slot, run
 
 CONFIG_SCHEMA_VERSION = 1
@@ -235,6 +235,7 @@ def cmd_sweep(args) -> int:
     N = args.n_agents
     if args.t_step < 1:
         raise ConfigError(f"--t-step must be >= 1, got {args.t_step}")
+    check_horizon(args.t_stop)
     horizons = list(range(args.t_start, args.t_stop + 1, args.t_step))
     if not horizons:
         raise ConfigError(f"empty horizon range: --t-start {args.t_start} > --t-stop {args.t_stop}")

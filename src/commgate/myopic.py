@@ -27,7 +27,7 @@ import numpy as np
 
 from .distributions import RewardDistribution, integrate
 from .errors import DistributionError
-from .schedules import CommSchedule
+from .schedules import CommSchedule, check_horizon
 
 __all__ = [
     "MyopicWelfareReport",
@@ -176,6 +176,7 @@ def _single_window_table(d, N, T) -> _WindowTable:
     all read off one term table as array expressions over the lengths L."""
     if T < 2:
         raise DistributionError(f"horizon must be >= 2, got {T}")
+    check_horizon(T)
     terms = _terms(d, N, T + 1)
     base = terms.centralized(T)
     lengths = np.arange(1, T)
@@ -249,6 +250,7 @@ def optimize_exact(d: RewardDistribution, N: int, T: int) -> tuple[CommSchedule,
 def _exact_search(d, N, T):
     """``optimize_exact``'s dynamic program; also returns the always-open
     report it measures gains against, as ``(report, schedule, welfare)``."""
+    check_horizon(T)
     terms = _terms(d, N, T + 1)
     base = terms.centralized(T)
     # best[s]: the largest prefix total whose next window may start at s, and

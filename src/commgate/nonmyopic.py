@@ -8,18 +8,20 @@ on her own and follows the solo optimal-stopping thresholds.  The pre-sharing
 thresholds solve a coupled nonlinear system (the belief over other agents'
 progress depends on the thresholds themselves); we solve it from the solo
 sequence with a full diagonal-Newton step, else one exact G-frozen sweep.
+With the belief frozen, each coordinate's coupling is a suffix of one
+cumulative integral over the sorted prefix and post-sharing thresholds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import QuadratureSpec, RewardDistribution, integrate
 from .errors import DistributionError, SolverError
+from .schedules import check_horizon
 
 __all__ = [
     "ThresholdSequence",
@@ -142,6 +144,7 @@ def solve_single_agent(d: RewardDistribution, T: int) -> ThresholdSequence:
     """
     if T < 1:
         raise DistributionError(f"horizon must be >= 1, got {T}")
+    check_horizon(T)
     mu = d.mean()
     w = T - np.arange(1, T)  # slots t = 1 .. T-1 have T-t slots left
 
@@ -154,12 +157,6 @@ def solve_single_agent(d: RewardDistribution, T: int) -> ThresholdSequence:
     return ThresholdSequence(T, T, values, residuals, {"solver": "bisection"})
 
 
-class _Frozen(NamedTuple):
-    G: BeliefCdf
-    spec: QuadratureSpec  # _SPEC with G's kinks as breakpoints
-    w: np.ndarray | None  # segment table indexed by band k; None until integrated
-
-
 def _count_at_or_above(asc, r):
     """Number of entries of the ascending array ``asc`` that are >= each ``r``."""
     return asc.size - np.searchsorted(asc, r, side="left")
@@ -168,21 +165,20 @@ def _count_at_or_above(asc, r):
 class _OneTimeSystem:
     """Residuals and diagonal Jacobian of the pre-sharing threshold system.
 
-    Coordinate ``i`` (slot ``t = i+1``) in band ``k`` has the residual
-    ``u - mu - (T1-t) tail(u) - coupling(u, k)``.  The coupling is
-    ``w[k] + (T-T1-k) band(k, u, upper[k])`` with ``upper = [1, *post]`` and
-    ``band(k, lo, hi) = integral_lo^hi G^(N-1) F^k (1-F)``; the segment table
-    ``w[k]`` is the coupling at the top of band ``k``.
-
-    Every such integral lies inside its band, so the exponent is a function
-    of ``r``: ``k(r)`` is the number of post-sharing thresholds at or above
-    ``r``.  That is the band index ``cases`` gives a coordinate, except on a
-    band's lower edge ``post[k]``, where the count is ``k + 1``.  The edge is
-    the lower end of its integration pair, and ``integrate`` evaluates no
-    pair at its ends (it nudges those nodes inward, at least to the next
-    float), so no node reads the exponent there.  So one integrand serves
-    the segment table and every coordinate, and a whole residual evaluation
-    is one ``integrate`` call.
+    Coordinate ``i`` (slot ``t = i+1``) has the residual
+    ``u - mu - (T1-t) tail(u) - D(u)``.  The coupling ``D(x)`` integrates
+    ``(T-T1-k) G^(N-1) F^k (1-F)`` over ``[x, 1]``, ``k(r)`` being the number
+    of post-sharing thresholds at or above ``r``; for ``u`` in band ``k`` it
+    is ``w[k] + (T-T1-k) (C(u) - C(upper[k]))``, with ``upper = [1, *post]``,
+    ``C`` the unweighted integral and the segment table ``w[k] = D(upper[k])``.
+    With ``G`` frozen, one ``integrate`` call takes the consecutive pairs of
+    the sorted distinct points of the coordinates, ``post`` and 1, each to
+    ``_SPEC.abs_tol``, and suffix sums of the weighted pair integrals give
+    ``D`` at every point in O(pieces + T).  No pair straddles a post
+    threshold, so each has one weight.  A band's lower edge ``post[k]``,
+    where the count is ``k + 1``, is a pair's lower end, and ``integrate``
+    evaluates no pair at its ends (it nudges those nodes inward, at least to
+    the next float).
     """
 
     def __init__(self, d, N, T, T1, post):
@@ -195,51 +191,39 @@ class _OneTimeSystem:
         self.upper = np.concatenate([[1.0], self.post])
         self.mu = d.mean()
 
-    def freeze(self, u):
-        """Belief law of the prefix ``u`` and ``_SPEC`` with its kinks, no table yet."""
-        G = BeliefCdf(self.d, u)
-        return _Frozen(G, replace(_SPEC, breakpoints=tuple(G.thresholds)), None)
-
-    def coupling(self, frozen, v):
-        """Coupling at every value of ``v``, and ``frozen`` with its segment table.
-
-        One ``integrate`` call: the pairs ``[v, upper[cases(v)]]``, after the
-        band pairs ``[post[k], upper[k]]`` when the table is not built yet.
-        """
-        d, G, N, post = self.d, frozen.G, self.N, self.post
-        ks = self.cases(v)
-        nb = post.size - 1 if frozen.w is None else 0
-        lo = np.concatenate([post[:nb], v])
-        hi = np.concatenate([self.upper[:nb], self.upper[ks]])
+    def coupling(self, G, v):
+        """Coupling ``D`` under the belief ``G`` at every value of ``v`` in [mu, 1],
+        from one ``integrate`` call with ``G``'s kinks as breakpoints."""
+        d, N = self.d, self.N
+        z = np.unique(np.concatenate([v, self.upper]))
 
         def band(r):
             f = d.cdf(r)
             return G._given(r, f) ** (N - 1) * f ** _count_at_or_above(self.post_asc, r) * (1.0 - f)
 
-        terms = (self.T - self.T1 - np.concatenate([np.arange(nb), ks])) * integrate(
-            d, band, lo, hi, frozen.spec
-        )
-        if frozen.w is None:
-            frozen = frozen._replace(w=np.concatenate([[0.0], np.cumsum(terms[:nb])]))
-        return frozen.w[ks] + terms[nb:], frozen
+        # the pair [z_j, z_(j+1)] lies in the band of the thresholds at or above z_(j+1)
+        weight = self.T - self.T1 - _count_at_or_above(self.post_asc, z[1:])
+        spec = replace(_SPEC, breakpoints=tuple(G.thresholds))
+        pieces = weight * integrate(d, band, z[:-1], z[1:], spec)
+        suffix = np.concatenate([np.cumsum(pieces[::-1])[::-1], [0.0]])
+        return suffix[np.searchsorted(z, v)]
 
     def cases(self, u):
         """Half-open band index per coordinate: 0 above the first post threshold,
         else k with post_(k) > u >= post_(k+1)."""
-        leq = np.searchsorted(self.post_asc, u, side="right")
-        return (self.post.size - leq).astype(int)
+        return self.post.size - np.searchsorted(self.post_asc, u, side="right")
 
-    def residual(self, frozen, i, v):
-        """g at values ``v`` of the coordinates ``i``, and ``frozen`` with its table."""
-        coupling, frozen = self.coupling(frozen, v)
-        return v - self.mu - (self.T1 - i - 1) * self.d.tail_mean_excess(v) - coupling, frozen
+    def residual(self, G, i, v):
+        """g at values ``v`` of the coordinates ``i`` under the belief ``G``."""
+        return v - self.mu - (self.T1 - i - 1) * self.d.tail_mean_excess(v) - self.coupling(G, v)
 
     def residuals(self, u):
         d, N, T, T1 = self.d, self.N, self.T, self.T1
-        g, frozen = self.residual(self.freeze(u), np.arange(T1), u)
+        G = BeliefCdf(d, u)
+        g = self.residual(G, np.arange(T1), u)
         ks = self.cases(u)
         fu = d.cdf(u)
-        slope = (T - T1 - ks) * frozen.G._given(u, fu) ** (N - 1) * fu**ks
+        slope = (T - T1 - ks) * G._given(u, fu) ** (N - 1) * fu**ks
         jac = 1.0 + (1.0 - fu) * ((T1 - np.arange(T1) - 1) + slope)
         return g, jac
 
@@ -310,16 +294,17 @@ def solve_one_time(
 def _bisection_sweep(system, u, mu):
     """Solve every coordinate exactly by bisection with G frozen at ``u``.
 
-    A probe at ``mu`` builds the segment table and pins to ``mu`` every
-    coordinate whose residual is already nonnegative there; ``_bisect``
-    solves the rest together, one ``integrate`` call per halving.
+    A probe at ``mu`` pins to ``mu`` every coordinate whose residual is
+    already nonnegative there; ``_bisect`` solves the rest together, one
+    ``integrate`` call per halving.
     """
     i = np.arange(u.size)
-    g_lo, frozen = system.residual(system.freeze(u), i, np.full(u.size, mu))
+    G = BeliefCdf(system.d, u)
+    g_lo = system.residual(G, i, np.full(u.size, mu))
     out = np.where(g_lo >= 0.0, mu, u)
     i = i[g_lo < 0.0]
     if i.size:
-        out[i] = _bisect(lambda v: system.residual(frozen, i, v)[0], mu, i.size)
+        out[i] = _bisect(lambda v: system.residual(G, i, v), mu, i.size)
     return _enforce_decreasing(out, mu)
 
 
@@ -353,8 +338,8 @@ def welfare_one_time(
     if seq.horizon_T != T or not 1 <= T1 <= T - 1:
         raise DistributionError("sequence does not match (T, T1)")
     system = _OneTimeSystem(d, N, T, T1, seq.values[T1:])
-    frozen = system.freeze(seq.prefix)
-    G, post, mu = frozen.G, system.post, system.mu
+    G, post, mu = BeliefCdf(d, seq.prefix), system.post, system.mu
+    spec = replace(_SPEC, breakpoints=tuple(G.thresholds))  # G's kinks
     u = np.concatenate([[1.0], seq.values])  # u[t] = u_t with u[0] = 1
     fu = d.cdf(u)
 
@@ -371,7 +356,7 @@ def welfare_one_time(
         - lo_u * fu[1 : T1 + 1] ** p
         - integrate(
             d, lambda r: d.cdf(r) ** (1 + _count_at_or_above(prefix_asc, r)), lo_u, hi_u,
-            frozen.spec,
+            spec,
         )
     )
     tail_mean = 1.0 - hi_u * fu[:T1] - ((1.0 - hi_u) - d.tail_mean_excess(hi_u))
@@ -384,7 +369,7 @@ def welfare_one_time(
         f = d.cdf(r)
         return G._given(r, f) ** N * f ** _count_at_or_above(system.post_asc, r)
 
-    bands = integrate(d, band, post, system.upper[:-1], frozen.spec)
+    bands = integrate(d, band, post, system.upper[:-1], spec)
     pooled = (T - T1) * (1.0 - float(bands[0]))
     resume = float(np.sum((T - T1 - np.arange(1, T - T1)) * bands[1:]))
 

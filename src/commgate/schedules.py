@@ -11,9 +11,17 @@ import json
 from dataclasses import dataclass
 from numbers import Integral
 
-from .errors import ScheduleError
+from .errors import ConfigError, ScheduleError
 
 __all__ = ["CommSchedule"]
+
+MAX_HORIZON = 100_000  # horizon budget: an O(T) array of floats stays under 1 MB
+
+
+def check_horizon(T: int) -> None:
+    """Refuse a horizon past ``MAX_HORIZON``; called before any O(T) allocation."""
+    if T > MAX_HORIZON:
+        raise ConfigError(f"horizon {T} is beyond the horizon budget MAX_HORIZON = {MAX_HORIZON}")
 
 
 @dataclass(frozen=True)
@@ -34,6 +42,7 @@ class CommSchedule:
             raise ScheduleError(f"schedule slots must be integers, got {slots}")
         if self.horizon_T < 1:
             raise ScheduleError(f"horizon must be >= 1, got {self.horizon_T}")
+        check_horizon(self.horizon_T)
         wins = tuple((int(s), int(d)) for s, d in self.windows)
         object.__setattr__(self, "horizon_T", int(self.horizon_T))
         object.__setattr__(self, "windows", wins)

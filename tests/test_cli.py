@@ -50,6 +50,21 @@ class TestFitCommand:
 
 
 class TestOptimizeCommand:
+    @pytest.mark.parametrize("mode", ["nonmyopic", "myopic-approx", "myopic-exact"])
+    def test_huge_horizon_exits_2(self, capsys, mode):
+        code = run_cli("optimize", "--dist", "uniform", "--n-agents", "5",
+                       "--horizon", "10000000000000", "--mode", mode)
+        assert code == 2
+        assert "horizon budget MAX_HORIZON = 100000" in capsys.readouterr().err
+
+    def test_horizon_budget_boundary(self):
+        from commgate.errors import ConfigError
+        from commgate.schedules import MAX_HORIZON
+
+        assert CommSchedule(MAX_HORIZON).horizon_T == MAX_HORIZON
+        with pytest.raises(ConfigError, match="horizon budget"):
+            CommSchedule(MAX_HORIZON + 1)
+
     def test_myopic_approx_condition_fails(self, capsys, tmp_path):
         # a single agent has no sharing benefit: stay centralized
         code = run_cli("optimize", "--dist", "uniform", "--n-agents", "1",
@@ -304,13 +319,24 @@ class TestSimulateCommand:
             return
         assert isinstance(loaded, SimConfig)
 
-    @pytest.mark.xfail(strict=True, raises=MemoryError,
-                       reason="no horizon budget: the single-agent solve allocates O(T)")
     def test_huge_nonmyopic_horizon_is_refused(self, tmp_path):
-        # np.arange(1, T) in solve_single_agent asks for 80 PB and fails at once
+        # without a budget np.arange(1, T) in solve_single_agent asks for 80 PB
         cfg = sim_config(tmp_path, horizon=10**16, agent_kind="nonmyopic")
-        with pytest.raises(CommgateError):
+        with pytest.raises(CommgateError, match="horizon budget"):
             load_sim_config(cfg)
+
+    @pytest.mark.parametrize("kind", ["myopic", "nonmyopic"])
+    def test_huge_horizon_exits_2(self, tmp_path, capsys, monkeypatch, kind):
+        # the myopic run would list every open slot, 10^16 of them
+        import commgate.cli
+
+        def refuse(*args):
+            raise AssertionError("ran past the horizon budget")
+
+        monkeypatch.setattr(commgate.cli, "run", refuse)
+        cfg = sim_config(tmp_path, horizon=10**16, agent_kind=kind)
+        assert run_cli("simulate", str(cfg)) == 2
+        assert "horizon budget MAX_HORIZON = 100000" in capsys.readouterr().err
 
     def test_agents_beyond_memory_budget_exit_2(self, tmp_path, capsys, monkeypatch):
         # even a 4-replication chunk of 200,000 agents passes the byte budget:
@@ -397,9 +423,9 @@ class TestSweepCommand:
     @pytest.mark.parametrize("flags", [
         ["--t-step", "0"], ["--t-step", "-2"], ["--noise-sd", "-1"], ["--pref-sd", "nan"],
         ["--modes", "deterministic,bogus"], ["--replications", "0"], ["--seed", "-1"],
-        ["--t-start", "9"],
+        ["--t-start", "9"], ["--t-stop", "10000000000000"],
     ], ids=["t_step_zero", "t_step_negative", "noise_negative", "pref_nan", "bad_mode",
-            "no_replications", "seed_negative", "empty_horizon_range"])
+            "no_replications", "seed_negative", "empty_horizon_range", "huge_horizon"])
     def test_bad_input_exits_2_before_any_scan(self, tmp_path, capsys, monkeypatch, flags):
         from commgate import nonmyopic
 

@@ -251,9 +251,13 @@ class TestOptimizers:
         # independent brute force over every valid window layout: any start,
         # any gap of at least one open slot, windows allowed to reach T.  Each
         # set of blocked slots is one layout, its maximal runs the windows.
+        # One term table scores every layout through the window-gain
+        # expression; welfare_schedule scores a fixed subsample itself.
         T = 8
         for d in (uniform, RewardDistribution.beta(2, 5), hotel_dist):
             for N in (2, 5):
+                terms = myopic._terms(d, N, T + 3)  # y_(L+1) up to a window of all T+1 slots
+                base = terms.centralized(T).total_welfare
                 best = -np.inf
                 for mask in range(2 ** (T + 1)):
                     windows = []
@@ -264,7 +268,13 @@ class TestOptimizers:
                             windows[-1][1] += 1
                         else:
                             windows.append([t, 1])
-                    best = max(best, welfare_schedule(d, N, CommSchedule(T, windows)).total_welfare)
+                    gains = 0.0
+                    for s, length in windows:
+                        gains += N * terms.gain(T, s, length)
+                    if mask % 37 == 0:
+                        schedule = CommSchedule(T, windows)
+                        assert base + gains == welfare_schedule(d, N, schedule).total_welfare
+                    best = max(best, base + gains)
                 _, welfare = optimize_exact(d, N, T)
                 assert welfare == pytest.approx(best, rel=1e-12)
 

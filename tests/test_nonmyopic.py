@@ -238,33 +238,52 @@ class TestIntegrateCalls:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        """The ``(lo, hi)`` pair arrays of every ``integrate`` call of nonmyopic."""
         from commgate import nonmyopic
 
         made = []
 
         def counting(*args, **kwargs):
-            made.append(np.size(args[2]))
+            made.append((np.atleast_1d(args[2]), np.atleast_1d(args[3])))
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(nonmyopic, "integrate", counting)
         return made
 
+    @staticmethod
+    def chain(lo, hi, system):
+        """The points of a coupling call: its pairs must join consecutive
+        sorted distinct points that include every post threshold and 1."""
+        z = np.append(lo, hi[-1])
+        assert np.array_equal(hi, z[1:]) and np.all(np.diff(z) > 0)
+        assert np.isin(system.upper, z).all()
+        return z
+
     @pytest.mark.parametrize("T1", [1, 4, 9])
     def test_residuals_make_one_call(self, hotel_dist, calls, T1):
         N, T = 10, 10
         bench = solve_single_agent(hotel_dist, T)
+        u = bench.values[:T1].copy()
         system = _OneTimeSystem(hotel_dist, N, T, T1, bench.values[T1:])
-        system.residuals(bench.values[:T1].copy())
-        # the T-T1-1 band integrals of the segment table plus T1 coordinates
-        assert calls == [T - 1]
+        system.residuals(u)
+        # one pair per gap between the T + 1 distinct points of u, post and 1
+        [(lo, hi)] = calls
+        z = self.chain(lo, hi, system)
+        assert np.array_equal(z, np.unique(np.concatenate([u, system.upper])))
+        assert lo.size == z.size - 1 == T
 
     def test_bisection_makes_one_call_per_step(self, uniform, calls):
         N, T, T1 = 5, 12, 5
         bench = solve_single_agent(uniform, T)
         system = _OneTimeSystem(uniform, N, T, T1, bench.values[T1:])
         _bisection_sweep(system, bench.values[:T1].copy(), 0.5)
-        # the table and the probe at mu, then 60 halvings of all coordinates
-        assert calls == [T - T1 - 1 + T1] + [T1] * 60
+        # the probe at mu, then 60 halvings of all coordinates
+        assert len(calls) == 61
+        # at mu every value is the last post threshold: post and 1 alone
+        assert np.array_equal(self.chain(*calls[0], system), np.sort(system.upper))
+        for lo, hi in calls[1:]:
+            z = self.chain(lo, hi, system)
+            assert z[0] == 0.5 and lo.size == z.size - 1 <= T
 
     @pytest.mark.parametrize("T1", [1, 6, 13])
     def test_welfare_makes_two_calls(self, uniform, calls, T1):
@@ -273,7 +292,61 @@ class TestIntegrateCalls:
         calls.clear()
         welfare_one_time(uniform, N, T, seq)
         # pre-sharing slots, then the pooled reveal with the resumed slots
-        assert calls == [T1, T - T1]
+        assert [lo.size for lo, _ in calls] == [T1, T - T1]
+
+
+def per_pair_coupling(system, G, v):
+    """Coupling at ``v`` and the segment table, integrated pair by pair: the
+    table from one pair per band ``[post[k], upper[k]]``, each value from its
+    own pair ``[v, upper[k]]`` in its band ``k``."""
+    d, N, post = system.d, system.N, system.post
+    ks = system.cases(v)
+    nb = post.size - 1
+    lo = np.concatenate([post[:nb], v])
+    hi = np.concatenate([system.upper[:nb], system.upper[ks]])
+
+    def band(r):
+        f = d.cdf(r)
+        k = post.size - np.searchsorted(system.post_asc, r, side="left")
+        return G._given(r, f) ** (N - 1) * f**k * (1.0 - f)
+
+    spec = QuadratureSpec(breakpoints=tuple(G.thresholds))
+    terms = (system.T - system.T1 - np.concatenate([np.arange(nb), ks])) * integrate(
+        d, band, lo, hi, spec
+    )
+    w = np.concatenate([[0.0], np.cumsum(terms[:nb])])
+    return w[ks] + terms[nb:], w
+
+
+class TestCumulativeCoupling:
+    """The coupling read off one cumulative integral matches the per-pair
+    formula: every value's own pair plus a segment table of band pairs.
+
+    The pairs differ, so the two agree to the quadrature error of the pairs
+    each one cuts, which depends on the prior: largest for beta(2, 5) and
+    smallest for the piecewise-linear hotel prior.
+    """
+
+    TOL = {"uniform": 1e-12, "beta25": 1e-11, "beta0709": 1e-12, "hotel": 1e-15}
+
+    @pytest.mark.parametrize("prior", sorted(TOL))
+    @pytest.mark.parametrize("N, T, T1", [(50, 50, 25), (5, 20, 8), (10, 10, 4)])
+    def test_matches_per_pair_formula(self, prior, N, T, T1, uniform, hotel_dist):
+        d = {"uniform": uniform, "beta25": RewardDistribution.beta(2, 5),
+             "beta0709": RewardDistribution.beta(0.7, 0.9), "hotel": hotel_dist}[prior]
+        bench = solve_single_agent(d, T)
+        u = bench.values[:T1].copy()
+        system = _OneTimeSystem(d, N, T, T1, bench.values[T1:])
+        G = BeliefCdf(d, u)
+        for v in (u, np.full(T1, d.mean()), 0.5 * (u[:-1] + u[1:])):
+            # the band tops are points of every call, so appending them keeps
+            # the pairs, and the coupling there is the segment table
+            both = system.coupling(G, np.concatenate([v, system.upper[:-1]]))
+            coupling, w = both[: v.size], both[v.size :]
+            assert np.array_equal(coupling, system.coupling(G, v))
+            ref_coupling, ref_w = per_pair_coupling(system, G, v)
+            np.testing.assert_allclose(coupling, ref_coupling, rtol=0.0, atol=self.TOL[prior])
+            np.testing.assert_allclose(w, ref_w, rtol=0.0, atol=self.TOL[prior])
 
 
 class TestNarrowBands:
