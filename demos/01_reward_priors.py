@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Reward priors: the three supported families and what they share.
+"""Reward priors: the two kinds (Beta and empirical) and what they share.
 
 Every quantity in this library is a functional of one CDF on [0, 1].  This
-demo builds a prior of each kind, checks the identities the rest of the code
-leans on (mean = tail integral, exact inverse sampling), and fits the
-shipped hotel table into an empirical prior.
+demo builds uniform (an empirical CDF through (0, 0) and (1, 1)) and Beta
+priors, checks the identities the rest of the code leans on (mean = tail
+integral, exact inverse sampling), and fits the shipped hotel table into an
+empirical prior.
 """
 
 from pathlib import Path
@@ -16,7 +17,7 @@ from commgate import RewardDistribution, integrate, load_ratings, fit_reward_cdf
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
 
-print("== analytic kinds ==")
+print("== uniform and Beta ==")
 for d in (RewardDistribution.uniform(), RewardDistribution.beta(2, 5)):
     tail = integrate(d, lambda r: 1 - d.cdf(r), 0.0, 1.0)
     print(f"{d!r}: mean {d.mean():.6f}, tail integral of 1-F {tail:.6f}")

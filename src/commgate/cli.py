@@ -52,8 +52,8 @@ def parse_dist(spec: str) -> RewardDistribution:
 
 def cmd_fit(args) -> int:
     table = dataset.load_ratings(args.dataset)
+    d = dataset.fit_reward_cdf(table, args.bandwidth)  # refuses a table too small or flat
     bandwidth = args.bandwidth if args.bandwidth is not None else dataset.silverman_bandwidth(table.normalized)
-    d = dataset.fit_reward_cdf(table, bandwidth)
     d.to_csv(args.out)
     meta = {
         "schema_version": CONFIG_SCHEMA_VERSION,

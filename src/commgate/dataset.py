@@ -112,14 +112,17 @@ def load_ratings(path) -> RatingsTable:
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:
-    """Silverman's rule of thumb: ``0.9 min(sd, IQR/1.34) n^(-1/5)``."""
+    """Silverman's rule of thumb ``0.9 min(sd, IQR/1.34) n^(-1/5)``; refuses zero spread."""
     values = np.asarray(values, dtype=float)
     n = values.size
     sd = float(values.std(ddof=1)) if n > 1 else 0.0
     q75, q25 = np.percentile(values, [75, 25])
     iqr = float(q75 - q25)
     scale = min(sd, iqr / 1.34) if iqr > 0 else sd
-    return 0.9 * scale * n ** (-0.2)
+    h = 0.9 * scale * n ** (-0.2)
+    if not h > 1e-12:  # zero up to float summation noise
+        raise DatasetError("degenerate ratings (zero spread); pass an explicit bandwidth > 0")
+    return h
 
 
 def fit_reward_cdf(table: RatingsTable, bandwidth: float | None = None) -> RewardDistribution:
@@ -133,15 +136,8 @@ def fit_reward_cdf(table: RatingsTable, bandwidth: float | None = None) -> Rewar
     if len(table) < 2:
         raise DatasetError("need at least 2 hotels to fit")
     x = table.normalized
-    if bandwidth is None:
-        h = silverman_bandwidth(x)
-        if not h > 1e-12:  # zero up to float summation noise
-            raise DatasetError(
-                "degenerate ratings (zero spread); pass an explicit bandwidth > 0"
-            )
-    elif 0 < bandwidth < math.inf:  # NaN fails too
-        h = bandwidth
-    else:
+    h = silverman_bandwidth(x) if bandwidth is None else bandwidth
+    if not 0 < h < math.inf:  # NaN fails too
         raise DatasetError(f"bandwidth must be finite and > 0, got {bandwidth!r}")
     grid = np.linspace(0.0, 1.0, _GRID_POINTS)
     g = grid[:, None]

@@ -2,10 +2,10 @@
 
 Every mechanism calculation in this package reduces to tail integrals of
 functions of a single CDF ``F`` with support exactly [0, 1].  This module
-provides the three supported prior families (uniform, Beta, and empirical
-piecewise-linear CDFs), inverse-CDF sampling, and an adaptive Simpson
-integrator that splits at known kink locations so that piecewise-smooth
-integrands converge quickly.
+provides the two prior kinds (Beta, and empirical piecewise-linear CDFs, of
+which the uniform prior is one), inverse-CDF sampling, and an adaptive
+Simpson integrator that splits at known kink locations so that
+piecewise-smooth integrands converge quickly.
 
 The integrator takes scalar bounds or arrays of bounds.  An array call
 refines the pieces of every ``(lo, hi)`` pair together, one vectorized
@@ -64,11 +64,13 @@ _DEFAULT_SPEC = QuadratureSpec()
 class RewardDistribution:
     """Prior law of a fresh option's reward, supported exactly on [0, 1].
 
-    Instances are immutable; construct through :meth:`uniform`,
-    :meth:`beta`, :meth:`empirical`, or :meth:`from_csv`.  The empirical
-    kind stores a piecewise-linear CDF (linear in CDF space, so the CDF is
-    monotone by construction and inverse sampling is exact).  ``mean_cache``
-    always equals the tail integral of ``1 - F``.
+    Two kinds: ``"beta"`` with ``alpha`` and ``beta_param``, and
+    ``"empirical"``, the CDF linear between the points ``(grid, cdf_values)``
+    (so it is monotone and inverse sampling is exact); :meth:`uniform` is the
+    empirical CDF through (0, 0) and (1, 1).  Every construction path (the
+    classmethods, the plain constructor, ``dataclasses.replace``) runs
+    ``__post_init__``, which validates, keeps read-only copies of the arrays
+    and derives the mean and the `ppf` bucket table.  Instances are immutable.
     """
 
     kind: str
@@ -76,42 +78,25 @@ class RewardDistribution:
     beta_param: float | None = None
     grid: np.ndarray | None = None
     cdf_values: np.ndarray | None = None
-    mean_cache: float = field(default=0.0)
-    # empirical kind: bucket table of `ppf`, built by `empirical()` (see `_segment`)
-    _buckets: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _mean: float = field(init=False, repr=False)
+    # empirical kind: bucket table of `ppf` (see `_segment`)
+    _buckets: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        init=False, repr=False, default=None)
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def uniform(cls) -> "RewardDistribution":
-        return cls(kind="uniform", mean_cache=0.5)
-
-    @classmethod
-    def beta(cls, alpha: float, beta: float) -> "RewardDistribution":
-        if not (0 < alpha < np.inf and 0 < beta < np.inf):  # NaN fails too
-            raise DistributionError(
-                f"Beta parameters must be positive and finite, got alpha={alpha}, beta={beta}"
-            )
-        return cls(
-            kind="beta",
-            alpha=float(alpha),
-            beta_param=float(beta),
-            mean_cache=alpha / (alpha + beta),
-        )
-
-    @classmethod
-    def beta_with_mean(cls, mean: float, concentration: float = 5.0) -> "RewardDistribution":
-        """Beta prior with the given mean and ``alpha + beta = concentration``."""
-        if not 0 < mean < 1:
-            raise DistributionError(f"mean must lie in (0, 1), got {mean}")
-        return cls.beta(mean * concentration, (1.0 - mean) * concentration)
-
-    @classmethod
-    def empirical(
-        cls, grid: Sequence[float], cdf_values: Sequence[float]
-    ) -> "RewardDistribution":
-        g = np.array(grid, dtype=float)
-        c = np.asarray(cdf_values, dtype=float)
+    def __post_init__(self):
+        if self.kind == "beta":
+            a, b = (np.nan if v is None else float(v) for v in (self.alpha, self.beta_param))
+            if not (0 < a < np.inf and 0 < b < np.inf):  # NaN fails too
+                raise DistributionError("Beta parameters must be positive and finite, "
+                                        f"got alpha={self.alpha}, beta={self.beta_param}")
+            object.__setattr__(self, "alpha", a)
+            object.__setattr__(self, "beta_param", b)
+            object.__setattr__(self, "_mean", a / (a + b))
+            return
+        if self.kind != "empirical":
+            raise DistributionError(f"unknown kind {self.kind!r}, expected 'beta' or 'empirical'")
+        g = np.array(self.grid, dtype=float)
+        c = np.asarray(self.cdf_values, dtype=float)
         if g.ndim != 1 or g.shape != c.shape or g.size < 2:
             raise DistributionError("grid and cdf_values must be 1-d, equal length >= 2")
         if not (np.isfinite(g).all() and np.isfinite(c).all()):
@@ -130,10 +115,34 @@ class RewardDistribution:
         # interior_breakpoints() hands out a view of the grid
         g.setflags(write=False)
         c.setflags(write=False)
+        object.__setattr__(self, "grid", g)
+        object.__setattr__(self, "cdf_values", c)
         # trapezoid of 1 - C is exact for a piecewise-linear CDF
-        mean = 1.0 - float(np.trapezoid(c, g))
-        return cls(kind="empirical", grid=g, cdf_values=c, mean_cache=mean,
-                   _buckets=_bucket_table(c))
+        object.__setattr__(self, "_mean", 1.0 - float(np.trapezoid(c, g)))
+        object.__setattr__(self, "_buckets", _bucket_table(c))
+
+    # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def uniform(cls) -> "RewardDistribution":
+        return cls.empirical([0.0, 1.0], [0.0, 1.0])
+
+    @classmethod
+    def beta(cls, alpha: float, beta: float) -> "RewardDistribution":
+        return cls("beta", alpha=alpha, beta_param=beta)
+
+    @classmethod
+    def beta_with_mean(cls, mean: float, concentration: float = 5.0) -> "RewardDistribution":
+        """Beta prior with the given mean and ``alpha + beta = concentration``."""
+        if not 0 < mean < 1:
+            raise DistributionError(f"mean must lie in (0, 1), got {mean}")
+        return cls.beta(mean * concentration, (1.0 - mean) * concentration)
+
+    @classmethod
+    def empirical(
+        cls, grid: Sequence[float], cdf_values: Sequence[float]
+    ) -> "RewardDistribution":
+        return cls("empirical", grid=grid, cdf_values=cdf_values)
 
     # -- evaluation -----------------------------------------------------
 
@@ -142,9 +151,7 @@ class RewardDistribution:
         arr = np.asarray(r, dtype=float)
         if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
             raise DistributionError(f"cdf argument outside [0, 1]: {arr.min()}..{arr.max()}")
-        if self.kind == "uniform":
-            out = arr.copy()
-        elif self.kind == "beta":
+        if self.kind == "beta":
             out = special.betainc(self.alpha, self.beta_param, arr)
         else:
             out = np.interp(arr, self.grid, self.cdf_values)
@@ -153,9 +160,7 @@ class RewardDistribution:
     def ppf(self, q):
         """Generalized inverse CDF; exact for the piecewise-linear empirical kind."""
         arr = np.atleast_1d(np.asarray(q, dtype=float))
-        if self.kind == "uniform":
-            out = arr.copy()
-        elif self.kind == "beta":
+        if self.kind == "beta":
             out = special.betaincinv(self.alpha, self.beta_param, arr)
         else:
             c, g = self.cdf_values, self.grid
@@ -201,7 +206,7 @@ class RewardDistribution:
 
     def mean(self) -> float:
         """Mean reward, i.e. the integral of ``1 - F`` over [0, 1]."""
-        return self.mean_cache
+        return self._mean
 
     def sample(self, rng: np.random.Generator, size=None):
         """Inverse-CDF draw(s) using the caller-owned generator ``rng``."""
@@ -212,11 +217,9 @@ class RewardDistribution:
         arr = np.atleast_1d(np.asarray(u, dtype=float))
         if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
             raise DistributionError("tail_mean_excess argument outside [0, 1]")
-        if self.kind == "uniform":
-            out = 0.5 * (1.0 - arr) ** 2
-        elif self.kind == "beta":
+        if self.kind == "beta":
             a, b = self.alpha, self.beta_param
-            out = self.mean_cache * (1.0 - special.betainc(a + 1.0, b, arr)) - arr * (
+            out = self._mean * (1.0 - special.betainc(a + 1.0, b, arr)) - arr * (
                 1.0 - special.betainc(a, b, arr)
             )
         else:
@@ -235,7 +238,7 @@ class RewardDistribution:
         return suffix[j + 1] + partial
 
     def interior_breakpoints(self) -> np.ndarray:
-        """Kink locations of F inside (0, 1), ascending; empty for smooth kinds."""
+        """Kink locations of F inside (0, 1), ascending; empty for the Beta kind."""
         if self.kind == "empirical":
             return self.grid[1:-1]
         return np.empty(0)
@@ -276,9 +279,9 @@ class RewardDistribution:
     def __repr__(self):
         if self.kind == "beta":
             return f"RewardDistribution.beta({self.alpha:g}, {self.beta_param:g})"
-        if self.kind == "empirical":
-            return f"RewardDistribution.empirical(<{self.grid.size} pts>, mean={self.mean_cache:.4g})"
-        return "RewardDistribution.uniform()"
+        if self.grid.size == 2 and self.cdf_values[0] == 0.0:
+            return "RewardDistribution.uniform()"
+        return f"RewardDistribution.empirical(<{self.grid.size} pts>, mean={self._mean:.4g})"
 
 
 def _bucket_table(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -348,14 +348,13 @@ def welfare_one_time(
 
     # pre-sharing slot t = 0..T1-1 integrates F^(t+1) over [u_(t+1), u_t]: the
     # exponent is one more than the number of prefix thresholds at or above r
-    prefix_asc = seq.prefix[::-1].copy()
     t = np.arange(T1)
     hi_u, lo_u, p = u[:T1], u[1 : T1 + 1], t + 1
     stieltjes = (
         hi_u * fu[:T1] ** p
         - lo_u * fu[1 : T1 + 1] ** p
         - integrate(
-            d, lambda r: d.cdf(r) ** (1 + _count_at_or_above(prefix_asc, r)), lo_u, hi_u,
+            d, lambda r: d.cdf(r) ** (1 + _count_at_or_above(G._asc, r)), lo_u, hi_u,
             spec,
         )
     )

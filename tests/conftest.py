@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from commgate.dataset import fit_reward_cdf, load_ratings
 from commgate.distributions import RewardDistribution
 
-HOTEL_CSV = "data/hotel_ratings.csv"
+HOTEL_CSV = Path(__file__).parent.parent / "data" / "hotel_ratings.csv"
 
 
 @pytest.fixture(scope="session")

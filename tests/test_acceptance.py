@@ -8,6 +8,7 @@ tolerances fixed below.
 import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from commgate.nonmyopic import (
 from commgate.distributions import QuadratureSpec, integrate
 from commgate.schedules import CommSchedule
 from commgate.simulate import SimConfig, run
+
+HOTEL_CSV = Path(__file__).parent.parent / "data" / "hotel_ratings.csv"
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -335,7 +338,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     for d in ("a", "b"):
         base = tmp_path / d
         base.mkdir()
-        cli_main(["fit", "data/hotel_ratings.csv", str(base / "prior.csv")])
+        cli_main(["fit", str(HOTEL_CSV), str(base / "prior.csv")])
         cli_main(["optimize", "--dist", "uniform", "--n-agents", "4", "--horizon", "10",
                   "--mode", "myopic-approx", "--out", str(base / "scan.csv")])
         cfg_path = base / "cfg.json"

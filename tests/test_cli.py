@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from commgate.errors import CommgateError
 from commgate.schedules import CommSchedule
 from commgate.simulate import SimConfig
 
-HOTEL = "data/hotel_ratings.csv"
+HOTEL = str(Path(__file__).parent.parent / "data" / "hotel_ratings.csv")
 
 
 def run_cli(*argv):
@@ -47,6 +48,19 @@ class TestFitCommand:
         assert run_cli("fit", HOTEL, str(out), "--bandwidth", bandwidth) == 2
         assert "bandwidth must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("rating", ["3.7", "3.3"])
+    def test_zero_spread_ratings_exit_2(self, tmp_path, capsys, rating):
+        # 3.7/5 leaves float noise in the spread (sd ~ 1e-16), 3.3/5 none at all
+        ratings = tmp_path / "flat.csv"
+        ratings.write_text("hotel_id,avg_rating,rating_scale_max,n_reviews\n"
+                           + "".join(f"h{i},{rating},5,10\n" for i in range(30)))
+        out = tmp_path / "o.csv"
+        assert run_cli("fit", str(ratings), str(out)) == 2
+        assert "zero spread" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli("fit", str(ratings), str(out), "--bandwidth", "0.05") == 0
+        assert abs(RewardDistribution.from_csv(out).mean() - float(rating) / 5) < 0.01
 
 
 class TestOptimizeCommand:

@@ -134,6 +134,12 @@ class TestFit:
     def test_silverman_positive(self, hotel_table):
         assert silverman_bandwidth(hotel_table.normalized) > 0
 
+    @pytest.mark.parametrize("value", [3.7 / 5, 3.3 / 5])
+    def test_silverman_refuses_zero_spread(self, value):
+        # 3.7/5 repeated has a float-noise sd of ~1e-16, 3.3/5 an exact 0
+        with pytest.raises(DatasetError, match="zero spread"):
+            silverman_bandwidth(np.full(30, value))
+
 
 class TestPrefSd:
     def test_all_zero(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def test_mean_cache_equals_tail_integral(kind):
     d = KINDS[kind]
     spec = QuadratureSpec()
     recomputed = integrate(d, lambda r: 1.0 - d.cdf(r), 0.0, 1.0, spec)
-    assert abs(recomputed - d.mean_cache) <= 10 * spec.abs_tol
+    assert abs(recomputed - d.mean()) <= 10 * spec.abs_tol
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
@@ -363,3 +364,61 @@ def test_bucketed_ppf_outside_unit_interval():
     assert_bucketed_ppf_exact(d, [-0.5, 0.3, 1.5, np.nan, 0.0, 1.0])
     assert_bucketed_ppf_exact(d, np.empty(0))
     assert math.isnan(d.ppf(math.nan))  # as for the uniform and beta kinds
+
+
+# points where the prior functions are compared bit for bit: a fine lattice,
+# both ends, the smallest subnormal and the largest double below 1
+EXACT_POINTS = np.concatenate([np.linspace(0.0, 1.0, 100_001),
+                               [0.0, 1.0, 5e-324, 1e-300, 1.0 - 2.0**-53, 0.5 + 2.0**-53]])
+
+
+def prior_values(d):
+    x = EXACT_POINTS
+    return [d.mean(), d.cdf(x), d.ppf(x), d.tail_mean_excess(x),
+            d.cdf(0.3), d.ppf(0.3), d.tail_mean_excess(0.3)]
+
+
+@pytest.mark.parametrize("prior", ["uniform", "beta", "hotel"])
+def test_every_construction_path_gives_the_same_prior(prior, request, tmp_path):
+    d = request.getfixturevalue("hotel_dist") if prior == "hotel" else KINDS[prior]
+    if d.kind == "beta":
+        fields = {"alpha": d.alpha, "beta_param": d.beta_param}
+        others = [RewardDistribution.beta(2, 5), replace(RewardDistribution.beta(5, 5), alpha=2)]
+    else:
+        fields = {"grid": d.grid.tolist(), "cdf_values": d.cdf_values.tolist()}
+        d.to_csv(tmp_path / "prior.csv")
+        others = [RewardDistribution.empirical(**fields), replace(d),
+                  replace(KINDS["empirical"], **fields),
+                  RewardDistribution.from_csv(tmp_path / "prior.csv")]
+    others.append(RewardDistribution(d.kind, **fields))
+    want = prior_values(d)
+    for other in others:
+        assert repr(other) == repr(d)
+        for a, b in zip(prior_values(other), want):
+            assert np.array_equal(a, b, equal_nan=True)  # beta ppf is NaN at 5e-324
+
+
+def test_unknown_kind_and_bad_plain_parameters_raise():
+    with pytest.raises(DistributionError, match="unknown kind 'uniform'"):
+        RewardDistribution("uniform")
+    with pytest.raises(DistributionError, match="positive and finite"):
+        RewardDistribution("beta", alpha=-1.0, beta_param=2.0)
+    with pytest.raises(DistributionError, match="positive and finite"):
+        RewardDistribution("beta")
+    with pytest.raises(DistributionError, match="1-d"):
+        RewardDistribution("empirical")
+
+
+def test_uniform_matches_closed_forms_exactly():
+    # the uniform prior is the empirical CDF through (0, 0) and (1, 1); its
+    # functions equal the closed forms x, x and (1 - x)^2 / 2 bit for bit
+    u, x = RewardDistribution.uniform(), EXACT_POINTS
+    assert (u.kind, u.grid.tolist(), u.cdf_values.tolist()) == ("empirical", [0, 1], [0, 1])
+    assert np.array_equal(u.cdf(x), x)
+    assert np.array_equal(u.ppf(x), x)
+    assert np.array_equal(u.tail_mean_excess(x), 0.5 * (1.0 - x) ** 2)
+    for v in x[-6:].tolist():
+        assert (u.cdf(v), u.ppf(v), u.tail_mean_excess(v)) == (v, v, 0.5 * (1.0 - v) ** 2)
+    assert u.mean() == 0.5
+    assert np.array_equal(u.ppf([-0.5, 1.5, np.nan]), [0.0, 1.0, np.nan], equal_nan=True)
+    assert repr(u) == "RewardDistribution.uniform()"
