@@ -9,10 +9,11 @@ piecewise-smooth integrands converge quickly.
 
 The integrator takes scalar bounds or arrays of bounds.  An array call
 refines the pieces of every ``(lo, hi)`` pair together, one vectorized
-integrand call per refinement depth, and gives each pair the nodes and the
-estimate it would get alone; callers batch many small integrals into one
-call that way.  Integrands are vectorized: each maps the array of nodes to
-an array of the same shape.
+integrand call per refinement depth, the first with all five Simpson nodes
+of every piece, and gives each pair the nodes and the estimate it would get
+alone; callers batch many small integrals into one call that way.
+Integrands are vectorized: each maps the array of nodes to an array of the
+same shape.
 """
 
 from __future__ import annotations
@@ -79,9 +80,11 @@ class RewardDistribution:
     grid: np.ndarray | None = None
     cdf_values: np.ndarray | None = None
     _mean: float = field(init=False, repr=False)
-    # empirical kind: bucket table of `ppf` (see `_segment`)
+    # empirical kind: bucket table of `ppf` (see `_segment`), and for
+    # `tail_mean_excess` the integrals of 1 - F from each grid point to 1
     _buckets: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         init=False, repr=False, default=None)
+    _tail: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.kind == "beta":
@@ -120,6 +123,8 @@ class RewardDistribution:
         # trapezoid of 1 - C is exact for a piecewise-linear CDF
         object.__setattr__(self, "_mean", 1.0 - float(np.trapezoid(c, g)))
         object.__setattr__(self, "_buckets", _bucket_table(c))
+        seg = 0.5 * ((1.0 - c[:-1]) + (1.0 - c[1:])) * np.diff(g)  # trapezoids of 1 - C
+        object.__setattr__(self, "_tail", np.append(np.cumsum(seg[::-1])[::-1], 0.0))
 
     # -- constructors ---------------------------------------------------
 
@@ -161,7 +166,11 @@ class RewardDistribution:
         """Generalized inverse CDF; exact for the piecewise-linear empirical kind."""
         arr = np.atleast_1d(np.asarray(q, dtype=float))
         if self.kind == "beta":
-            out = special.betaincinv(self.alpha, self.beta_param, arr)
+            a, b = self.alpha, self.beta_param
+            out = special.betaincinv(a, b, arr)
+            # NaN below about q = 1e-200: invert I_x(a, b) ~ x^a / (a B(a, b)) there
+            tiny = np.isnan(out) & (arr > 0.0) & (arr <= 1.0)
+            out[tiny] = np.exp((np.log(arr[tiny]) + np.log(a) + special.betaln(a, b)) / a)
         else:
             c, g = self.cdf_values, self.grid
             j = self._segment(arr)
@@ -223,19 +232,13 @@ class RewardDistribution:
                 1.0 - special.betainc(a, b, arr)
             )
         else:
-            out = self._empirical_tail(arr)
+            # the table to the segment's upper end plus a trapezoid to it
+            g, c = self.grid, self.cdf_values
+            j = np.clip(np.searchsorted(g, arr, side="right"), 1, g.size - 1)
+            partial = 0.5 * ((1.0 - np.interp(arr, g, c)) + (1.0 - c[j])) * (g[j] - arr)
+            out = self._tail[j] + partial
         out = np.maximum(out, 0.0)
         return float(out[0]) if np.isscalar(u) else out.reshape(np.shape(u))
-
-    def _empirical_tail(self, u: np.ndarray) -> np.ndarray:
-        g, c = self.grid, self.cdf_values
-        one_minus = 1.0 - c
-        seg = 0.5 * (one_minus[:-1] + one_minus[1:]) * np.diff(g)
-        suffix = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-        j = np.clip(np.searchsorted(g, u, side="right") - 1, 0, g.size - 2)
-        cu = np.interp(u, g, c)
-        partial = 0.5 * ((1.0 - cu) + one_minus[j + 1]) * (g[j + 1] - u)
-        return suffix[j + 1] + partial
 
     def interior_breakpoints(self) -> np.ndarray:
         """Kink locations of F inside (0, 1), ascending; empty for the Beta kind."""
@@ -342,7 +345,9 @@ def integrate(
     a pair in proportion to their width.  So each pair gets the nodes and
     the estimate it would get alone.  All pieces of all pairs at the same
     refinement depth are evaluated in one integrand call, which must map
-    the node array to an array of the same shape.
+    the node array to an array of the same shape; the first call takes the
+    five nodes of every piece, each later one the quarter points of every
+    half still refined.
     Zero-width pairs give 0 without evaluating the integrand.  The values at
     a piece's ends are taken ``1e-12`` of the pair's width inside the piece,
     and at least one float inside, so the integrand may jump or be undefined
@@ -404,18 +409,15 @@ def integrate(
         eps = 1e-12 * width[pid]
         a_in = np.maximum(a + eps, np.nextafter(a, b))
         b_in = np.minimum(b - eps, np.nextafter(b, a))
-        y = _evaluate(integrand, np.concatenate([a_in, b_in, m]))
-        n = a.size
-        fa, fb, fm = y[:n], y[n : 2 * n], y[2 * n :]
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        # depth 0 evaluates all five nodes of every piece in one call
+        y = _evaluate(integrand, np.concatenate([a_in, b_in, m, lm, rm]))
+        fa, fb, fm, flm, frm = y.reshape(5, -1)
         s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
         tol = spec.abs_tol * (b - a) / width[pid]
 
         depth = 0
-        while a.size:
-            lm = 0.5 * (a + m)
-            rm = 0.5 * (m + b)
-            y = _evaluate(integrand, np.concatenate([lm, rm]))
-            flm, frm = y[: a.size], y[a.size :]
+        while True:
             sl = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
             sr = (b - m) / 6.0 * (fb + 4.0 * frm + fm)
             s2 = sl + sr
@@ -441,6 +443,8 @@ def integrate(
             tol = np.concatenate([0.5 * tol[keep], 0.5 * tol[keep]])
             pid = np.concatenate([pid[keep], pid[keep]])
             depth += 1
+            lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+            flm, frm = _evaluate(integrand, np.concatenate([lm, rm])).reshape(2, -1)
 
     result = float(total[0]) if scalar else total.reshape(shape)
     if failed:

@@ -80,9 +80,10 @@ class BeliefCdf:
 
     For a threshold prefix ``u_1 > ... > u_L`` over a base prior ``F``, the
     CDF is ``F(r)^t - (1-F(r)) * sum_(i=t..L) F(u_i)^i`` on the band
-    ``u_t < r <= u_(t-1)`` (with ``u_0 = 1``) and ``F(r)^(L+1)`` at or below
-    the last threshold.  Evaluation is vectorized; the thresholds are the
-    kink locations to hand to quadrature.
+    ``u_t < r <= u_(t-1)`` (with ``u_0 = 1``), for every ``t`` in 1..L+1: at
+    or below the last threshold the sum is empty and the law is
+    ``F(r)^(L+1)``.  Evaluation is vectorized; the thresholds are the kink
+    locations, to hand to quadrature wherever they can fall inside a pair.
     """
 
     def __init__(self, base: RewardDistribution, prefix_thresholds):
@@ -107,15 +108,12 @@ class BeliefCdf:
 
     def _given(self, r, f):
         """The law at the array ``r``, given the base prior there, ``f = F(r)``."""
-        L = self.thresholds.size
-        below = np.searchsorted(self._asc, r, side="left")  # thresholds < r
-        t_seg = L - below + 1  # band index in 1..L+1
-        out = np.where(
-            t_seg > L,
-            f ** (L + 1),
-            f**t_seg - (1.0 - f) * self._suffix[np.minimum(t_seg, L) - 1],
-        )
-        return np.clip(out, 0.0, 1.0)
+        # band index in 1..L+1: one more than the thresholds at or above r
+        t_seg = _count_at_or_above(self._asc, r) + 1
+        # numpy squares for a scalar exponent 2, which its array pow can miss
+        # by an ulp: with one threshold, band 2's F^2 is that exact square
+        power = f**t_seg if self.thresholds.size > 1 else np.where(t_seg == 1, f, f * f)
+        return np.clip(power - (1.0 - f) * self._suffix[t_seg - 1], 0.0, 1.0)
 
 
 def _bisect(fun, mu, n):
@@ -191,9 +189,12 @@ class _OneTimeSystem:
         self.upper = np.concatenate([[1.0], self.post])
         self.mu = d.mean()
 
-    def coupling(self, G, v):
+    def coupling(self, G, v, kinks=True):
         """Coupling ``D`` under the belief ``G`` at every value of ``v`` in [mu, 1],
-        from one ``integrate`` call with ``G``'s kinks as breakpoints."""
+        from one ``integrate`` call with ``G``'s kinks as breakpoints.  With
+        ``kinks=False`` they are left out: that is exact where ``v`` holds every
+        threshold of ``G``, as in `residuals`, since the kinks are then pair
+        ends and ``integrate`` cuts a pair only at kinks strictly inside it."""
         d, N = self.d, self.N
         z = np.unique(np.concatenate([v, self.upper]))
 
@@ -203,7 +204,7 @@ class _OneTimeSystem:
 
         # the pair [z_j, z_(j+1)] lies in the band of the thresholds at or above z_(j+1)
         weight = self.T - self.T1 - _count_at_or_above(self.post_asc, z[1:])
-        spec = replace(_SPEC, breakpoints=tuple(G.thresholds))
+        spec = replace(_SPEC, breakpoints=tuple(G.thresholds)) if kinks else _SPEC
         pieces = weight * integrate(d, band, z[:-1], z[1:], spec)
         suffix = np.concatenate([np.cumsum(pieces[::-1])[::-1], [0.0]])
         return suffix[np.searchsorted(z, v)]
@@ -213,14 +214,15 @@ class _OneTimeSystem:
         else k with post_(k) > u >= post_(k+1)."""
         return self.post.size - np.searchsorted(self.post_asc, u, side="right")
 
-    def residual(self, G, i, v):
+    def residual(self, G, i, v, kinks=True):
         """g at values ``v`` of the coordinates ``i`` under the belief ``G``."""
-        return v - self.mu - (self.T1 - i - 1) * self.d.tail_mean_excess(v) - self.coupling(G, v)
+        D = self.coupling(G, v, kinks)
+        return v - self.mu - (self.T1 - i - 1) * self.d.tail_mean_excess(v) - D
 
     def residuals(self, u):
         d, N, T, T1 = self.d, self.N, self.T, self.T1
         G = BeliefCdf(d, u)
-        g = self.residual(G, np.arange(T1), u)
+        g = self.residual(G, np.arange(T1), u, kinks=False)
         ks = self.cases(u)
         fu = d.cdf(u)
         slope = (T - T1 - ks) * G._given(u, fu) ** (N - 1) * fu**ks
@@ -339,7 +341,6 @@ def welfare_one_time(
         raise DistributionError("sequence does not match (T, T1)")
     system = _OneTimeSystem(d, N, T, T1, seq.values[T1:])
     G, post, mu = BeliefCdf(d, seq.prefix), system.post, system.mu
-    spec = replace(_SPEC, breakpoints=tuple(G.thresholds))  # G's kinks
     u = np.concatenate([[1.0], seq.values])  # u[t] = u_t with u[0] = 1
     fu = d.cdf(u)
 
@@ -347,16 +348,14 @@ def welfare_one_time(
     explore_gain = mu * (1.0 + pre_explore)
 
     # pre-sharing slot t = 0..T1-1 integrates F^(t+1) over [u_(t+1), u_t]: the
-    # exponent is one more than the number of prefix thresholds at or above r
+    # exponent is one more than the number of prefix thresholds at or above r,
+    # and G's kinks are the pair ends, so they need not be breakpoints
     t = np.arange(T1)
     hi_u, lo_u, p = u[:T1], u[1 : T1 + 1], t + 1
     stieltjes = (
         hi_u * fu[:T1] ** p
         - lo_u * fu[1 : T1 + 1] ** p
-        - integrate(
-            d, lambda r: d.cdf(r) ** (1 + _count_at_or_above(G._asc, r)), lo_u, hi_u,
-            spec,
-        )
+        - integrate(d, lambda r: d.cdf(r) ** (1 + _count_at_or_above(G._asc, r)), lo_u, hi_u)
     )
     tail_mean = 1.0 - hi_u * fu[:T1] - ((1.0 - hi_u) - d.tail_mean_excess(hi_u))
     pre = float(np.sum((T1 - t) * (stieltjes + fu[:T1] ** t * tail_mean)))
@@ -368,6 +367,7 @@ def welfare_one_time(
         f = d.cdf(r)
         return G._given(r, f) ** N * f ** _count_at_or_above(system.post_asc, r)
 
+    spec = replace(_SPEC, breakpoints=tuple(G.thresholds))  # G's kinks
     bands = integrate(d, band, post, system.upper[:-1], spec)
     pooled = (T - T1) * (1.0 - float(bands[0]))
     resume = float(np.sum((T - T1 - np.arange(1, T - T1)) * bands[1:]))

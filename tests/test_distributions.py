@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from commgate.distributions import QuadratureSpec, RewardDistribution, integrate
 from commgate.errors import DistributionError, QuadratureError
@@ -208,8 +209,8 @@ def test_array_integrate_matches_scalar_calls(prior, request):
 
 
 def test_integrand_called_once_per_depth():
-    # 1 - r is integrated exactly at depth 0: the initial edges and midpoint
-    # form one call and the depth-0 quarter points another, with no probe
+    # 1 - r is integrated exactly at depth 0: the edges, the midpoint and the
+    # quarter points form one call, with no probe
     sizes = []
 
     def f(r):
@@ -217,7 +218,23 @@ def test_integrand_called_once_per_depth():
         return 1.0 - r
 
     assert integrate(KINDS["uniform"], f, 0.5, 1.0) == pytest.approx(0.125, abs=1e-15)
-    assert sizes == [3, 2]
+    assert sizes == [5]
+
+
+def test_refining_integrand_called_once_per_depth():
+    # three pairs cut at two kinks into 3 + 2 + 1 pieces: depth 0 takes five nodes
+    # per piece, every later depth the two quarter points of each of its k
+    # unconverged halves, at most twice as many as the depth before
+    sizes = []
+
+    def f(r):
+        sizes.append(np.size(r))
+        return np.sin(40.0 * r) ** 2
+
+    spec = QuadratureSpec(breakpoints=(0.3, 0.6))
+    integrate(KINDS["uniform"], f, np.array([0.0, 0.2, 0.7]), np.array([1.0, 0.5, 0.9]), spec)
+    assert sizes[0] == 5 * 6 and len(sizes) > 3
+    assert all(n % 2 == 0 and n <= 2 * prev for prev, n in zip([12] + sizes[1:], sizes[1:]))
 
 
 def test_array_integrate_errors():
@@ -395,7 +412,7 @@ def test_every_construction_path_gives_the_same_prior(prior, request, tmp_path):
     for other in others:
         assert repr(other) == repr(d)
         for a, b in zip(prior_values(other), want):
-            assert np.array_equal(a, b, equal_nan=True)  # beta ppf is NaN at 5e-324
+            assert np.array_equal(a, b)
 
 
 def test_unknown_kind_and_bad_plain_parameters_raise():
@@ -422,3 +439,48 @@ def test_uniform_matches_closed_forms_exactly():
     assert u.mean() == 0.5
     assert np.array_equal(u.ppf([-0.5, 1.5, np.nan]), [0.0, 1.0, np.nan], equal_nan=True)
     assert repr(u) == "RewardDistribution.uniform()"
+
+
+def per_call_tail(d, u):
+    """Empirical ``tail_mean_excess`` with its suffix table of the integrals
+    of 1 - F built at every call: the reference of the construction-time table."""
+    g, c = d.grid, d.cdf_values
+    one_minus = 1.0 - c
+    seg = 0.5 * (one_minus[:-1] + one_minus[1:]) * np.diff(g)
+    suffix = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+    j = np.clip(np.searchsorted(g, u, side="right") - 1, 0, g.size - 2)
+    cu = np.interp(u, g, c)
+    partial = 0.5 * ((1.0 - cu) + one_minus[j + 1]) * (g[j + 1] - u)
+    return np.maximum(suffix[j + 1] + partial, 0.0)
+
+
+@pytest.mark.parametrize("prior", ["uniform", "empirical", "hotel"])
+def test_empirical_tail_table_matches_per_call_build(prior, request, tmp_path):
+    d = request.getfixturevalue("hotel_dist") if prior == "hotel" else KINDS[prior]
+    g = d.grid
+    u = np.concatenate([np.random.default_rng(5).random(20_000), g, [0.0, 1.0],
+                        np.nextafter(g[1:], 0.0), np.nextafter(g[:-1], 1.0)])
+    d.to_csv(tmp_path / "prior.csv")
+    for other in (d, replace(d), RewardDistribution.from_csv(tmp_path / "prior.csv")):
+        want = per_call_tail(other, u)
+        assert np.array_equal(other.tail_mean_excess(u), want)
+        assert [other.tail_mean_excess(float(v)) for v in u[-50:]] == want[-50:].tolist()
+
+
+TINY_Q = np.geomspace(1e-300, 1e-200, 401)
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 5.0), (2.0, 50.0), (3.0, 0.4)])
+def test_beta_ppf_at_tiny_quantiles(a, b):
+    d = RewardDistribution.beta(a, b)
+    assert np.all(np.abs(d.cdf(d.ppf(TINY_Q)) / TINY_Q - 1.0) <= 1e-12)
+    lowest = d.ppf(np.array([5e-324, 1e-320]))
+    assert np.all(np.isfinite(lowest)) and 0.0 < lowest[0] <= lowest[1]
+    assert d.ppf(5e-324) == lowest[0]
+    # wherever betaincinv has a value, ppf is that value
+    q = np.concatenate([[0.0, 1.0], np.geomspace(5e-324, 1.0, 4001), np.linspace(0.0, 1.0, 4001)])
+    raw = special.betaincinv(a, b, q)
+    has = ~np.isnan(raw)
+    assert has.sum() > 4000
+    assert np.array_equal(d.ppf(q)[has], np.clip(raw[has], 0.0, 1.0))
+    assert np.isnan(d.ppf(np.nan))

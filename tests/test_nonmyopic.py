@@ -65,7 +65,32 @@ class TestSingleAgent:
             assert seq.values[t - 1] == pytest.approx(root, abs=1e-13)
 
 
+def two_branch_law(G, r, f):
+    """``BeliefCdf._given`` with the band below the last threshold as its own
+    branch ``F^(L+1)``: the reference of the one-formula form."""
+    L = G.thresholds.size
+    t_seg = L - np.searchsorted(G._asc, r, side="left") + 1
+    out = np.where(t_seg > L, f ** (L + 1), f**t_seg - (1.0 - f) * G._suffix[np.minimum(t_seg, L) - 1])
+    return np.clip(out, 0.0, 1.0)
+
+
 class TestBeliefCdf:
+    @pytest.mark.parametrize("prior", ["uniform", "hotel", "beta25", "beta0709"])
+    def test_one_formula_matches_two_branches(self, prior, uniform, hotel_dist):
+        d = {"uniform": uniform, "hotel": hotel_dist, "beta25": RewardDistribution.beta(2, 5),
+             "beta0709": RewardDistribution.beta(0.7, 0.9)}[prior]
+        rng = np.random.default_rng(11)
+        for T, T1 in ((50, 25), (14, 1), (40, 39), (12, 2)):
+            u = solve_single_agent(d, T).values[:T1]
+            G = BeliefCdf(d, u)
+            r = np.concatenate([rng.random(20_000), u, np.nextafter(u, 0.0),
+                                np.nextafter(u, 1.0), [0.0, 1.0]])
+            f = d.cdf(r)
+            want = two_branch_law(G, r, f)
+            assert np.array_equal(G._given(r, f), want)
+            assert np.array_equal(G(r), want)
+            assert [G(float(x)) for x in r[-100:]] == want[-100:].tolist()
+
     def test_normalization_and_bottom_branch(self, uniform):
         seq = solve_single_agent(uniform, 5)
         G = BeliefCdf(uniform, seq.values[:3])
@@ -284,6 +309,42 @@ class TestIntegrateCalls:
         for lo, hi in calls[1:]:
             z = self.chain(lo, hi, system)
             assert z[0] == 0.5 and lo.size == z.size - 1 <= T
+
+    @pytest.mark.parametrize("prior", ["uniform", "hotel"])
+    def test_coupling_calls_integrand_once_per_depth(self, prior, uniform, hotel_dist, monkeypatch):
+        from commgate import nonmyopic
+
+        d = hotel_dist if prior == "hotel" else uniform
+        N, T, T1 = 10, 12, 5
+        bench = solve_single_agent(d, T)
+        u = bench.values[:T1].copy()
+        system = _OneTimeSystem(d, N, T, T1, bench.values[T1:])
+        G = BeliefCdf(d, u)
+        sizes, pieces = [], []
+
+        def counting(d, f, lo, hi, spec):
+            # pieces: the pairs cut at every kink strictly inside them
+            cuts = np.union1d(d.interior_breakpoints(), spec.breakpoints)
+            inside = np.searchsorted(cuts, hi, side="left") - np.searchsorted(cuts, lo, side="right")
+            pieces.append(int(np.sum(inside + 1)))
+            sizes.append([])
+            return integrate(d, lambda r: sizes[-1].append(r.size) or f(r), lo, hi, spec)
+
+        monkeypatch.setattr(nonmyopic, "integrate", counting)
+        mid = 0.5 * (u[:-1] + u[1:])
+        got = [system.coupling(G, u, kinks=False), system.coupling(G, u), system.coupling(G, mid)]
+        # depth 0 takes five nodes per piece, every later depth two per half
+        for n, call in zip(pieces, sizes):
+            assert call[0] == 5 * n
+            assert all(k % 2 == 0 and k <= 2 * prev for prev, k in zip([2 * n] + call[1:], call[1:]))
+        # the piecewise-linear hotel prior converges at depth 0
+        assert prior == "hotel" or min(len(call) for call in sizes) > 1
+        # at the thresholds, G's kinks are pair ends: leaving them out of the
+        # breakpoints cuts the same pieces and gives the same values
+        assert pieces[0] == pieces[1] and sizes[0] == sizes[1]
+        assert np.array_equal(got[0], got[1])
+        # between the thresholds, they cut pairs
+        assert pieces[2] > np.unique(np.concatenate([mid, system.upper])).size - 1
 
     @pytest.mark.parametrize("T1", [1, 6, 13])
     def test_welfare_makes_two_calls(self, uniform, calls, T1):
