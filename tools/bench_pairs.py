@@ -15,8 +15,11 @@ nothing under ``perfbench/``.
     python3 tools/bench_pairs.py --base HEAD~1 --head HEAD --workload reveal \\
         --pairs 6 --seconds 20 --trace 0
 
+The exports go to a temporary directory (under ``$TMPDIR`` if set), removed
+at the end.
+
 Usage: python3 tools/bench_pairs.py --base REV --head REV --workload NAME
-       [--pairs N] [--seconds S] [--trace 0|1] [--seed K] [--out PATH] [--keep DIR]
+       [--pairs N] [--seconds S] [--trace 0|1] [--seed K] [--out PATH]
 """
 
 import argparse
@@ -74,19 +77,17 @@ def main(argv=None) -> int:
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", type=Path, default=None, help="default: BENCH_<workload>.json")
-    p.add_argument("--keep", type=Path, default=None,
-                   help="export into this empty directory and keep it (default: a temporary one)")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
     out = args.out or ROOT / f"BENCH_{args.workload}.json"
 
-    top = args.keep or Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    top = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         checkouts, shas = {}, {}
         for side in ("base", "head"):
             checkouts[side] = top / side
-            checkouts[side].mkdir(parents=True)
+            checkouts[side].mkdir()
             shas[side] = export(getattr(args, side), checkouts[side])
         runs = []
         for pair in range(args.pairs):
@@ -97,8 +98,7 @@ def main(argv=None) -> int:
                 wall = run["result"]["metrics"].get("wall_s", {}).get("value")
                 print(f"pair {pair} {side}: exit {run['exit_code']}, wall_s {wall}", file=sys.stderr)
     finally:
-        if args.keep is None:
-            shutil.rmtree(top, ignore_errors=True)
+        shutil.rmtree(top, ignore_errors=True)
 
     better = directions()
     values = {side: {} for side in ("base", "head")}
