@@ -6,6 +6,7 @@ Monte-Carlo trajectories on common random numbers, under exact rewards,
 observation noise, and heterogeneous per-agent preferences.
 """
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -63,9 +64,10 @@ chart.write_text(polyline_chart(
 ))
 print(f"chart written to {chart}")
 
-print("\n== robustness: gain across horizons and reward models (N = 50) ==")
+print("\n== robustness: gain per agent +- standard error across horizons and reward models "
+      "(N = 50, 500 runs) ==")
 N = 50
-rows = ["T,mode,gain_per_agent"]
+rows = ["T,mode,gain_per_agent,gain_se_per_agent"]
 for T in range(10, 81, 10):
     t1, seq, _ = optimize_comm_time(d, N, T)
     cent_seq = solve_centralized_nonmyopic(d, N, T)
@@ -79,8 +81,10 @@ for T in range(10, 81, 10):
         cent = replace(mech, schedule=CommSchedule.centralized(T), thresholds=cent_seq)
         r_mech, r_cent = run(mech), run(cent)
         gain = (r_mech.total_welfare_mean - r_cent.total_welfare_mean) / N
-        rows.append(f"{T},{mode},{gain:.6f}")
-        line.append(f"{mode} {gain:+.2f}")
+        # unpaired standard error of the difference of the two means
+        se = math.hypot(r_mech.total_welfare_stderr, r_cent.total_welfare_stderr) / N
+        rows.append(f"{T},{mode},{gain:.6f},{se:.6f}")
+        line.append(f"{mode} {gain:+.2f} +- {se:.2f}")
     print("  ".join(line))
 (OUT / "hotel_gain_sweep.csv").write_text("\n".join(rows) + "\n")
 print(f"sweep written to {OUT / 'hotel_gain_sweep.csv'}")

@@ -6,7 +6,7 @@ with a Monte-Carlo simulator that serves as an independent oracle for every
 closed-form expression.
 """
 
-from .distributions import QuadratureSpec, RewardDistribution, integrate
+from .distributions import RewardDistribution, integrate
 from .schedules import CommSchedule
 from .myopic import (
     MyopicWelfareReport,
@@ -34,7 +34,6 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuadratureSpec",
     "RewardDistribution",
     "integrate",
     "CommSchedule",

@@ -7,7 +7,10 @@ which the uniform prior is one), inverse-CDF sampling, and an adaptive
 Simpson integrator that splits at known kink locations so that
 piecewise-smooth integrands converge quickly.
 
-The integrator takes scalar bounds or arrays of bounds.  An array call
+Every integral runs at one absolute tolerance, ``_ABS_TOL``, with the
+refinement depth capped at ``_MAX_DEPTH``; the kinks are data, the prior's
+own (the empirical grid) plus the ``breakpoints`` a caller passes.  The
+integrator takes scalar bounds or arrays of bounds.  An array call
 refines the pieces of every ``(lo, hi)`` pair together, one vectorized
 integrand call per refinement depth, the first with all five Simpson nodes
 of every piece, and gives each pair the nodes and the estimate it would get
@@ -30,35 +33,12 @@ from scipy import special
 from .errors import DistributionError, QuadratureError
 
 __all__ = [
-    "QuadratureSpec",
     "RewardDistribution",
     "integrate",
 ]
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance, depth cap, and known kink locations for `integrate`.
-
-    ``breakpoints`` are abscissae in [0, 1] where the integrand may have a
-    kink (or be undefined); integration is split there before any adaptive
-    refinement.  Duplicates are removed on construction.
-    """
-
-    abs_tol: float = 1e-9
-    max_depth: int = 40
-    breakpoints: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise DistributionError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_depth < 1:
-            raise DistributionError(f"max_depth must be >= 1, got {self.max_depth}")
-        pts = tuple(sorted(set(float(b) for b in self.breakpoints)))
-        object.__setattr__(self, "breakpoints", pts)
-
-
-_DEFAULT_SPEC = QuadratureSpec()
+_ABS_TOL = 1e-9  # absolute error target of every integral
+_MAX_DEPTH = 40  # bisections of a piece before QuadratureError
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,11 +117,11 @@ class RewardDistribution:
         return cls("beta", alpha=alpha, beta_param=beta)
 
     @classmethod
-    def beta_with_mean(cls, mean: float, concentration: float = 5.0) -> "RewardDistribution":
-        """Beta prior with the given mean and ``alpha + beta = concentration``."""
+    def beta_with_mean(cls, mean: float) -> "RewardDistribution":
+        """Beta prior with the given mean and ``alpha + beta = 5``."""
         if not 0 < mean < 1:
             raise DistributionError(f"mean must lie in (0, 1), got {mean}")
-        return cls.beta(mean * concentration, (1.0 - mean) * concentration)
+        return cls.beta(mean * 5.0, (1.0 - mean) * 5.0)
 
     @classmethod
     def empirical(
@@ -168,9 +148,15 @@ class RewardDistribution:
         if self.kind == "beta":
             a, b = self.alpha, self.beta_param
             out = special.betaincinv(a, b, arr)
-            # NaN below about q = 1e-200: invert I_x(a, b) ~ x^a / (a B(a, b)) there
-            tiny = np.isnan(out) & (arr > 0.0) & (arr <= 1.0)
-            out[tiny] = np.exp((np.log(arr[tiny]) + np.log(a) + special.betaln(a, b)) / a)
+            # below 2^-53 betaincinv may give NaN, a value whose CDF is far
+            # from q, or a non-monotone run; keep it only where I_x(a, b)
+            # comes back within 1e-3 of q, else invert I_x ~ x^a / (a B(a, b))
+            tiny = (arr > 0.0) & (arr < 2.0**-53)
+            if tiny.any():
+                q_t, x_t = arr[tiny], out[tiny]
+                bad = ~(np.abs(special.betainc(a, b, x_t) / q_t - 1.0) <= 1e-3)  # NaN fails
+                x_t[bad] = np.exp((np.log(q_t[bad]) + np.log(a) + special.betaln(a, b)) / a)
+                out[tiny] = x_t
         else:
             c, g = self.cdf_values, self.grid
             j = self._segment(arr)
@@ -318,31 +304,23 @@ def _evaluate(integrand: Callable, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _kinks(dist: RewardDistribution, spec: QuadratureSpec) -> np.ndarray:
-    """Sorted, distinct kink abscissae of ``spec`` and ``dist``."""
-    own = dist.interior_breakpoints()
-    if not spec.breakpoints:
-        return own
-    extra = np.asarray(spec.breakpoints)
-    return np.union1d(own, extra) if own.size else extra
-
-
 def integrate(
     dist: RewardDistribution,
     integrand: Callable,
     lo,
     hi,
-    spec: QuadratureSpec | None = None,
+    breakpoints: Sequence[float] = (),
 ) -> float | np.ndarray:
     """Adaptive-Simpson estimate of ``integral_lo^hi integrand(r) dr``.
 
     ``lo`` and ``hi`` are scalars, giving a float, or arrays broadcast to one
     shape, giving an array with one integral per ``(lo, hi)`` pair.  Each
-    pair's interval is cut at every breakpoint of ``spec`` and at every
-    interior kink of ``dist`` (the empirical grid) that falls inside
-    (lo, hi), then each piece is refined until its Richardson error estimate
-    fits its share of ``spec.abs_tol``, which is split between the pieces of
-    a pair in proportion to their width.  So each pair gets the nodes and
+    pair's interval is cut at every one of ``breakpoints`` (abscissae in
+    [0, 1], in any order, duplicates allowed) and every interior kink of
+    ``dist`` (the empirical grid) that falls strictly inside (lo, hi), then
+    each piece is refined until its Richardson error estimate fits its share
+    of ``_ABS_TOL``, which is split between the pieces of a pair in
+    proportion to their width.  So each pair gets the nodes and
     the estimate it would get alone.  All pieces of all pairs at the same
     refinement depth are evaluated in one integrand call, which must map
     the node array to an array of the same shape; the first call takes the
@@ -362,11 +340,10 @@ def integrate(
         If a pair is outside ``0 <= lo <= hi <= 1``; the first such pair is
         named.
     QuadratureError
-        If some piece still exceeds its tolerance at ``max_depth``; the error
+        If some piece still exceeds its tolerance at ``_MAX_DEPTH``; the error
         carries the best available estimate (a float or an array, like the
         result) and the summed error estimate of the failed pieces.
     """
-    spec = spec or _DEFAULT_SPEC
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo_arr, hi_arr = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     shape = lo_arr.shape
@@ -390,7 +367,9 @@ def integrate(
     if live.size:
         # pieces of every live pair, pair by pair: edges lo, the kinks in
         # (lo, hi), hi; `grid`'s pad entry only fills slots overwritten by hi
-        kinks = _kinks(dist, spec)
+        kinks = dist.interior_breakpoints()
+        if len(breakpoints):  # the empty default (the scalar myopic calls) skips this
+            kinks = np.union1d(kinks, breakpoints)
         lo_l, hi_l = lo_arr[live], hi_arr[live]
         first_cut = np.searchsorted(kinks, lo_l, side="right")
         n_pieces = np.searchsorted(kinks, hi_l, side="left") - first_cut + 1
@@ -414,7 +393,7 @@ def integrate(
         y = _evaluate(integrand, np.concatenate([a_in, b_in, m, lm, rm]))
         fa, fb, fm, flm, frm = y.reshape(5, -1)
         s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        tol = spec.abs_tol * (b - a) / width[pid]
+        tol = _ABS_TOL * (b - a) / width[pid]
 
         depth = 0
         while True:
@@ -423,7 +402,7 @@ def integrate(
             s2 = sl + sr
             corr = (s2 - s) / 15.0
             done = np.abs(corr) <= tol
-            if depth >= spec.max_depth:
+            if depth >= _MAX_DEPTH:
                 bad = ~done
                 failed = failed or bool(bad.any())
                 failed_bound += float(np.sum(np.abs(corr[bad])))
@@ -449,7 +428,7 @@ def integrate(
     result = float(total[0]) if scalar else total.reshape(shape)
     if failed:
         raise QuadratureError(
-            f"quadrature did not converge to abs_tol={spec.abs_tol} within depth {spec.max_depth}",
+            f"quadrature did not converge to abs_tol={_ABS_TOL} within depth {_MAX_DEPTH}",
             estimate=result,
             error_bound=failed_bound,
         )

@@ -15,11 +15,11 @@ cumulative integral over the sorted prefix and post-sharing thresholds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import QuadratureSpec, RewardDistribution, integrate
+from .distributions import RewardDistribution, integrate
 from .errors import DistributionError, SolverError
 from .schedules import check_horizon
 
@@ -34,7 +34,6 @@ __all__ = [
     "scan_comm_times",
 ]
 
-_SPEC = QuadratureSpec()
 _RESID_TOL = 1e-8
 _MAX_ITER = 200
 
@@ -171,8 +170,8 @@ class _OneTimeSystem:
     ``C`` the unweighted integral and the segment table ``w[k] = D(upper[k])``.
     With ``G`` frozen, one ``integrate`` call takes the consecutive pairs of
     the sorted distinct points of the coordinates, ``post`` and 1, each to
-    ``_SPEC.abs_tol``, and suffix sums of the weighted pair integrals give
-    ``D`` at every point in O(pieces + T).  No pair straddles a post
+    `integrate`'s one tolerance, and suffix sums of the weighted pair
+    integrals give ``D`` at every point in O(pieces + T).  No pair straddles a post
     threshold, so each has one weight.  A band's lower edge ``post[k]``,
     where the count is ``k + 1``, is a pair's lower end, and ``integrate``
     evaluates no pair at its ends (it nudges those nodes inward, at least to
@@ -204,8 +203,7 @@ class _OneTimeSystem:
 
         # the pair [z_j, z_(j+1)] lies in the band of the thresholds at or above z_(j+1)
         weight = self.T - self.T1 - _count_at_or_above(self.post_asc, z[1:])
-        spec = replace(_SPEC, breakpoints=tuple(G.thresholds)) if kinks else _SPEC
-        pieces = weight * integrate(d, band, z[:-1], z[1:], spec)
+        pieces = weight * integrate(d, band, z[:-1], z[1:], G.thresholds if kinks else ())
         suffix = np.concatenate([np.cumsum(pieces[::-1])[::-1], [0.0]])
         return suffix[np.searchsorted(z, v)]
 
@@ -367,8 +365,7 @@ def welfare_one_time(
         f = d.cdf(r)
         return G._given(r, f) ** N * f ** _count_at_or_above(system.post_asc, r)
 
-    spec = replace(_SPEC, breakpoints=tuple(G.thresholds))  # G's kinks
-    bands = integrate(d, band, post, system.upper[:-1], spec)
+    bands = integrate(d, band, post, system.upper[:-1], G.thresholds)  # G's kinks
     pooled = (T - T1) * (1.0 - float(bands[0]))
     resume = float(np.sum((T - T1 - np.arange(1, T - T1)) * bands[1:]))
 

@@ -7,18 +7,13 @@ __all__ = ["polyline_chart"]
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def polyline_chart(
-    series: list[tuple[str, list[float], list[float]]],
-    title: str = "",
-    width: int = 640,
-    height: int = 400,
-) -> str:
-    """Render ``(label, xs, ys)`` series as a minimal SVG string.
+def polyline_chart(series: list[tuple[str, list[float], list[float]]], title: str = "") -> str:
+    """Render ``(label, xs, ys)`` series as a minimal 640 x 400 SVG string.
 
     Output is deterministic for identical input (fixed float formatting, no
     timestamps), so charts can be compared byte-for-byte.
     """
-    pad = 48
+    width, height, pad = 640, 400, 48
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:

@@ -32,7 +32,8 @@ from commgate.nonmyopic import (
     solve_single_agent,
     welfare_one_time,
 )
-from commgate.distributions import QuadratureSpec, integrate
+from commgate import distributions
+from commgate.distributions import integrate
 from commgate.schedules import CommSchedule
 from commgate.simulate import SimConfig, run
 
@@ -209,10 +210,16 @@ def test_criterion_6_threshold_suite(uniform, hotel_dist):
 
 def _max_residual_tight(d, N, T, seq):
     """Re-evaluate the defining equations with a 10x tighter integrator."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distributions, "_ABS_TOL", 1e-10)
+        return _max_residual(d, N, T, seq)
+
+
+def _max_residual(d, N, T, seq):
     T1 = seq.comm_slot_T1
     mu = d.mean()
     G = BeliefCdf(d, seq.prefix)
-    spec = QuadratureSpec(abs_tol=1e-10, breakpoints=tuple(seq.prefix))
+    kinks = seq.prefix
     post = seq.values[T1:]
     worst = 0.0
     for i in range(T1):
@@ -220,20 +227,20 @@ def _max_residual_tight(d, N, T, seq):
         k = int(np.sum(post > u))
         if k == 0:
             coupling = (T - T1) * integrate(
-                d, lambda r: G(r) ** (N - 1) * (1 - d.cdf(r)), u, 1.0, spec
+                d, lambda r: G(r) ** (N - 1) * (1 - d.cdf(r)), u, 1.0, kinks
             )
         else:
             coupling = (T - T1) * integrate(
-                d, lambda r: G(r) ** (N - 1) * (1 - d.cdf(r)), post[0], 1.0, spec
+                d, lambda r: G(r) ** (N - 1) * (1 - d.cdf(r)), post[0], 1.0, kinks
             )
             for j in range(1, k):
                 coupling += (T - T1 - j) * integrate(
                     d, lambda r, j=j: G(r) ** (N - 1) * d.cdf(r) ** j * (1 - d.cdf(r)),
-                    post[j], post[j - 1], spec,
+                    post[j], post[j - 1], kinks,
                 )
             coupling += (T - T1 - k) * integrate(
                 d, lambda r, k=k: G(r) ** (N - 1) * d.cdf(r) ** k * (1 - d.cdf(r)),
-                u, post[k - 1], spec,
+                u, post[k - 1], kinks,
             )
         worst = max(worst, abs(u - mu - (T1 - t) * d.tail_mean_excess(u) - coupling))
     for i in range(T1, T):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from commgate.distributions import QuadratureSpec, RewardDistribution, integrate
+from commgate import distributions
+from commgate.distributions import RewardDistribution, integrate
 from commgate.errors import DistributionError, SolverError
 from commgate.nonmyopic import (
     _MAX_ITER,
@@ -149,7 +150,7 @@ class TestCentralized:
         rhs = integrate(
             uniform,
             lambda r: G(r) ** (N - 1) * (1 - uniform.cdf(r)),
-            u, 1.0, QuadratureSpec(breakpoints=tuple(seq.prefix)),
+            u, 1.0, seq.prefix,
         )
         assert u - mu == pytest.approx(rhs, abs=1e-7)
 
@@ -205,36 +206,36 @@ class TestOneTime:
         assert seq.values[T1 - 1] < cent.values[T1 - 1]
         assert seq.values[T1] > seq.values[T1 - 1]
 
-    def test_residuals_under_tighter_quadrature(self, uniform):
+    def test_residuals_under_tighter_quadrature(self, uniform, monkeypatch):
         # re-evaluate every converged row with a 10x tighter integrator
         N, T, T1 = 5, 12, 5
-        tight = QuadratureSpec(abs_tol=1e-10)
         seq = solve_one_time(uniform, N, T, T1)
+        monkeypatch.setattr(distributions, "_ABS_TOL", 1e-10)
         G = BeliefCdf(uniform, seq.prefix)
         mu = uniform.mean()
         post = seq.values[T1:]
         for i in range(T1):
             t, u = i + 1, seq.values[i]
             k = int(np.sum(post > u))
-            spec = QuadratureSpec(abs_tol=1e-10, breakpoints=tuple(seq.prefix))
             if k == 0:
                 coupling = (T - T1) * integrate(
-                    uniform, lambda r: G(r) ** (N - 1) * (1 - uniform.cdf(r)), u, 1.0, spec
+                    uniform, lambda r: G(r) ** (N - 1) * (1 - uniform.cdf(r)), u, 1.0, seq.prefix
                 )
             else:
                 coupling = (T - T1) * integrate(
-                    uniform, lambda r: G(r) ** (N - 1) * (1 - uniform.cdf(r)), post[0], 1.0, spec
+                    uniform, lambda r: G(r) ** (N - 1) * (1 - uniform.cdf(r)), post[0], 1.0,
+                    seq.prefix,
                 )
                 for j in range(1, k):
                     coupling += (T - T1 - j) * integrate(
                         uniform,
                         lambda r, j=j: G(r) ** (N - 1) * uniform.cdf(r) ** j * (1 - uniform.cdf(r)),
-                        post[j], post[j - 1], spec,
+                        post[j], post[j - 1], seq.prefix,
                     )
                 coupling += (T - T1 - k) * integrate(
                     uniform,
                     lambda r, k=k: G(r) ** (N - 1) * uniform.cdf(r) ** k * (1 - uniform.cdf(r)),
-                    u, post[k - 1], spec,
+                    u, post[k - 1], seq.prefix,
                 )
             resid = u - mu - (T1 - t) * uniform.tail_mean_excess(u) - coupling
             assert abs(resid) < 1e-8
@@ -322,13 +323,13 @@ class TestIntegrateCalls:
         G = BeliefCdf(d, u)
         sizes, pieces = [], []
 
-        def counting(d, f, lo, hi, spec):
+        def counting(d, f, lo, hi, breakpoints):
             # pieces: the pairs cut at every kink strictly inside them
-            cuts = np.union1d(d.interior_breakpoints(), spec.breakpoints)
+            cuts = np.union1d(d.interior_breakpoints(), breakpoints)
             inside = np.searchsorted(cuts, hi, side="left") - np.searchsorted(cuts, lo, side="right")
             pieces.append(int(np.sum(inside + 1)))
             sizes.append([])
-            return integrate(d, lambda r: sizes[-1].append(r.size) or f(r), lo, hi, spec)
+            return integrate(d, lambda r: sizes[-1].append(r.size) or f(r), lo, hi, breakpoints)
 
         monkeypatch.setattr(nonmyopic, "integrate", counting)
         mid = 0.5 * (u[:-1] + u[1:])
@@ -371,9 +372,8 @@ def per_pair_coupling(system, G, v):
         k = post.size - np.searchsorted(system.post_asc, r, side="left")
         return G._given(r, f) ** (N - 1) * f**k * (1.0 - f)
 
-    spec = QuadratureSpec(breakpoints=tuple(G.thresholds))
     terms = (system.T - system.T1 - np.concatenate([np.arange(nb), ks])) * integrate(
-        d, band, lo, hi, spec
+        d, band, lo, hi, G.thresholds
     )
     w = np.concatenate([[0.0], np.cumsum(terms[:nb])])
     return w[ks] + terms[nb:], w
@@ -442,12 +442,11 @@ class TestNarrowBands:
         assert ks.tolist() == [5, 301, 700]
 
         G = BeliefCdf(d, u)
-        spec_g = QuadratureSpec(breakpoints=tuple(G.thresholds))
         upper = np.concatenate([[1.0], post])
 
         def band(k, lo, hi):
             f = lambda r: G(r) ** (N - 1) * d.cdf(r) ** k * (1.0 - d.cdf(r))
-            return integrate(d, f, lo, hi, spec_g)
+            return integrate(d, f, lo, hi, G.thresholds)
 
         w = np.zeros(post.size)
         for k in range(post.size - 1):
@@ -471,7 +470,6 @@ class TestNarrowBands:
         u = np.concatenate([[1.0], seq.values])
         fu = d.cdf(u)
         G = BeliefCdf(d, seq.prefix)
-        spec_b = QuadratureSpec(breakpoints=tuple(G.thresholds))
         pre = 0.0
         for t in range(T1):
             p = t + 1
@@ -481,11 +479,11 @@ class TestNarrowBands:
             )
             tail_mean = 1.0 - u[t] * fu[t] - ((1.0 - u[t]) - d.tail_mean_excess(u[t]))
             pre += (T1 - t) * (stieltjes + fu[t] ** t * tail_mean)
-        pooled = (T - T1) * (1.0 - integrate(d, lambda r: G(r) ** N, u[T1 + 1], 1.0, spec_b))
+        pooled = (T - T1) * (1.0 - integrate(d, lambda r: G(r) ** N, u[T1 + 1], 1.0, G.thresholds))
         resume = 0.0
         for tau in range(1, T - T1):
             f = lambda r: G(r) ** N * d.cdf(r) ** tau
-            resume += (T - T1 - tau) * integrate(d, f, u[T1 + tau + 1], u[T1 + tau], spec_b)
+            resume += (T - T1 - tau) * integrate(d, f, u[T1 + tau + 1], u[T1 + tau], G.thresholds)
         explore_gain = mu * (1.0 + np.sum(fu[1 : T1 + 1] ** np.arange(1, T1 + 1)))
         expected = N * (explore_gain + pre + pooled - resume)
         assert welfare == pytest.approx(expected, rel=1e-13)
@@ -504,13 +502,11 @@ class TestWelfareOneTime:
         assert count_mech <= count_cent
 
     def test_welfare_stable_under_quadrature_refinement(self, uniform, monkeypatch):
-        from commgate import nonmyopic
-
         N, T, T1 = 5, 14, 6
         seq = solve_one_time(uniform, N, T, T1)
         w1, _ = welfare_one_time(uniform, N, T, seq)
         for abs_tol in (0.5e-9, 0.25e-9):
-            monkeypatch.setattr(nonmyopic, "_SPEC", QuadratureSpec(abs_tol=abs_tol))
+            monkeypatch.setattr(distributions, "_ABS_TOL", abs_tol)
             w, _ = welfare_one_time(uniform, N, T, seq)
             assert abs(w - w1) < 1e-6
 
