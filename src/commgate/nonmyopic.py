@@ -171,8 +171,8 @@ class _OneTimeSystem:
     With ``G`` frozen, one ``integrate`` call takes the consecutive pairs of
     the sorted distinct points of the coordinates, ``post`` and 1, each to
     `integrate`'s one tolerance, and suffix sums of the weighted pair
-    integrals give ``D`` at every point in O(pieces + T).  No pair straddles a post
-    threshold, so each has one weight.  A band's lower edge ``post[k]``,
+    integrals give ``D`` at every point in O(pieces + T).  No pair straddles
+    a post threshold, so each has one weight.  A band's lower edge ``post[k]``,
     where the count is ``k + 1``, is a pair's lower end, and ``integrate``
     evaluates no pair at its ends (it nudges those nodes inward, at least to
     the next float).
