@@ -5,6 +5,11 @@ with a Gaussian kernel density (reflected at both support edges so no mass
 leaks outside [0, 1]) and integrated into a piecewise-linear CDF.  The
 per-hotel rating dispersion doubles as the heterogeneous-preference noise
 scale for the simulator.
+
+The kernel CDF is evaluated a block of grid points at a time in two reused
+arrays of ``_KDE_BLOCK_BYTES`` each, so fitting holds O(rows) input vectors
+plus those two blocks, whatever the number of hotels (a block always holds at
+least one whole grid row of all hotels).
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ __all__ = [
 ]
 
 _GRID_POINTS = 512
+_KDE_BLOCK_BYTES = 1 << 20  # size of each of the fit's two KDE block arrays
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,8 @@ def load_ratings(path) -> RatingsTable:
 
     The columns are ``hotel_id``, ``avg_rating``, ``rating_scale_max``,
     ``n_reviews`` and, optionally, ``rating_sd``.  Rows that fail to parse
-    or hold a non-finite or out-of-range value are reported with their line
+    or hold a non-finite or out-of-range value, or a fractional review count
+    (``76.0`` is a count, ``3.7`` is not), are reported with their line
     numbers.
     """
     try:
@@ -81,7 +88,10 @@ def load_ratings(path) -> RatingsTable:
                 try:
                     avg = float(row["avg_rating"])
                     scale = float(row["rating_scale_max"])
-                    n_rev = int(float(row["n_reviews"]))
+                    count = float(row["n_reviews"])
+                    if not count.is_integer():  # NaN and inf fail too
+                        raise ValueError(f"n_reviews must be a whole number, got {count!r}")
+                    n_rev = int(count)
                     if not (0 < scale < math.inf and 0.0 <= avg <= scale and n_rev >= 0):
                         raise ValueError("out of range")
                     sd = float(row["rating_sd"]) if has_sd and row["rating_sd"] else math.nan
@@ -131,7 +141,9 @@ def fit_reward_cdf(table: RatingsTable, bandwidth: float | None = None) -> Rewar
     The kernel mass is reflected at 0 and 1, the CDF is evaluated on a
     512-point grid and normalized to end exactly at 1, and the result is the
     piecewise-linear empirical prior used everywhere else.  Fitting is fully
-    deterministic.
+    deterministic, and its working memory is the O(rows) ratings vectors plus
+    two KDE blocks of ``_KDE_BLOCK_BYTES`` (1 MiB) each, or of one grid row of
+    all hotels when that is larger.
     """
     if len(table) < 2:
         raise DatasetError("need at least 2 hotels to fit")
@@ -140,15 +152,35 @@ def fit_reward_cdf(table: RatingsTable, bandwidth: float | None = None) -> Rewar
     if not 0 < h < math.inf:  # NaN fails too
         raise DatasetError(f"bandwidth must be finite and > 0, got {bandwidth!r}")
     grid = np.linspace(0.0, 1.0, _GRID_POINTS)
-    g = grid[:, None]
-    # reflected-kernel CDF: direct mass plus mirror images at 0 and at 1
-    direct = special.ndtr((g - x) / h) - special.ndtr((0.0 - x) / h)
-    low_mirror = special.ndtr((g + x) / h) - special.ndtr(x / h)
-    high_mirror = special.ndtr((g - 2.0 + x) / h) - special.ndtr((x - 2.0) / h)
-    cdf = (direct + low_mirror + high_mirror).mean(axis=1)
+    # reflected-kernel CDF: direct mass plus mirror images at 0 and at 1.
+    # Each block row is one grid point over all hotels, so its mean sums in
+    # the same order as one (grid, hotels) array would.
+    origin = special.ndtr((0.0 - x) / h)
+    low_edge = special.ndtr(x / h)
+    high_edge = special.ndtr((x - 2.0) / h)
+    rows = max(1, _KDE_BLOCK_BYTES // (8 * x.size))
+    block = np.empty((min(rows, grid.size), x.size))
+    mirror = np.empty_like(block)
+    cdf = np.empty(grid.size)
+    for start in range(0, grid.size, rows):
+        g = grid[start:start + rows, None]
+        n = g.shape[0]
+        acc = _kernel_mass(np.subtract, g, x, h, origin, block[:n])
+        acc += _kernel_mass(np.add, g, x, h, low_edge, mirror[:n])
+        acc += _kernel_mass(np.add, g - 2.0, x, h, high_edge, mirror[:n])
+        cdf[start:start + n] = acc.mean(axis=1)
     cdf = np.maximum.accumulate(np.clip(cdf, 0.0, None))
     cdf /= cdf[-1]
     return RewardDistribution.empirical(grid, cdf)
+
+
+def _kernel_mass(op, g, x, h, edge, out):
+    """``ndtr(op(g, x) / h) - edge`` computed in place in ``out``."""
+    op(g, x, out=out)
+    out /= h
+    special.ndtr(out, out=out)
+    out -= edge
+    return out
 
 
 def estimate_pref_sd(table: RatingsTable) -> float:

@@ -37,7 +37,7 @@ class TestFitCommand:
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        for row in ("x,oops,10,3", "x,4,10,inf", "x,inf,inf,3"):
+        for row in ("x,oops,10,3", "x,4,10,inf", "x,inf,inf,3", "x,4,10,3.7"):
             bad.write_text(f"hotel_id,avg_rating,rating_scale_max,n_reviews\ny,4,10,3\n{row}\n")
             assert run_cli("fit", str(bad), str(tmp_path / "o.csv"), "--bandwidth", "0.05") == 2
             assert "line 3" in capsys.readouterr().err

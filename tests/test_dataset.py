@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 
+from commgate import dataset
 from commgate.dataset import (
     RatingsTable,
     estimate_pref_sd,
@@ -68,6 +71,14 @@ class TestLoadRatings:
             with pytest.raises(DatasetError, match="line 3"):
                 load_ratings(p)
 
+    def test_review_count_must_be_whole(self, tmp_path):
+        # 76.0 is a count; 3.7 is refused rather than truncated to 3
+        p = write_csv(tmp_path / "n.csv", ["a,4,10,76.0,0.5", "b,5,10,3,0.5"])
+        assert load_ratings(p).n_reviews.tolist() == [76, 3]
+        p = write_csv(tmp_path / "n.csv", ["a,4,10,76.0,0.5", "b,5,10,3.7,0.5"])
+        with pytest.raises(DatasetError, match="line 3: n_reviews must be a whole number"):
+            load_ratings(p)
+
     def test_column_mapping(self, tmp_path):
         # columns are read by name in any order, and rating_sd is optional
         p = tmp_path / "map.csv"
@@ -78,7 +89,43 @@ class TestLoadRatings:
         assert table.rating_sd is None
 
 
+def one_shot_cdf(table, h):
+    """The reflected-KDE CDF as one (grid, hotels) array: the blocked fit's reference."""
+    x = table.normalized
+    grid = np.linspace(0.0, 1.0, 512)
+    g = grid[:, None]
+    direct = special.ndtr((g - x) / h) - special.ndtr((0.0 - x) / h)
+    low_mirror = special.ndtr((g + x) / h) - special.ndtr(x / h)
+    high_mirror = special.ndtr((g - 2.0 + x) / h) - special.ndtr((x - 2.0) / h)
+    cdf = (direct + low_mirror + high_mirror).mean(axis=1)
+    cdf = np.maximum.accumulate(np.clip(cdf, 0.0, None))
+    return cdf / cdf[-1]
+
+
 class TestFit:
+    @pytest.mark.parametrize("case", ["hotel", "two_rows", "one_grid_row_per_block"])
+    def test_blocked_fit_is_one_shot_formula(self, case, hotel_table, monkeypatch):
+        table = make_table([0.3, 0.7]) if case == "two_rows" else hotel_table
+        if case == "hotel":  # 158 grid rows per block and a partial last block
+            assert dataset._KDE_BLOCK_BYTES // (8 * len(table)) == 158
+        if case == "one_grid_row_per_block":
+            monkeypatch.setattr(dataset, "_KDE_BLOCK_BYTES", 8 * len(table))
+        h = silverman_bandwidth(table.normalized)
+        assert np.array_equal(fit_reward_cdf(table).cdf_values, one_shot_cdf(table, h))
+
+    def test_fit_memory_is_two_blocks(self):
+        # a 20,000-row table needs hundreds of MB as (grid, hotels) arrays;
+        # blocked, the fit holds two blocks plus a few O(rows) vectors
+        rng = np.random.Generator(np.random.Philox(7))
+        table = make_table(rng.beta(2.0, 3.0, 20_000))
+        tracemalloc.start()
+        try:
+            fit_reward_cdf(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * dataset._KDE_BLOCK_BYTES + 8 * table.avg_ratings.nbytes
+
     def test_two_symmetric_points(self):
         d = fit_reward_cdf(make_table([0.3, 0.7]))
         assert d.mean() == pytest.approx(0.5, abs=1e-3)

@@ -110,6 +110,21 @@ class TestXYTerms:
         myopic._single_window_table(RewardDistribution.beta(2, 5), 5, 12)
         assert len(calls) == 12 + 1
 
+    @pytest.mark.parametrize("d_name,N,first", [("beta", 5, 64), ("beta", 50, 68),
+                                                ("uniform", 2, 54), ("hotel", 50, 142)])
+    def test_benefit_settles_bit_for_bit(self, d_name, N, first, uniform, hotel_dist):
+        # from the first i with N F(mu)^i + F(mu)^(iN)/(1-F(mu)^N) <= 2^-53
+        # the window-index parts of y_i's integrand no longer move its
+        # doubles, so every later y_i is the same double: a term table could
+        # stop integrating there
+        d = {"uniform": uniform, "beta": RewardDistribution.beta(2, 5), "hotel": hotel_dist}[d_name]
+        fmu = d.cdf(d.mean())
+        i = next(i for i in range(1, 1000)
+                 if N * fmu**i + fmu ** (i * N) / (1.0 - fmu**N) <= 2.0**-53)
+        assert i == first
+        ys = myopic._terms(d, N, i + 6).ys
+        assert np.array_equal(ys[i:], np.full(6, ys[i]))
+
     def test_benefit_grows_with_window_length(self, uniform):
         ys = [xy_terms(uniform, 3, i)[1] for i in (1, 2, 3)]
         assert ys[0] < ys[1] < ys[2]

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Print one sha256 per output file of a fixed matrix of CLI commands.
 
-Runs two ``fit`` commands (one on zero-spread ratings), ten ``optimize``
-commands (all three modes), a three-mode ``sweep`` and 50 ``simulate``
-configs in-process from the checkout's ``src/`` into a temporary directory,
-with relative paths so that no output names the directory.  Each command's
-stdout and exit code are kept as a file too; a command that raises is kept
-as ``raised <ExceptionType>`` and the matrix goes on.  Two checkouts give
-byte-identical outputs when their listings diff clean:
+Runs three ``fit`` commands (one on zero-spread ratings, one on a generated
+3,000-hotel table), ten ``optimize`` commands (all three modes), a
+three-mode ``sweep`` and 50 ``simulate`` configs in-process from the
+checkout's ``src/`` into a temporary directory, with relative paths so that
+no output names the directory.  Each command's stdout and exit code are kept
+as a file too; a command that raises is kept as ``raised <ExceptionType>``
+and the matrix goes on.  Two checkouts give byte-identical outputs when
+their listings diff clean:
 
     python3 tools/output_digests.py > new.txt
     python3 tools/output_digests.py path/to/other/checkout > old.txt
@@ -43,6 +44,12 @@ def commands():
     Path("flat_ratings.csv").write_text("hotel_id,avg_rating,rating_scale_max,n_reviews\n"
                                         + "".join(f"h{i},3.7,5,10\n" for i in range(30)))
     yield "fit_zero_spread", ["fit", "flat_ratings.csv", "flat_prior.csv"]
+    # 3,000 hotels: the KDE runs in 12 blocks of grid rows (43 rows a block)
+    Path("large_ratings.csv").write_text(
+        "hotel_id,avg_rating,rating_scale_max,n_reviews\n"
+        + "".join(f"h{i},{1 + 8 * ((i * 0.6180339887) % 1) ** 1.5:.2f},10,{5 + i % 97}\n"
+                  for i in range(3000)))
+    yield "fit_large", ["fit", "large_ratings.csv", "large_prior.csv"]
     for name, dist, n, t in (("hotel", "hotel.csv", 30, 60), ("beta", "beta:0.7,0.9", 8, 30)):
         for mode in ("nonmyopic", "myopic-approx"):
             yield f"optimize_{mode}_{name}", ["optimize", "--dist", dist, "--n-agents", str(n),
