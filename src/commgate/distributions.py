@@ -7,6 +7,13 @@ which the uniform prior is one), inverse-CDF sampling, and an adaptive
 Simpson integrator that splits at known kink locations so that
 piecewise-smooth integrands converge quickly.
 
+The empirical inverse CDF is table-driven, after Chen & Asau ("On
+generating random variates from an empirical distribution", AIIE
+Transactions 6, 1974): a guide table of equal-width quantile buckets finds
+each quantile's CDF segment with one compare, and four per-segment tables
+(lower CDF value, CDF span, lower grid point, grid rise) give the linear
+interpolation with no special case for the first segment.
+
 Every integral runs at one absolute tolerance, ``_ABS_TOL``, with the
 refinement depth capped at ``_MAX_DEPTH``; the kinks are data, the prior's
 own (the empirical grid) plus the ``breakpoints`` a caller passes.  The
@@ -14,7 +21,9 @@ integrator takes scalar bounds or arrays of bounds.  An array call
 refines the pieces of every ``(lo, hi)`` pair together, one vectorized
 integrand call per refinement depth, the first with all five Simpson nodes
 of every piece, and gives each pair the nodes and the estimate it would get
-alone; callers batch many small integrals into one call that way.
+alone; callers batch many small integrals into one call that way.  A
+non-finite integral is refused, and a piece with a NaN error estimate is
+not refined on the way.
 Integrands are vectorized: each maps the array of nodes to an array of the
 same shape.
 """
@@ -51,7 +60,8 @@ class RewardDistribution:
     empirical CDF through (0, 0) and (1, 1).  Every construction path (the
     classmethods, the plain constructor, ``dataclasses.replace``) runs
     ``__post_init__``, which validates, keeps read-only copies of the arrays
-    and derives the mean and the `ppf` bucket table.  Instances are immutable.
+    and derives the mean and the `ppf` bucket and segment tables.  Instances
+    are immutable.
     """
 
     kind: str
@@ -60,10 +70,12 @@ class RewardDistribution:
     grid: np.ndarray | None = None
     cdf_values: np.ndarray | None = None
     _mean: float = field(init=False, repr=False)
-    # empirical kind: bucket table of `ppf` (see `_segment`), and for
-    # `tail_mean_excess` the integrals of 1 - F from each grid point to 1
+    # empirical kind: bucket and segment tables of `ppf` (see `_segment` and
+    # `_segment_tables`), and for `tail_mean_excess` the integrals of 1 - F
+    # from each grid point to 1
     _buckets: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         init=False, repr=False, default=None)
+    _segments: tuple[np.ndarray, ...] | None = field(init=False, repr=False, default=None)
     _tail: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -71,6 +83,9 @@ class RewardDistribution:
             a, b = (np.nan if v is None else float(v) for v in (self.alpha, self.beta_param))
             if not (0 < a < np.inf and 0 < b < np.inf):  # NaN fails too
                 raise DistributionError("Beta parameters must be positive and finite, "
+                                        f"got alpha={self.alpha}, beta={self.beta_param}")
+            if a + b == np.inf:  # the mean would read 0 and betainc NaN
+                raise DistributionError("Beta parameters must have a finite sum, "
                                         f"got alpha={self.alpha}, beta={self.beta_param}")
             object.__setattr__(self, "alpha", a)
             object.__setattr__(self, "beta_param", b)
@@ -103,6 +118,7 @@ class RewardDistribution:
         # trapezoid of 1 - C is exact for a piecewise-linear CDF
         object.__setattr__(self, "_mean", 1.0 - float(np.trapezoid(c, g)))
         object.__setattr__(self, "_buckets", _bucket_table(c))
+        object.__setattr__(self, "_segments", _segment_tables(g, c))
         seg = 0.5 * ((1.0 - c[:-1]) + (1.0 - c[1:])) * np.diff(g)  # trapezoids of 1 - C
         object.__setattr__(self, "_tail", np.append(np.cumsum(seg[::-1])[::-1], 0.0))
 
@@ -143,7 +159,15 @@ class RewardDistribution:
         return float(out) if np.isscalar(r) else out
 
     def ppf(self, q):
-        """Generalized inverse CDF; exact for the piecewise-linear empirical kind."""
+        """Generalized inverse CDF; exact for the piecewise-linear empirical kind.
+
+        For the empirical kind ``_segment`` finds each quantile's CDF index
+        ``j`` and the segment tables give ``((u - c0) / span) * rise + g0``,
+        the interpolation ``searchsorted`` plus the grid would give, bit for
+        bit; segment 0 (``u <= cdf_values[0]``, the atom at 0) gives
+        ``grid[0]``.  A finite ``q`` outside [0, 1] gives the nearest end of
+        the support, and NaN stays NaN.
+        """
         arr = np.atleast_1d(np.asarray(q, dtype=float))
         if self.kind == "beta":
             a, b = self.alpha, self.beta_param
@@ -158,22 +182,17 @@ class RewardDistribution:
                 x_t[bad] = np.exp((np.log(q_t[bad]) + np.log(a) + special.betaln(a, b)) / a)
                 out[tiny] = x_t
         else:
-            c, g = self.cdf_values, self.grid
+            c0, span, g0, rise = self._segments
             j = self._segment(arr)
-            c0 = np.take(c, j - 1, mode="clip")  # "clip" takes index -1 to 0
-            edge = (arr <= c0) | (j == 0)  # u at or below cdf_values[0]; NaN stays NaN
-            # g0 + (u - c0) / (c1 - c0) * (g1 - g0), evaluated in place
-            span = c[j]
-            span -= c0
-            out = np.subtract(arr, c0, out=c0)
-            with np.errstate(invalid="ignore", divide="ignore"):  # edge entries only
-                out /= span
-                g0 = np.take(g, j - 1, out=span, mode="clip")
-                rise = g[j]
-                rise -= g0
-                out *= rise
-            out += g0
-            out[edge] = g[j[edge]]
+            # ((u - c0) / span) * rise + g0 from the segment tables, in two
+            # reused buffers; segment 0 (u <= cdf_values[0]) gives g0 = grid[0].
+            # `j` is in range; mode "clip" spares `take` its buffered bounds check
+            out = np.take(c0, j, mode="clip")
+            np.subtract(arr, out, out=out)
+            buf = np.take(span, j, mode="clip")
+            out /= buf
+            out *= np.take(rise, j, out=buf, mode="clip")
+            out += np.take(g0, j, out=buf, mode="clip")
         np.clip(out, 0.0, 1.0, out=out)
         return float(out[0]) if np.isscalar(q) else out.reshape(np.shape(q))
 
@@ -182,18 +201,17 @@ class RewardDistribution:
 
         For ``u`` in [0, 1] the bucket ``k = floor(u * M)`` of the table
         bounds the index to ``start[k] .. start[k+1]``; where that span
-        holds at most two CDF points, two step-forward compares finish the
+        holds at most one CDF point, one step-forward compare finishes the
         search.  The rare wider buckets (steep stretches of the CDF) and any
         ``u`` outside [0, 1] go through ``np.searchsorted``.
         """
-        c = self.cdf_values
+        start, c, wide = self._buckets
         if not (u.size and 0.0 <= u.min() and u.max() <= 1.0):
             return np.clip(np.searchsorted(c, u, side="left"), 0, c.size - 1)
-        start, padded, wide = self._buckets
-        k = np.minimum((u * wide.size).astype(np.intp), wide.size - 1)
+        k = (u * wide.size).astype(np.intp)
+        np.minimum(k, wide.size - 1, out=k)
         j = start[k]
-        j += padded[j] < u
-        j += padded[j] < u
+        j += c[j] < u
         slow = wide[k]
         if slow.any():
             j[slow] = np.searchsorted(c, u[slow], side="left")
@@ -280,16 +298,34 @@ def _bucket_table(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is the smallest power of two with at least 8 buckets per CDF point, so
     ``u * M`` and ``k / M`` are exact and most buckets hold no point at all.
     Returns ``start`` (``M + 1`` entries, ``searchsorted(c, k / M)``), ``c``
-    padded with one value above 1 so the second compare never reads past
-    the end, and the mask of buckets whose span holds more than two points.
+    itself, which the compare reads (``start[k]`` is at most the last index,
+    as ``c`` ends at 1), and the mask of buckets whose span holds more than
+    one point.
     """
     M = 1 << (8 * c.size - 1).bit_length()
     start = np.searchsorted(c, np.arange(M + 1) / M, side="left")
-    padded = np.append(c, 2.0)
-    wide = np.diff(start) > 2
-    for a in (start, padded, wide):
+    wide = np.diff(start) > 1
+    for a in (start, wide):
         a.setflags(write=False)
-    return start, padded, wide
+    return start, c, wide
+
+
+def _segment_tables(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per CDF index ``j`` the segment below it: ``c0 = c[j-1]``, ``span =
+    c[j] - c0``, ``g0 = g[j-1]`` and ``rise = g[j] - g0``, read-only.
+
+    Segment 0 has ``span = inf`` and ``rise = 0``, so every ``u <= c[0]``
+    maps to ``g0 = g[0]`` with no special case.
+    """
+    c0 = np.concatenate([[0.0], c[:-1]])
+    g0 = np.concatenate([g[:1], g[:-1]])
+    span = c - c0
+    rise = g - g0
+    span[0] = np.inf
+    tables = (c0, span, g0, rise)
+    for a in tables:
+        a.setflags(write=False)
+    return tables
 
 
 def _evaluate(integrand: Callable, x: np.ndarray) -> np.ndarray:
@@ -340,9 +376,12 @@ def integrate(
         If a pair is outside ``0 <= lo <= hi <= 1``; the first such pair is
         named.
     QuadratureError
-        If some piece still exceeds its tolerance at ``_MAX_DEPTH``; the error
-        carries the best available estimate (a float or an array, like the
-        result) and the summed error estimate of the failed pieces.
+        If the integral of some pair is not finite (the integrand gave NaN
+        or an infinity; a piece whose error estimate is NaN is accepted at
+        once, not refined), with ``error_bound`` NaN; or if some piece still
+        exceeds its tolerance at ``_MAX_DEPTH``.  The error carries the best
+        available estimate (a float or an array, like the result) and the
+        summed error estimate of the failed pieces.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo_arr, hi_arr = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
@@ -401,14 +440,13 @@ def integrate(
             sr = (b - m) / 6.0 * (fb + 4.0 * frm + fm)
             s2 = sl + sr
             corr = (s2 - s) / 15.0
-            done = np.abs(corr) <= tol
+            keep = np.abs(corr) > tol  # a NaN estimate is not split: it stays NaN
             if depth >= _MAX_DEPTH:
-                bad = ~done
-                failed = failed or bool(bad.any())
-                failed_bound += float(np.sum(np.abs(corr[bad])))
-                done = np.ones_like(done)
+                failed = failed or bool(keep.any())
+                failed_bound += float(np.sum(np.abs(corr[keep])))
+                keep[:] = False
+            done = ~keep
             total += np.bincount(pid[done], weights=(s2 + corr)[done], minlength=total.size)
-            keep = ~done
             if not keep.any():
                 break
             # split every unconverged interval into its two halves
@@ -426,6 +464,12 @@ def integrate(
             flm, frm = _evaluate(integrand, np.concatenate([lm, rm])).reshape(2, -1)
 
     result = float(total[0]) if scalar else total.reshape(shape)
+    nonfinite = ~np.isfinite(total)
+    if nonfinite.any():
+        j = int(np.argmax(nonfinite))
+        pair = "" if scalar else f" of pair {j}"
+        raise QuadratureError(f"non-finite integrand: the integral{pair} is {total[j]}",
+                              estimate=result, error_bound=np.nan)
     if failed:
         raise QuadratureError(
             f"quadrature did not converge to abs_tol={_ABS_TOL} within depth {_MAX_DEPTH}",

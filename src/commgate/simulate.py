@@ -74,7 +74,7 @@ _CHUNK = 4096  # most replications per chunk
 _CHUNK_BYTES = 32 << 20  # working set of one chunk's slot step
 # peak bytes a slot step holds per (replication, agent); traced run peak at
 # N = 50 on the fitted hotel prior, one 4096-row chunk, at slot 0 where every
-# agent explores: 81 B deterministic, 95 B per-look, 81 B per-option noise
+# agent explores: 80 B deterministic, 94 B per-look, 88 B per-option noise
 # and 90 B heterogeneous
 _AGENT_BYTES = 104
 _OPTION, _AUX, _SHARE = range(3)  # purposes of the keyed draw streams
@@ -287,7 +287,9 @@ def _explore(state: SimState, t: int, config: SimConfig, draw, scan: _Scan) -> n
 
     Only ``scan.explorers`` are tested unless the threshold rose (see
     ``_Scan``).  The state is updated through the flat index of the
-    explorers.  A slot in which nobody explores draws nothing and returns
+    explorers and that of the winners among them, each found by one
+    ``flatnonzero`` and read by ``take``, and the winners' values are
+    gathered once.  A slot in which nobody explores draws nothing and returns
     the state's own ``m`` (or ``exploit``).  Option, noise and preference
     quantiles are drawn only when someone explores, and only explorers'
     quantiles are mapped through the prior and ``ndtri``.  Explorers observe
@@ -306,7 +308,7 @@ def _explore(state: SimState, t: int, config: SimConfig, draw, scan: _Scan) -> n
         scan.explorers = None  # released before the full scan
         explore = np.flatnonzero(m < threshold)
     else:
-        explore = scan.explorers[m[scan.explorers] < threshold]
+        explore = scan.explorers.take(np.flatnonzero(m.take(scan.explorers) < threshold))
     scan.explorers = explore if explore.size < m.size else None
     scan.threshold = threshold
     scan.repeat = scan.settled and not explore.size
@@ -317,7 +319,7 @@ def _explore(state: SimState, t: int, config: SimConfig, draw, scan: _Scan) -> n
         return state.exploit if per_look else state.m
 
     def explorers(purpose):
-        return draw(purpose).reshape(-1)[explore]
+        return draw(purpose).reshape(-1).take(explore)
 
     base = config.dist.ppf(explorers(_OPTION))
     if mode == "deterministic":
@@ -328,13 +330,19 @@ def _explore(state: SimState, t: int, config: SimConfig, draw, scan: _Scan) -> n
         sd = config.noise_sd if mode == "stochastic" else config.pref_sd
         obs = np.clip(base + sd * special.ndtri(explorers(_AUX)), 0.0, 1.0)
 
-    gain = obs > m[explore]
-    won = explore[gain]
-    m[won] = obs[gain]
-    won_base = base[gain]
+    gain = np.flatnonzero(obs > m.take(explore))  # explorers that won, as positions in explore
+    won = explore.take(gain)
+    won_base = base.take(gain)
+    m[won] = won_base if obs is base else obs.take(gain)
+    del gain  # the winners' flat index `won` stands for it from here on
     state.best_base.reshape(-1)[won] = won_base
-    state.best_opt.reshape(-1)[won] = t * N + won % N
-    state.explored.reshape(-1)[explore] += 1
+    creator = won // N
+    creator *= -N
+    creator += won  # won % N, in fewer passes than %
+    creator += t * N
+    state.best_opt.reshape(-1)[won] = creator
+    del creator
+    np.add.at(state.explored.reshape(-1), explore, 1)
     if won.size:
         scan.won = True
     if per_look and state.exploit is None:

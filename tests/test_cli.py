@@ -135,6 +135,12 @@ class TestOptimizeCommand:
         assert run_cli("optimize", "--dist", "nosuchthing", "--n-agents", "3",
                        "--horizon", "8", "--mode", "myopic-approx") == 2
 
+    @pytest.mark.parametrize("mode", ["myopic-approx", "nonmyopic"])
+    def test_beta_parameter_sum_overflow_exits_2(self, capsys, mode):
+        assert run_cli("optimize", "--dist", "beta:1e308,1e308", "--n-agents", "3",
+                       "--horizon", "8", "--mode", mode) == 2
+        assert "finite sum" in capsys.readouterr().err
+
     def test_failed_candidates_skipped(self, capsys, tmp_path, failing_slots):
         failing_slots.update({2, 4})
         out = tmp_path / "scan.csv"

@@ -180,6 +180,27 @@ def test_integrate_convergence_error_carries_estimate(monkeypatch):
     assert err.value.error_bound > 0
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+def test_integrate_non_finite_integrand_raises_at_once(monkeypatch):
+    # a NaN error estimate is accepted, not split at every depth toward
+    # 2^_MAX_DEPTH pieces; the non-finite result is then refused
+    monkeypatch.setattr(distributions, "_MAX_DEPTH", 12)
+    calls = []
+
+    def nan(r):
+        calls.append(r.size)
+        return np.full_like(r, np.nan)
+
+    with pytest.raises(QuadratureError, match="non-finite integrand: the integral is nan") as err:
+        integrate(KINDS["uniform"], nan, 0.0, 1.0)
+    assert calls == [5]
+    assert math.isnan(err.value.estimate) and math.isnan(err.value.error_bound)
+    f = lambda r: np.where(r > 0.5, np.inf, r)
+    with pytest.raises(QuadratureError, match="the integral of pair 1 is") as err:
+        integrate(KINDS["uniform"], f, np.array([0.0, 0.2]), np.array([0.5, 0.9]))
+    assert err.value.estimate[0] == pytest.approx(0.125)
+
+
 def test_integrate_splits_at_breakpoints():
     u = KINDS["uniform"]
     kink = 0.37
@@ -314,6 +335,14 @@ def test_empirical_validation_errors():
             RewardDistribution.beta(a, b)
 
 
+def test_beta_parameter_sum_must_be_finite():
+    # at alpha + beta = inf the mean reads 0 and betainc gives NaN
+    with pytest.raises(DistributionError, match="finite sum"):
+        RewardDistribution.beta(1e308, 1e308)
+    d = RewardDistribution.beta(8e307, 8e307)
+    assert (d.mean(), d.cdf(0.5)) == (0.5, 0.5)
+
+
 def test_empirical_arrays_are_read_only_copies():
     grid, cdf = np.array([0.0, 0.3, 0.7, 1.0]), np.array([0.1, 0.4, 0.8, 1.0])
     d = RewardDistribution.empirical(grid, cdf)
@@ -391,10 +420,10 @@ def test_bucketed_ppf_matches_searchsorted(gaps, atom, data):
 
 
 def test_bucketed_ppf_on_hotel_prior(hotel_dist):
-    # 512 CDF points: 4096 buckets, of which the steep 1e-279 tails make 4
-    # span more than two points
+    # 512 CDF points: 4096 buckets, of which the steep 1e-279 tails make 8
+    # span more than one point
     start, padded, wide = hotel_dist._buckets
-    assert (wide.size, int(wide.sum())) == (4096, 4)
+    assert (wide.size, int(wide.sum())) == (4096, 8)
     for arr in (start, padded, wide):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0

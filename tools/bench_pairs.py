@@ -9,7 +9,9 @@ on, so that a drift of the host's speed falls on both sides alike.  Writes
 ``BENCH_<workload>.json`` with both SHAs, every run's environment, summary
 and result lines, the per-metric medians of each side, and per metric the
 number of pairs in which the head was better (the metric's direction is
-read from ``BENCHMARK.json``).  It only drives the harness; it changes
+read from ``BENCHMARK.json``), then prints one verdict line per metric on
+stderr: each side's median with its quartiles, the relative change of the
+median and the pairs the head won.  It only drives the harness; it changes
 nothing under ``perfbench/``.
 
     python3 tools/bench_pairs.py --base HEAD~1 --head HEAD --workload reveal \\
@@ -67,6 +69,24 @@ def directions() -> dict:
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
+def quartiles(v: list) -> tuple[float, float, float]:
+    """Lower quartile, median and upper quartile of ``v`` (inclusive method)."""
+    if len(v) < 2:
+        return v[0], v[0], v[0]
+    lo, mid, hi = statistics.quantiles(v, n=4, method="inclusive")
+    return lo, mid, hi
+
+
+def verdict(name: str, base: list, head: list, won: int) -> str:
+    """One line: both sides' median [quartiles], the relative change of the
+    median and the pairs in which the head was better."""
+    (b_lo, b_mid, b_hi), (h_lo, h_mid, h_hi) = quartiles(base), quartiles(head)
+    rel = f"{(h_mid - b_mid) / abs(b_mid):+.1%}" if b_mid else "n/a"
+    return (f"{name}: parent {b_mid:.6g} [{b_lo:.6g}, {b_hi:.6g}], "
+            f"change {h_mid:.6g} [{h_lo:.6g}, {h_hi:.6g}], {rel}, "
+            f"change better in {won} of {len(base)} pairs")
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="revision measured as the parent")
@@ -121,6 +141,9 @@ def main(argv=None) -> int:
     }
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}", file=sys.stderr)
+    for name in sorted(head_better):
+        print(verdict(name, values["base"][name], values["head"][name], head_better[name]),
+              file=sys.stderr)
     return 0 if all(run["exit_code"] == 0 for run in runs) else 1
 
 

@@ -3,7 +3,7 @@
 
 Runs three ``fit`` commands (one on zero-spread ratings, one on a generated
 3,000-hotel table), ten ``optimize`` commands (all three modes), a
-three-mode ``sweep`` and 50 ``simulate`` configs in-process from the
+three-mode ``sweep`` and 52 ``simulate`` configs in-process from the
 checkout's ``src/`` into a temporary directory, with relative paths so that
 no output names the directory.  Each command's stdout and exit code are kept
 as a file too; a command that raises is kept as ``raised <ExceptionType>``
@@ -94,6 +94,13 @@ def commands():
             name = f"simulate_long_{sn}_{mn}"
             yield name, simulate(name, DISTS["hotel"], 6, 300, schedule, kind, *MODES[mn],
                                  horizon=300)
+    # a prior with an atom at 0 and a flat stretch: the inverse CDF maps low
+    # quantiles to 0 through its first segment and never lands on the flat one
+    Path("atom_prior.csv").write_text("r,cdf\n0,0.2\n0.3,0.2\n0.6,0.7\n1,1\n")
+    for mn in ("det", "noisy"):
+        name = f"simulate_atom_reveal_{mn}"
+        yield name, simulate(name, {"csv": "atom_prior.csv"}, 6, 3000, {"one_time": 5},
+                             "nonmyopic", *MODES[mn], horizon=12)
     # a malformed config: the csv path of a dist object must be a string
     yield "simulate_dist_csv_number", simulate("simulate_dist_csv_number", {"csv": 5}, 6, 300,
                                                "centralized", "myopic", "deterministic", False)
