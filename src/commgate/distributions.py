@@ -162,11 +162,11 @@ class RewardDistribution:
         """Generalized inverse CDF; exact for the piecewise-linear empirical kind.
 
         For the empirical kind ``_segment`` finds each quantile's CDF index
-        ``j`` and the segment tables give ``((u - c0) / span) * rise + g0``,
-        the interpolation ``searchsorted`` plus the grid would give, bit for
-        bit; segment 0 (``u <= cdf_values[0]``, the atom at 0) gives
-        ``grid[0]``.  A finite ``q`` outside [0, 1] gives the nearest end of
-        the support, and NaN stays NaN.
+        ``j`` and the segment tables (see ``_segment_tables``) give
+        ``((u - c0) / span) * rise + g0``, the interpolation ``searchsorted``
+        plus the grid would give, bit for bit; ``u <= cdf_values[0]`` (the
+        atom at 0) gives ``grid[0]``.  A ``q`` outside [0, 1] gives the
+        nearest end of the support, and NaN stays NaN.
         """
         arr = np.atleast_1d(np.asarray(q, dtype=float))
         if self.kind == "beta":
@@ -185,8 +185,8 @@ class RewardDistribution:
             c0, span, g0, rise = self._segments
             j = self._segment(arr)
             # ((u - c0) / span) * rise + g0 from the segment tables, in two
-            # reused buffers; segment 0 (u <= cdf_values[0]) gives g0 = grid[0].
-            # `j` is in range; mode "clip" spares `take` its buffered bounds check
+            # reused buffers; `j` is in range, and mode "clip" spares `take`
+            # its buffered bounds check
             out = np.take(c0, j, mode="clip")
             np.subtract(arr, out, out=out)
             buf = np.take(span, j, mode="clip")
@@ -311,17 +311,24 @@ def _bucket_table(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _segment_tables(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per CDF index ``j`` the segment below it: ``c0 = c[j-1]``, ``span =
-    c[j] - c0``, ``g0 = g[j-1]`` and ``rise = g[j] - g0``, read-only.
+    """Per CDF index ``j`` the line of `RewardDistribution.ppf` on segment
+    ``j``, read-only: ``c0 = c[j-1]``, ``span = c[j] - c0``, ``g0 = g[j-1]``
+    and ``rise = g[j] - g0``, so ``ppf(u) = ((u - c0) / span) * rise + g0``
+    clipped to [0, 1].
 
-    Segment 0 has ``span = inf`` and ``rise = 0``, so every ``u <= c[0]``
-    maps to ``g0 = g[0]`` with no special case.
+    A segment with ``span = 0`` holds no quantile and gets the unit line
+    ``u - c0 + g0`` instead, which the clip takes to an end of the support:
+    segment 0 (``u <= c[0]``, with ``c0 = c[0]`` and ``g0 = g[0] = 0``) to 0,
+    and a flat segment (``g0 = 1``), which only ``u > 1`` past a flat top
+    reaches, to 1.  So no quantile divides by zero, and ``-inf`` gives 0.
     """
-    c0 = np.concatenate([[0.0], c[:-1]])
+    c0 = np.concatenate([c[:1], c[:-1]])
     g0 = np.concatenate([g[:1], g[:-1]])
     span = c - c0
     rise = g - g0
-    span[0] = np.inf
+    empty = span == 0.0  # segment 0 and the flat ones
+    span[empty] = rise[empty] = 1.0
+    g0[1:][empty[1:]] = 1.0
     tables = (c0, span, g0, rise)
     for a in tables:
         a.setflags(write=False)

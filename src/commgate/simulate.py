@@ -74,7 +74,7 @@ _CHUNK = 4096  # most replications per chunk
 _CHUNK_BYTES = 32 << 20  # working set of one chunk's slot step
 # peak bytes a slot step holds per (replication, agent); traced run peak at
 # N = 50 on the fitted hotel prior, one 4096-row chunk, at slot 0 where every
-# agent explores: 80 B deterministic, 94 B per-look, 88 B per-option noise
+# agent explores: 73 B deterministic, 94 B per-look, 88 B per-option noise
 # and 90 B heterogeneous
 _AGENT_BYTES = 104
 _OPTION, _AUX, _SHARE = range(3)  # purposes of the keyed draw streams
@@ -338,7 +338,7 @@ def _explore(state: SimState, t: int, config: SimConfig, draw, scan: _Scan) -> n
     state.best_base.reshape(-1)[won] = won_base
     creator = won // N
     creator *= -N
-    creator += won  # won % N, in fewer passes than %
+    creator += won  # won % N; numpy's integer % is slower than // and two adds
     creator += t * N
     state.best_opt.reshape(-1)[won] = creator
     del creator

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -439,6 +440,20 @@ def test_bucketed_ppf_outside_unit_interval():
     assert_bucketed_ppf_exact(d, [-0.5, 0.3, 1.5, np.nan, 0.0, 1.0])
     assert_bucketed_ppf_exact(d, np.empty(0))
     assert math.isnan(d.ppf(math.nan))  # as for the uniform and beta kinds
+
+
+def test_ppf_outside_unit_interval_past_an_atom_and_a_flat_top():
+    # outside [0, 1] the inverse gives the ends of the support, as the
+    # definition does, also at -inf and past a flat top, and divides by no zero
+    d = RewardDistribution.empirical([0.0, 0.3, 0.6, 1.0], [0.2, 0.5, 1.0, 1.0])
+    u = np.array([-np.inf, -0.5, 0.0, 0.2, 0.3, 1.0, 1.5, np.inf, np.nan])
+    with np.errstate(divide="ignore"):
+        want = reference_ppf(d, u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = d.ppf(u)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert got[[0, 1, 6, 7]].tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 # points where the prior functions are compared bit for bit: a fine lattice,
