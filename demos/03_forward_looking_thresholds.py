@@ -60,6 +60,6 @@ print(f"expected exploration slots per agent: {count_best:.2f} vs {count_cent:.2
       "(over-exploration mitigated)")
 
 scan = scan_comm_times(d, N, T)
-rows = ["T1,welfare_per_agent"] + [f"{t1},{w / N:.6f}" for t1, w, s in scan if s is not None]
+rows = ["T1,welfare_per_agent"] + [f"{t1},{w / N:.6f}" for t1, w, _ in scan]
 (OUT / "welfare_vs_reveal_slot.csv").write_text("\n".join(rows) + "\n")
 print(f"full scan written to {OUT / 'welfare_vs_reveal_slot.csv'}")

@@ -70,14 +70,6 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _centralized_row(scan):
-    """Thresholds and welfare of the always-open candidate, the scan's T1 = T-1 row."""
-    T1, welfare, seq = scan[-1]
-    if seq is None:
-        raise SolverError(f"always-open candidate T1={T1} failed")
-    return seq, welfare
-
-
 def cmd_optimize(args) -> int:
     d = parse_dist(args.dist)
     N, T = args.n_agents, args.horizon
@@ -101,15 +93,11 @@ def cmd_optimize(args) -> int:
         rows = [("window_layout", "welfare"), (json.dumps(list(sched.windows)), welfare)]
     else:  # nonmyopic
         scan, (t1_star, _, welfare) = nonmyopic._scan_and_pick(d, N, T)
-        _, base_w = _centralized_row(scan)
-        ok = [(t1, w) for t1, w, s in scan if s is not None]
-        failed = [t1 for t1, _, s in scan if s is None]
+        base_w = scan[-1][1]  # the always-open candidate, T1 = T-1
         print(f"best sharing slot T1* = {t1_star}")
         print(f"welfare {welfare:.6f} vs centralized {base_w:.6f} "
               f"(gain {(welfare / base_w - 1) * 100:+.2f}%)")
-        if failed:
-            print(f"skipped candidates (solver failure): {failed}", file=sys.stderr)
-        rows = [("T1", "welfare")] + ok
+        rows = [("T1", "welfare")] + [(t1, w) for t1, w, _ in scan]
     if args.out:
         with open(args.out, "w", newline="") as fh:
             for row in rows:
@@ -252,7 +240,7 @@ def cmd_sweep(args) -> int:
     lines = ["T,mode,T1_star,mechanism_welfare,centralized_welfare,gain_per_agent"]
     for T in horizons:
         scan, (t1_star, seq, _) = nonmyopic._scan_and_pick(d, N, T)
-        seq_c, _ = _centralized_row(scan)
+        seq_c = scan[-1][2]  # the always-open candidate, T1 = T-1
         for config in configs:
             mech = replace(
                 config, horizon=T, schedule=CommSchedule.one_time(T, t1_star),

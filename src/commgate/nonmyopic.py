@@ -14,7 +14,6 @@ cumulative integral over the sorted prefix and post-sharing thresholds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +136,8 @@ def solve_single_agent(d: RewardDistribution, T: int) -> ThresholdSequence:
     ``tail(u)`` is the mean excess ``integral_u^1 (1-F)``.  The slots'
     equations are independent and increasing in ``u_t``, negative at ``mu``
     and ``1 - mu`` at 1, so all ``T-1`` of them are bisected at once on
-    ``[mu, 1]``.  The sequence strictly decreases to ``u_T = mu``.
+    ``[mu, 1]``.  The sequence strictly decreases to ``u_T = mu``; a prior
+    too concentrated at its mean for that is refused as degenerate.
     """
     if T < 1:
         raise DistributionError(f"horizon must be >= 1, got {T}")
@@ -150,6 +150,9 @@ def solve_single_agent(d: RewardDistribution, T: int) -> ThresholdSequence:
 
     roots = _bisect(fun, mu, T - 1)
     values = np.concatenate([roots, [mu]])
+    if np.any(np.diff(values) >= 0):
+        raise DistributionError(f"{d!r} is degenerate at its mean {mu:.6g}: "
+                                "its solo thresholds do not decrease strictly")
     residuals = np.concatenate([fun(roots), [0.0]])
     return ThresholdSequence(T, T, values, residuals, {"solver": "bisection"})
 
@@ -379,46 +382,33 @@ def welfare_one_time(
 
 def scan_comm_times(
     d: RewardDistribution, N: int, T: int
-) -> list[tuple[int, float, ThresholdSequence | None]]:
+) -> list[tuple[int, float, ThresholdSequence]]:
     """Solve every candidate sharing slot ``T1 = 1 .. T-1`` and report its welfare.
 
-    Rows are ``(T1, welfare, seq)`` in slot order; a candidate whose solver
-    fails is reported as ``(T1, nan, None)``.  The solo benchmark is solved
-    once and shared.  The last row, ``T1 = T-1``, is the always-open policy:
-    its ``seq`` equals ``solve_centralized_nonmyopic(d, N, T)`` exactly.
+    Rows are ``(T1, welfare, seq)`` in slot order; the first candidate whose
+    solver or quadrature fails fails the scan with that error.  The solo
+    benchmark is solved once and shared.  The last row, ``T1 = T-1``, is the always-open
+    policy: its ``seq`` equals ``solve_centralized_nonmyopic(d, N, T)`` exactly.
     """
     bench = solve_single_agent(d, T)
     out = []
     for T1 in range(1, T):
-        try:
-            seq = solve_one_time(d, N, T, T1, benchmark=bench)
-            welfare, _ = welfare_one_time(d, N, T, seq)
-            out.append((T1, welfare, seq))
-        except SolverError:
-            out.append((T1, math.nan, None))
+        seq = solve_one_time(d, N, T, T1, benchmark=bench)
+        welfare, _ = welfare_one_time(d, N, T, seq)
+        out.append((T1, welfare, seq))
     return out
 
 
 def _scan_and_pick(d, N, T):
     """``scan_comm_times`` rows and the best ``(T1, seq, welfare)`` among them.
 
-    The first maximum wins, so the earliest slot takes ties; failed rows are
-    skipped, and it is an error if every candidate fails.
+    The first maximum wins, so the earliest slot takes ties.
     """
     if T < 2 or N < 1:
         raise DistributionError("need T >= 2 and N >= 1")
     scan = scan_comm_times(d, N, T)
-    best = None
-    failures = {}
-    for T1, welfare, seq in scan:
-        if seq is None:
-            failures[T1] = "solver failure"
-            continue
-        if best is None or welfare > best[2]:
-            best = (T1, seq, welfare)
-    if best is None:
-        raise SolverError("every sharing-slot candidate failed", diagnostics=failures)
-    return scan, best
+    T1, welfare, seq = max(scan, key=lambda row: row[1])  # max keeps the first maximum
+    return scan, (T1, seq, welfare)
 
 
 def optimize_comm_time(
@@ -427,7 +417,6 @@ def optimize_comm_time(
     """Pick the sharing slot maximizing welfare (first slot wins ties).
 
     Runs ``scan_comm_times`` once, each candidate warm-started from the shared
-    solo benchmark; failed candidates are skipped, and it is an error if
-    every candidate fails.
+    solo benchmark; a candidate whose solver fails fails the pick.
     """
     return _scan_and_pick(d, N, T)[1]

@@ -239,16 +239,12 @@ class _Scan:
     ``explorers`` is None where every agent must be tested: at a chunk's
     first slot and after a slot in which every agent explored, whose index
     is not held.  ``won`` tells whether an explorer has won since the
-    previous share slot.  ``settled`` tells whether the state is still
-    exactly the previous slot's receipt, and ``repeat`` whether this slot's
-    receipt equals the previous one, whose sums then stand.
+    previous share slot.
     """
 
     explorers: np.ndarray | None = None
     threshold: float = math.nan
     won: bool = False
-    settled: bool = False
-    repeat: bool = False
 
 
 def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_share: int,
@@ -274,7 +270,6 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_s
     if won:
         if receipt is state.m or receipt is state.exploit:
             receipt = receipt.copy()
-        scan.settled = False
         if config.reward_mode == "heterogeneous":
             _share_appraised(state, last_share, config.pref_sd, draw(_SHARE))
         else:
@@ -311,8 +306,6 @@ def _explore(state: SimState, t: int, config: SimConfig, draw, scan: _Scan) -> n
         explore = scan.explorers.take(np.flatnonzero(m.take(scan.explorers) < threshold))
     scan.explorers = explore if explore.size < m.size else None
     scan.threshold = threshold
-    scan.repeat = scan.settled and not explore.size
-    scan.settled = not explore.size
     if not explore.size:
         if per_look and state.exploit is None:
             _fill_exploit(state, np.arange(m.size), config.noise_sd)
@@ -557,17 +550,21 @@ def run(config: SimConfig) -> SimResult:
         scan = _Scan()
         rep_total = np.zeros(rc)
         last_share = -1
+        prev = None  # the previous receipt, where it is a state array
         for t in range(T + 1):
             share_now = t in share_at
             draw = partial(_keyed_draw, seed, skip, (rc, N), t, c)
             receipt = _advance(state, t, config, share_now, last_share, draw, scan)
             if share_now:
                 last_share = t
-            if not scan.repeat:  # else the receipt and its sums are the previous slot's
+            # a slot that changes the state returns a copy, so a state array
+            # received twice in a row is unchanged and its sums stand
+            if receipt is not prev:
                 rep_sum = receipt.sum(axis=1)
                 rep_mean = rep_sum / N
                 mean_sum, sq_sum = rep_mean.sum(), (rep_mean**2).sum()
-            del receipt  # summed at once, so it is not live during the next slot
+            prev = receipt if receipt is state.m or receipt is state.exploit else None
+            del receipt  # summed at once, so a copy is not live during the next slot
             slot_sum[t] += mean_sum
             slot_sq[t] += sq_sum
             rep_total += rep_sum

@@ -141,18 +141,29 @@ class TestOptimizeCommand:
                        "--horizon", "8", "--mode", mode) == 2
         assert "finite sum" in capsys.readouterr().err
 
-    def test_failed_candidates_skipped(self, capsys, tmp_path, failing_slots):
+    def test_failed_candidate_exits_3(self, capsys, tmp_path, failing_slots):
+        # the first failed candidate fails the scan: no T1* from the others
         failing_slots.update({2, 4})
         out = tmp_path / "scan.csv"
         assert run_cli("optimize", "--dist", "uniform", "--n-agents", "3",
-                       "--horizon", "8", "--mode", "nonmyopic", "--out", str(out)) == 0
-        assert "skipped candidates (solver failure): [2, 4]" in capsys.readouterr().err
-        rows = out.read_text().splitlines()[1:]
-        assert [int(row.split(",")[0]) for row in rows] == [1, 3, 5, 6, 7]
+                       "--horizon", "8", "--mode", "nonmyopic", "--out", str(out)) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "solver error: injected failure at T1=2\n"
+        assert "best sharing slot" not in captured.out
+        assert not out.exists()
+
+    def test_solver_non_convergence_exits_3(self, capsys, monkeypatch):
+        from commgate import nonmyopic
+
+        monkeypatch.setattr(nonmyopic, "_MAX_ITER", 1)
+        assert run_cli("optimize", "--dist", "uniform", "--n-agents", "3",
+                       "--horizon", "8", "--mode", "nonmyopic") == 3
+        assert capsys.readouterr().err == (
+            "solver error: one-time solver did not converge at T1=1 after 1 iterations\n")
 
     @pytest.mark.parametrize("failing,message", [
-        ({7}, "always-open candidate T1=7 failed"),
-        (set(range(1, 8)), "every sharing-slot candidate failed"),
+        ({7}, "injected failure at T1=7"),
+        (set(range(1, 8)), "injected failure at T1=1"),
     ], ids=["always_open", "every_candidate"])
     def test_solver_failure_exits_3(self, capsys, failing_slots, failing, message):
         failing_slots.update(failing)
@@ -465,6 +476,24 @@ class TestSweepCommand:
                     "--t-start", "6", "--t-stop", "6", "--t-step", "2",
                     "--replications", "40", "--out", str(p))
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("spec", ["beta:1e300,1e300", "beta:1e-300,5", "beta:5,1e-300"])
+@pytest.mark.parametrize("command", ["optimize", "sweep", "simulate"])
+def test_degenerate_prior_exits_2_by_name(tmp_path, capsys, command, spec):
+    # the solo thresholds of a point-mass prior cannot decrease strictly
+    argv = {
+        "optimize": ["optimize", "--dist", spec, "--n-agents", "3", "--horizon", "8",
+                     "--mode", "nonmyopic"],
+        "sweep": ["sweep", "--dist", spec, "--n-agents", "3", "--t-start", "8",
+                  "--t-stop", "8", "--out", str(tmp_path / "s.csv")],
+        "simulate": ["simulate", str(sim_config(tmp_path, dist=spec, agent_kind="nonmyopic",
+                                                schedule={"one_time": 3}))],
+    }[command]
+    assert run_cli(*argv) == 2
+    a, b = (float(v) for v in spec[5:].split(","))
+    prior = RewardDistribution.beta(a, b)
+    assert capsys.readouterr().err.startswith(f"error: {prior!r} is degenerate at its mean ")
 
 
 def test_help_lists_all_flags(capsys):

@@ -245,6 +245,16 @@ class TestOneTime:
             a = solve_one_time(d, N, T, T1)
             assert np.max(np.abs(a.prefix - cold_sweep_prefix(d, N, T, T1))) < 1e-6
 
+    def test_non_convergence_raises_with_diagnostics(self, uniform, monkeypatch):
+        # the solver's own exhaustion, not an injected failure: one iteration
+        # cannot reach the stop from the solo prefix
+        monkeypatch.setattr("commgate.nonmyopic._MAX_ITER", 1)
+        with pytest.raises(SolverError, match=r"did not converge at T1=4 after 1 iterations") as exc:
+            solve_one_time(uniform, 3, 8, 4)
+        diag = exc.value.diagnostics
+        assert diag["iterations"] == 1
+        assert np.isfinite(diag["residual"]) and diag["residual"] >= _RESID_TOL
+
     @pytest.mark.parametrize(
         "ab, N, T, T1", [((2, 50), 30, 20, 5), ((2, 5), 5, 300, 75), ((50, 2), 200, 300, 75)]
     )
@@ -534,26 +544,20 @@ class TestOptimizeCommTime:
         assert np.array_equal(seq.values, cent.values)
         assert welfare == welfare_one_time(uniform, 3, 6, cent)[0]
 
-    def test_failed_candidates_are_nan_rows(self, uniform, failing_slots):
+    def test_failed_candidate_fails_the_scan(self, uniform, failing_slots):
         failing_slots.update({2, 5})
-        scan = scan_comm_times(uniform, 3, 8)
-        assert [t1 for t1, _, _ in scan] == list(range(1, 8))
-        failed = [(t1, w) for t1, w, seq in scan if seq is None]
-        assert [t1 for t1, _ in failed] == [2, 5]
-        assert all(np.isnan(w) for _, w in failed)
+        with pytest.raises(SolverError, match=r"injected failure at T1=2$"):
+            scan_comm_times(uniform, 3, 8)
 
-    def test_failed_best_candidate_is_skipped(self, uniform, failing_slots):
+    def test_failed_best_candidate_fails_the_pick(self, uniform, failing_slots):
+        # no runner-up is reported in place of a best candidate that failed
         N, T = 4, 10
-        scan = scan_comm_times(uniform, N, T)
         t1_star, _, _ = optimize_comm_time(uniform, N, T)
         failing_slots.add(t1_star)
-        rest = {t1: w for t1, w, _ in scan if t1 != t1_star}
-        t1_next, seq, welfare = optimize_comm_time(uniform, N, T)
-        assert t1_next == max(rest, key=lambda k: (rest[k], -k))
-        assert (seq.comm_slot_T1, welfare) == (t1_next, rest[t1_next])
+        with pytest.raises(SolverError, match=f"injected failure at T1={t1_star}$"):
+            optimize_comm_time(uniform, N, T)
 
     def test_every_candidate_failing_raises(self, uniform, failing_slots):
         failing_slots.update(range(1, 8))
-        with pytest.raises(SolverError, match="every sharing-slot candidate failed") as exc:
+        with pytest.raises(SolverError, match=r"injected failure at T1=1$"):
             optimize_comm_time(uniform, 3, 8)
-        assert exc.value.diagnostics == {t1: "solver failure" for t1 in range(1, 8)}
