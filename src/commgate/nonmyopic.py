@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import RewardDistribution, integrate
-from .errors import DistributionError, SolverError
+from .errors import DistributionError, QuadratureError, SolverError
 from .schedules import check_horizon
 
 __all__ = [
@@ -385,16 +385,25 @@ def scan_comm_times(
 ) -> list[tuple[int, float, ThresholdSequence]]:
     """Solve every candidate sharing slot ``T1 = 1 .. T-1`` and report its welfare.
 
-    Rows are ``(T1, welfare, seq)`` in slot order; the first candidate whose
-    solver or quadrature fails fails the scan with that error.  The solo
-    benchmark is solved once and shared.  The last row, ``T1 = T-1``, is the always-open
-    policy: its ``seq`` equals ``solve_centralized_nonmyopic(d, N, T)`` exactly.
+    Rows are ``(T1, welfare, seq)`` in slot order.  The first candidate whose
+    solver or quadrature fails fails the scan with that error; a
+    ``QuadratureError`` is re-raised naming ``T1`` and the stage (the
+    threshold solve or the welfare), with its estimate and error bound.  The
+    solo benchmark is solved once and shared.  The last row, ``T1 = T-1``, is
+    the always-open policy: its ``seq`` equals
+    ``solve_centralized_nonmyopic(d, N, T)`` exactly.
     """
     bench = solve_single_agent(d, T)
     out = []
     for T1 in range(1, T):
-        seq = solve_one_time(d, N, T, T1, benchmark=bench)
-        welfare, _ = welfare_one_time(d, N, T, seq)
+        stage = "threshold solve"
+        try:
+            seq = solve_one_time(d, N, T, T1, benchmark=bench)
+            stage = "welfare"
+            welfare, _ = welfare_one_time(d, N, T, seq)
+        except QuadratureError as exc:
+            raise QuadratureError(f"{exc} (in the {stage} at T1={T1})", exc.estimate,
+                                  exc.error_bound) from exc
         out.append((T1, welfare, seq))
     return out
 

@@ -238,13 +238,11 @@ class _Scan:
     below a threshold no higher than it are among those explorers.
     ``explorers`` is None where every agent must be tested: at a chunk's
     first slot and after a slot in which every agent explored, whose index
-    is not held.  ``won`` tells whether an explorer has won since the
-    previous share slot.
+    is not held.
     """
 
     explorers: np.ndarray | None = None
     threshold: float = math.nan
-    won: bool = False
 
 
 def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_share: int,
@@ -255,10 +253,9 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_s
     ``_AUX``, or the generator of a heterogeneous share (``_SHARE``), and
     is called only for what the slot needs (see ``_explore``).
     ``last_share`` is the previous share slot (-1 if none).  The state is
-    updated in place.  A share is skipped when no agent has improved since
-    ``last_share``: every agent then still holds what the last share (or
-    the start) left, so pooling cannot change anything; ``scan`` says
-    whether one has (see ``_Scan``).
+    updated in place.  A share is skipped when no option held was found
+    after ``last_share``: every agent then still holds what the last share
+    (or the start) left, so pooling cannot change anything.
     The receipt of an idle slot is the state's own array, valid until the
     next slot; it is copied only when a share in this slot changes the state.
     """
@@ -266,8 +263,7 @@ def _advance(state: SimState, t: int, config: SimConfig, share_now: bool, last_s
     N = state.m.shape[1]
     if not (share_now and N > 1):
         return receipt
-    won, scan.won = scan.won, False
-    if won:
+    if state.best_opt.max() // N > last_share:
         if receipt is state.m or receipt is state.exploit:
             receipt = receipt.copy()
         if config.reward_mode == "heterogeneous":
@@ -336,8 +332,6 @@ def _explore(state: SimState, t: int, config: SimConfig, draw, scan: _Scan) -> n
     state.best_opt.reshape(-1)[won] = creator
     del creator
     np.add.at(state.explored.reshape(-1), explore, 1)
-    if won.size:
-        scan.won = True
     if per_look and state.exploit is None:
         # winners' means are evaluated below, from their new base
         keep = np.ones(m.size, dtype=bool)
@@ -472,9 +466,8 @@ def step(state: SimState, t: int, config: SimConfig) -> SimState:
     share_at = _share_slots(config)
     last_share = max((s for s in share_at if s < t), default=-1)
     draw = partial(_keyed_draw, config.master_seed, 0, out.m.shape, t, 0)
-    # a fresh scan tests every agent; a win since the last share is read off the state
-    scan = _Scan(won=bool(out.best_opt.max() // out.m.shape[1] > last_share))
-    _advance(out, t, config, t in share_at, last_share, draw, scan)
+    # a fresh scan tests every agent
+    _advance(out, t, config, t in share_at, last_share, draw, _Scan())
     return out
 
 

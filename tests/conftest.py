@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,8 @@ from commgate.dataset import fit_reward_cdf, load_ratings
 from commgate.distributions import RewardDistribution
 
 HOTEL_CSV = Path(__file__).parent.parent / "data" / "hotel_ratings.csv"
+# the pin tests import the records of tools/record_golden.py, the recorder of tests/golden/
+sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
 
 
 @pytest.fixture(scope="session")

@@ -171,6 +171,18 @@ class TestOptimizeCommand:
                        "--horizon", "8", "--mode", "nonmyopic") == 3
         assert capsys.readouterr().err == f"solver error: {message}\n"
 
+    @pytest.mark.parametrize("spec,stage,T1", [
+        ("beta:0.5,0.5", "welfare", 16),
+        ("beta:0.3,0.3", "threshold solve", 1),
+        ("beta:3,0.4", "welfare", 10),
+    ])
+    def test_quadrature_failure_names_candidate(self, capsys, spec, stage, T1):
+        assert run_cli("optimize", "--dist", spec, "--n-agents", "5", "--horizon", "20",
+                       "--mode", "nonmyopic") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: quadrature did not converge")
+        assert err.endswith(f" (in the {stage} at T1={T1})\n")
+
 
 def sim_config(tmp_path, **kw):
     cfg = {

@@ -3,7 +3,7 @@ import pytest
 
 from commgate import distributions
 from commgate.distributions import RewardDistribution, integrate
-from commgate.errors import DistributionError, SolverError
+from commgate.errors import DistributionError, QuadratureError, SolverError
 from commgate.nonmyopic import (
     _MAX_ITER,
     _RESID_TOL,
@@ -548,6 +548,15 @@ class TestOptimizeCommTime:
         failing_slots.update({2, 5})
         with pytest.raises(SolverError, match=r"injected failure at T1=2$"):
             scan_comm_times(uniform, 3, 8)
+
+    def test_quadrature_failure_names_candidate(self):
+        # re-raised with the candidate and the stage, keeping the estimate
+        with pytest.raises(QuadratureError, match=r" \(in the welfare at T1=10\)$") as info:
+            scan_comm_times(RewardDistribution.beta(3, 0.4), 5, 20)
+        cause = info.value.__cause__
+        assert isinstance(cause, QuadratureError)
+        assert info.value.estimate is cause.estimate
+        assert info.value.error_bound == cause.error_bound > 0
 
     def test_failed_best_candidate_fails_the_pick(self, uniform, failing_slots):
         # no runner-up is reported in place of a best candidate that failed

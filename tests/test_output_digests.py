@@ -1,28 +1,22 @@
-"""Byte-identity pin of every CLI output of `tools/output_digests.py`.
+"""Byte-identity pin of every CLI output of `tools/record_golden.py`'s matrix.
 
-``output_digests.txt`` holds the script's listing: one sha256 per output
-file (CSV, SVG, JSON config, and each command's exit status and stdout) of
-its fixed matrix of ``fit``, ``optimize``, ``sweep`` and ``simulate``
-commands.  The script runs in a subprocess because it reads its checkout
-root from ``sys.argv``.  Only an announced change of an output may
-re-record the listing, with
+``golden/cli/`` holds every file that the recorder's fixed matrix of
+``fit``, ``optimize``, ``sweep`` and ``simulate`` commands leaves (CSV, SVG,
+JSON config, and each command's exit status and stdout).  The test runs the
+same matrix into ``tmp_path`` and compares the set of file names and every
+file's bytes; a changed file shows as a unified diff of its changed lines.
+Only an announced change of an output may re-record the store, with
 
-    python3 tools/output_digests.py > tests/output_digests.txt
+    python3 tools/record_golden.py tests/golden
 """
 
-import difflib
-import subprocess
-import sys
-from pathlib import Path
-
-ROOT = Path(__file__).parent.parent
-LISTING = Path(__file__).with_name("output_digests.txt")
+import record_golden as golden
 
 
-def test_cli_outputs_match_listing():
-    run = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digests.py")],
-                         capture_output=True, text=True, check=True)
-    expected = LISTING.read_text().splitlines()
-    got = run.stdout.splitlines()
-    diff = "\n".join(difflib.unified_diff(expected, got, "recorded", "now", lineterm=""))
-    assert got == expected, f"CLI outputs changed:\n{diff}"
+def test_cli_outputs_match_listing(tmp_path):
+    golden.record_cli(tmp_path)
+    got = sorted(p.name for p in tmp_path.iterdir())
+    assert got == sorted(p.name for p in (golden.STORE / "cli").iterdir())
+    diffs = [golden.diff(f"cli/{name}", (tmp_path / name).read_bytes()) for name in got]
+    changed = [d for d in diffs if d]
+    assert not changed, f"{len(changed)} of {len(got)} CLI outputs changed:\n" + "".join(changed)

@@ -1,4 +1,15 @@
-import hashlib
+"""The Monte-Carlo simulator: configs, ``step``, ``run`` and its pinned outputs.
+
+The pinned runs (``PINNED_RUNS`` and ``SCAN_RUNS`` of
+``tools/record_golden.py``) compare their total welfare, mean exploration
+and every per-slot mean, each as ``repr(float)``, with
+``golden/simulate/<key>.txt``.  Work on the simulator's hot loop must keep
+them bit-identical; only an announced change of the random stream or of an
+estimator may re-record them, with
+
+    python3 tools/record_golden.py tests/golden
+"""
+
 import math
 import tracemalloc
 from dataclasses import replace
@@ -14,6 +25,8 @@ from commgate.myopic import welfare_centralized, welfare_schedule
 from commgate.nonmyopic import ThresholdSequence, solve_one_time, solve_single_agent, welfare_one_time
 from commgate.schedules import CommSchedule
 from commgate.simulate import SimConfig, SimState, run, step
+import record_golden as golden
+from record_golden import PINNED_RUNS, RISING, SCAN_RUNS, pinned_config, scan_config
 
 
 def myopic_config(uniform, **kw):
@@ -26,83 +39,10 @@ def myopic_config(uniform, **kw):
     return SimConfig(**defaults)
 
 
-# Exact outputs of one small run per (agent kind, reward mode, noise per
-# option): total welfare as float.hex and the first 16 hex digits of the
-# sha256 of the per-slot means.  Work on the simulator's hot loop must keep
-# them bit-identical; only an announced change of the random stream or of an
-# estimator may re-record them.  All were re-recorded when the keyed streams
-# moved from Philox to PCG64.
-PINNED_RUNS = {
-    ("myopic", "deterministic", False): ("0x1.39e0a17dca6fep+5", "f47dd301072a00c5"),
-    ("myopic", "stochastic", False): ("0x1.32fbe209d0449p+5", "a1741aa50e06b3b3"),
-    ("myopic", "stochastic", True): ("0x1.44b9c375e9957p+5", "3734d2ffeeb7baff"),
-    ("myopic", "heterogeneous", False): ("0x1.519b8319965c3p+5", "ac61c16894ded26d"),
-    ("nonmyopic", "deterministic", False): ("0x1.40f6920e4ad93p+5", "a3b55c94a0ac58f3"),
-    ("nonmyopic", "stochastic", False): ("0x1.3505dc5eef5c3p+5", "40242ada271dc17f"),
-    ("nonmyopic", "stochastic", True): ("0x1.4847a26b2956ap+5", "233206a8ff2fad4a"),
-    ("nonmyopic", "heterogeneous", False): ("0x1.50890081df98ap+5", "31a204c20ba39651"),
-}
-
-# exploration_slots_mean of the per-look pinned runs as float.hex: explorers'
-# looks, and so every state, do not depend on whether an exploit is a drawn
-# noisy look or enters at its conditional mean
-PINNED_PER_LOOK_EXPLORATION = {"myopic": "0x1.16147ae147ae1p+0", "nonmyopic": "0x1.0155555555555p+2"}
-
-
-def pinned_config(kind, mode, per_option):
-    # an empirical prior with a flat stretch and literal thresholds, so the
-    # pins depend on neither special functions of the prior nor the solver
-    T = 12
-    d = RewardDistribution.empirical([0, 0.2, 0.35, 0.5, 0.7, 1], [0, 0.1, 0.4, 0.4, 0.8, 1])
-    if kind == "myopic":
-        schedule, thresholds = CommSchedule(T, ((1, 3), (6, 2))), None
-    else:
-        schedule = CommSchedule.one_time(T, 6)
-        thresholds = ThresholdSequence(T, 6, np.linspace(0.85, 0.45, T), np.zeros(T))
-    return SimConfig(dist=d, n_agents=4, horizon=T, schedule=schedule, agent_kind=kind,
-                     thresholds=thresholds, reward_mode=mode, noise_sd=0.1, pref_sd=0.2,
-                     noise_per_option=per_option, replications=600, master_seed=19)
-
-
-# solve_one_time(uniform, 5, 20, 4) to four digits: after the share slot the
-# thresholds restart at their solo values, so the threshold rises from 0.5764
-# at slot 4 to 0.8 at slot 5, where run must test every agent again
-RISING = [0.706, 0.6793, 0.6409, 0.5764, 0.8, 0.7948, 0.7891, 0.7829, 0.776, 0.7683,
-          0.7597, 0.75, 0.7388, 0.7257, 0.7101, 0.691, 0.6667, 0.634, 0.5858, 0.5]
-
-# Exact outputs, recorded as PINNED_RUNS are, of the slot paths in which run
-# tests only the previous slot's explorers: a long idle tail ("idle"), a
-# threshold that rises after the share slot ("rising"), and 75 chunks of 8
-# replications, each with its own scan.  Keyed (config, mode, per_option,
-# _CHUNK), None for the default chunk.
-PINNED_SCAN_RUNS = {
-    ("idle", "deterministic", False, None): ("0x1.78c563d0cac3ep+7", "833681a074937d43"),
-    ("idle", "stochastic", False, None): ("0x1.6f9c65cd44ca6p+7", "35da95a6bd778170"),
-    ("idle", "heterogeneous", False, None): ("0x1.97c1a3a8da570p+7", "b3438cf676fbfa26"),
-    ("rising", "deterministic", False, None): ("0x1.6cd3822efcd5bp+6", "4ace9fcc59ca356b"),
-    ("rising", "stochastic", False, None): ("0x1.5be0d106d31b3p+6", "d3ff5031560dcc9b"),
-    ("rising", "heterogeneous", False, 8): ("0x1.78a074e0bb40bp+6", "1fd182cd773491b4"),
-}
-
 REWARD_MODES = pytest.mark.parametrize(
     "mode,per_option",
     [("deterministic", False), ("stochastic", False), ("stochastic", True), ("heterogeneous", False)],
     ids=["deterministic", "per_look", "per_option", "heterogeneous"])
-
-
-def scan_config(name, mode, per_option):
-    """The "idle" or "rising" config of ``PINNED_SCAN_RUNS``."""
-    if name == "idle":
-        # myopic and open at every slot to T = 60: after the first few slots
-        # no agent explores
-        return replace(pinned_config("myopic", mode, per_option), horizon=60,
-                       schedule=CommSchedule.centralized(60))
-    T, T1 = 20, 4
-    return SimConfig(dist=RewardDistribution.uniform(), n_agents=5, horizon=T,
-                     schedule=CommSchedule.one_time(T, T1), agent_kind="nonmyopic",
-                     thresholds=ThresholdSequence(T, T1, np.array(RISING), np.zeros(T)),
-                     reward_mode=mode, noise_sd=0.1, pref_sd=0.2, noise_per_option=per_option,
-                     replications=600, master_seed=23)
 
 
 def run_states(config):
@@ -201,7 +141,7 @@ class TestConfigValidation:
 
 
 class TestStep:
-    @pytest.mark.parametrize("kind,mode,per_option", list(PINNED_RUNS))
+    @pytest.mark.parametrize("kind,mode,per_option", PINNED_RUNS)
     def test_step_chain_is_run(self, kind, mode, per_option, monkeypatch):
         # step reads run's keyed streams, so a chain of steps through every
         # slot ends in the state that run leaves its one chunk in
@@ -634,32 +574,32 @@ class TestRun:
             tracemalloc.stop()
         assert max(peaks) <= simulate._AGENT_BYTES * R * N, max(peaks) / (R * N)
 
-    @pytest.mark.parametrize("kind,mode,per_option", list(PINNED_RUNS))
+    @pytest.mark.parametrize("kind,mode,per_option", PINNED_RUNS)
     def test_outputs_pinned(self, kind, mode, per_option):
-        res = run(pinned_config(kind, mode, per_option))
-        digest = hashlib.sha256(res.per_slot_mean_reward.astype("<f8").tobytes()).hexdigest()[:16]
-        assert (res.total_welfare_mean.hex(), digest) == PINNED_RUNS[kind, mode, per_option]
+        key = kind, mode, per_option
+        diff = golden.diff(golden.sim_path(key), golden.run_record(golden.sim_run(key)))
+        assert not diff, diff
 
-    @pytest.mark.parametrize("name,mode,per_option,chunk", list(PINNED_SCAN_RUNS))
-    def test_scan_paths_pinned(self, name, mode, per_option, chunk, monkeypatch):
-        if chunk is not None:
-            monkeypatch.setattr(simulate, "_CHUNK", chunk)
-        res = run(scan_config(name, mode, per_option))
-        digest = hashlib.sha256(res.per_slot_mean_reward.astype("<f8").tobytes()).hexdigest()[:16]
-        want = PINNED_SCAN_RUNS[name, mode, per_option, chunk]
-        assert (res.total_welfare_mean.hex(), digest) == want
+    @pytest.mark.parametrize("name,mode,per_option,chunk", SCAN_RUNS)
+    def test_scan_paths_pinned(self, name, mode, per_option, chunk):
+        key = name, mode, per_option, chunk
+        diff = golden.diff(golden.sim_path(key), golden.run_record(golden.sim_run(key)))
+        assert not diff, diff
 
     @pytest.mark.parametrize("kind", ["myopic", "nonmyopic"])
     def test_per_look_exploration_pinned(self, kind):
+        # explorers' looks, and so every state, do not depend on whether an
+        # exploit is a drawn noisy look or enters at its conditional mean
         res = run(pinned_config(kind, "stochastic", False))
-        assert res.exploration_slots_mean.hex() == PINNED_PER_LOOK_EXPLORATION[kind]
+        stored = (golden.STORE / golden.sim_path((kind, "stochastic", False))).read_text()
+        assert f"exploration_slots_mean {res.exploration_slots_mean!r}" in stored.splitlines()
 
     @pytest.mark.parametrize("kind", ["myopic", "nonmyopic"])
     def test_noiseless_per_look_is_deterministic(self, kind):
         # at noise_sd = 0 a look, drawn or at its mean, is the base reward
         res = run(replace(pinned_config(kind, "stochastic", False), noise_sd=0.0))
-        digest = hashlib.sha256(res.per_slot_mean_reward.astype("<f8").tobytes()).hexdigest()[:16]
-        assert (res.total_welfare_mean.hex(), digest) == PINNED_RUNS[kind, "deterministic", False]
+        diff = golden.diff(golden.sim_path((kind, "deterministic", False)), golden.run_record(res))
+        assert not diff, diff
 
     def test_prior_evaluated_for_explorers_only(self, uniform, monkeypatch):
         # the prior maps an option quantile only where an agent explores; the

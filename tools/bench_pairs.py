@@ -10,7 +10,10 @@ on, so that a drift of the host's speed falls on both sides alike.  Writes
 and result lines, the per-metric medians of each side, and per metric the
 number of pairs in which the head was better (the metric's direction is
 read from ``BENCHMARK.json``), then prints one verdict line per metric on
-stderr: each side's median with its quartiles, the relative change of the
+stderr.  ``setup_raw_s``, the median of a run's set-up samples before the
+harness rescales them by its host calibrations, gets a line too (lower is
+better), so that a reader can tell the rescaling from the program.  Each line
+gives each side's median with its quartiles, the relative change of the
 median and the pairs the head won.  It only drives the harness; it changes
 nothing under ``perfbench/``.
 
@@ -125,6 +128,9 @@ def main(argv=None) -> int:
     for run in runs:
         for name, metric in run["result"]["metrics"].items():
             values[run["side"]].setdefault(name, []).append(metric["value"])
+        if run["summary"]["setup_samples_s"]:  # none under --trace 1
+            values[run["side"]].setdefault("setup_raw_s", []).append(
+                statistics.median(run["summary"]["setup_samples_s"]))
     medians = {side: {name: statistics.median(v) for name, v in sorted(vals.items())}
                for side, vals in values.items()}
     head_better = {}
