@@ -6,7 +6,7 @@ Monte-Carlo trajectories on common random numbers, under exact rewards,
 observation noise, and heterogeneous per-agent preferences.
 """
 
-import math
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +21,7 @@ from commgate import (
     solve_centralized_nonmyopic,
     welfare_one_time,
 )
+from commgate.cli import main
 from commgate.svg import polyline_chart
 
 OUT = Path(__file__).parent / "output"
@@ -64,27 +65,15 @@ chart.write_text(polyline_chart(
 ))
 print(f"chart written to {chart}")
 
-print("\n== robustness: gain per agent +- standard error across horizons and reward models "
-      "(N = 50, 500 runs) ==")
-N = 50
-rows = ["T,mode,gain_per_agent,gain_se_per_agent"]
-for T in range(10, 81, 10):
-    t1, seq, _ = optimize_comm_time(d, N, T)
-    cent_seq = solve_centralized_nonmyopic(d, N, T)
-    line = [f"T={T}:"]
-    for mode in ("deterministic", "stochastic", "heterogeneous"):
-        mech = SimConfig(
-            dist=d, n_agents=N, horizon=T, schedule=CommSchedule.one_time(T, t1),
-            agent_kind="nonmyopic", thresholds=seq, reward_mode=mode,
-            noise_sd=0.1, pref_sd=pref_sd, replications=500, master_seed=77,
-        )
-        cent = replace(mech, schedule=CommSchedule.centralized(T), thresholds=cent_seq)
-        r_mech, r_cent = run(mech), run(cent)
-        gain = (r_mech.total_welfare_mean - r_cent.total_welfare_mean) / N
-        # unpaired standard error of the difference of the two means
-        se = math.hypot(r_mech.total_welfare_stderr, r_cent.total_welfare_stderr) / N
-        rows.append(f"{T},{mode},{gain:.6f},{se:.6f}")
-        line.append(f"{mode} {gain:+.2f} +- {se:.2f}")
-    print("  ".join(line))
-(OUT / "hotel_gain_sweep.csv").write_text("\n".join(rows) + "\n")
-print(f"sweep written to {OUT / 'hotel_gain_sweep.csv'}")
+print("\n== robustness: gain per agent and its standard error across horizons and reward "
+      "models (N = 50, 500 runs) ==")
+sweep_csv = OUT / "hotel_gain_sweep.csv"
+with tempfile.TemporaryDirectory() as tmp:
+    prior_csv = Path(tmp) / "hotel_prior.csv"
+    d.to_csv(prior_csv)  # 17 significant digits: the prior reads back bit for bit
+    code = main(["sweep", "--dist", str(prior_csv), "--n-agents", "50",
+                 "--modes", "deterministic,stochastic,heterogeneous", "--replications", "500",
+                 "--seed", "77", "--pref-sd", repr(pref_sd), "--out", str(sweep_csv)])
+if code:
+    raise SystemExit(code)
+print(f"sweep written to {sweep_csv}")

@@ -5,7 +5,7 @@ Subcommands
 fit        ratings CSV -> empirical reward prior (r,cdf CSV + metadata JSON)
 optimize   schedule / sharing-slot optimization for a given prior
 simulate   Monte-Carlo run from a JSON config file
-sweep      mechanism-vs-centralized gain across horizons and reward modes
+sweep      mechanism-vs-centralized gain and its standard error across horizons and reward modes
 
 Exit codes: 0 success, 2 validation error, 3 solver failure.  All outputs are
 pure functions of (arguments, config, seed): no timestamps, sorted JSON keys,
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -237,7 +238,8 @@ def cmd_sweep(args) -> int:
         )
         for mode in args.modes.split(",")
     ]
-    lines = ["T,mode,T1_star,mechanism_welfare,centralized_welfare,gain_per_agent"]
+    lines = ["T,mode,T1_star,mechanism_welfare,centralized_welfare,gain_per_agent,"
+             "gain_se_per_agent"]
     for T in horizons:
         scan, (t1_star, seq, _) = nonmyopic._scan_and_pick(d, N, T)
         seq_c = scan[-1][2]  # the always-open candidate, T1 = T-1
@@ -249,9 +251,11 @@ def cmd_sweep(args) -> int:
             cent = replace(mech, schedule=CommSchedule.centralized(T), thresholds=seq_c)
             r_mech, r_cent = run(mech), run(cent)
             gain = (r_mech.total_welfare_mean - r_cent.total_welfare_mean) / N
+            # unpaired, so it overstates the error: the two runs share option streams
+            se = math.hypot(r_mech.total_welfare_stderr, r_cent.total_welfare_stderr) / N
             lines.append(
                 f"{T},{config.reward_mode},{t1_star},{r_mech.total_welfare_mean:.12g},"
-                f"{r_cent.total_welfare_mean:.12g},{gain:.12g}"
+                f"{r_cent.total_welfare_mean:.12g},{gain:.12g},{se:.12g}"
             )
             print(lines[-1])
     Path(args.out).write_text("\n".join(lines) + "\n")

@@ -1,16 +1,18 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from commgate import nonmyopic
 from commgate.cli import load_sim_config, main
 from commgate.distributions import RewardDistribution
 from commgate.errors import CommgateError
 from commgate.schedules import CommSchedule
-from commgate.simulate import SimConfig
+from commgate.simulate import SimConfig, run
 
 HOTEL = str(Path(__file__).parent.parent / "data" / "hotel_ratings.csv")
 
@@ -488,6 +490,35 @@ class TestSweepCommand:
                     "--t-start", "6", "--t-stop", "6", "--t-step", "2",
                     "--replications", "40", "--out", str(p))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_gain_se_is_the_unpaired_stderr_of_the_row(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--dist", "uniform", "--n-agents", "3", "--t-start", "6",
+                       "--t-stop", "6", "--modes", "stochastic", "--replications", "40",
+                       "--out", str(out)) == 0
+        header, row = (line.split(",") for line in out.read_text().splitlines())
+        cell = dict(zip(header, row))
+        # the row's two runs, rebuilt from the scan that sweep takes them from
+        d, N, T = RewardDistribution.uniform(), 3, 6
+        scan, (t1_star, seq, _) = nonmyopic._scan_and_pick(d, N, T)
+        mech = SimConfig(dist=d, n_agents=N, horizon=T, schedule=CommSchedule.one_time(T, t1_star),
+                         agent_kind="nonmyopic", thresholds=seq, reward_mode="stochastic",
+                         replications=40)
+        cent = replace(mech, schedule=CommSchedule.centralized(T), thresholds=scan[-1][2])
+        r_mech, r_cent = run(mech), run(cent)
+        assert cell["T1_star"] == str(t1_star)
+        assert cell["centralized_welfare"] == f"{r_cent.total_welfare_mean:.12g}"
+        se = math.hypot(r_mech.total_welfare_stderr, r_cent.total_welfare_stderr) / N
+        assert cell["gain_se_per_agent"] == f"{se:.12g}"
+        assert se > 0
+
+    def test_one_replication_has_no_gain_se(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--dist", "uniform", "--n-agents", "3", "--t-start", "6",
+                       "--t-stop", "6", "--replications", "1", "--out", str(out)) == 0
+        header, row = out.read_text().splitlines()
+        assert header.endswith(",gain_per_agent,gain_se_per_agent")
+        assert row.endswith(",nan") and capsys.readouterr().out == row + "\n"
 
 
 @pytest.mark.parametrize("spec", ["beta:1e300,1e300", "beta:1e-300,5", "beta:5,1e-300"])

@@ -14,8 +14,13 @@ stderr.  ``setup_raw_s``, the median of a run's set-up samples before the
 harness rescales them by its host calibrations, gets a line too (lower is
 better), so that a reader can tell the rescaling from the program.  Each line
 gives each side's median with its quartiles, the relative change of the
-median and the pairs the head won.  It only drives the harness; it changes
-nothing under ``perfbench/``.
+median and the pairs the head won, then whether the gain rule holds: the
+head better in at least nine tenths of the pairs, and its median better than
+the base's by more than the base's quartile spread; a gain is claimed only
+from ten pairs or more.  An end-to-end metric's
+line also says whether the head's median is within that metric's ``bound``
+in ``BENCHMARK.json`` of the base's median, no worse by a larger fraction.
+It only drives the harness; it changes nothing under ``perfbench/``.
 
     python3 tools/bench_pairs.py --base HEAD~1 --head HEAD --workload reveal \\
         --pairs 6 --seconds 20 --trace 0
@@ -67,9 +72,11 @@ def run_once(checkout: Path, args) -> dict:
             "result": result, "stderr": proc.stderr.splitlines()}
 
 
-def directions() -> dict:
+def read_spec() -> tuple[dict, dict]:
+    """Each metric's better direction and each end-to-end metric's bound."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return better, {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
 
 def quartiles(v: list) -> tuple[float, float, float]:
@@ -80,14 +87,24 @@ def quartiles(v: list) -> tuple[float, float, float]:
     return lo, mid, hi
 
 
-def verdict(name: str, base: list, head: list, won: int) -> str:
+def verdict(name: str, base: list, head: list, won: int, better: str, bound=None) -> str:
     """One line: both sides' median [quartiles], the relative change of the
-    median and the pairs in which the head was better."""
+    median, the pairs in which the head was better, whether the gain rule
+    holds and, given a ``bound``, whether the head is within it."""
     (b_lo, b_mid, b_hi), (h_lo, h_mid, h_hi) = quartiles(base), quartiles(head)
     rel = f"{(h_mid - b_mid) / abs(b_mid):+.1%}" if b_mid else "n/a"
-    return (f"{name}: parent {b_mid:.6g} [{b_lo:.6g}, {b_hi:.6g}], "
+    worsening = (h_mid - b_mid) if better == "lower" else (b_mid - h_mid)
+    gain = won >= 0.9 * len(base) and -worsening > b_hi - b_lo
+    line = (f"{name}: parent {b_mid:.6g} [{b_lo:.6g}, {b_hi:.6g}], "
             f"change {h_mid:.6g} [{h_lo:.6g}, {h_hi:.6g}], {rel}, "
-            f"change better in {won} of {len(base)} pairs")
+            f"change better in {won} of {len(base)} pairs, "
+            f"gain rule {'holds' if gain else 'fails'}")
+    if len(base) < 10:
+        line += f" on {len(base)} pairs, too few to claim a gain"
+    if bound is not None:
+        within = worsening <= bound * abs(b_mid)
+        line += f", {'within' if within else 'past'} the {bound:.0%} bound"
+    return line
 
 
 def main(argv=None) -> int:
@@ -123,7 +140,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(top, ignore_errors=True)
 
-    better = directions()
+    better, bounds = read_spec()
     values = {side: {} for side in ("base", "head")}
     for run in runs:
         for name, metric in run["result"]["metrics"].items():
@@ -148,8 +165,8 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     for name in sorted(head_better):
-        print(verdict(name, values["base"][name], values["head"][name], head_better[name]),
-              file=sys.stderr)
+        print(verdict(name, values["base"][name], values["head"][name], head_better[name],
+                      better.get(name, "lower"), bounds.get(name)), file=sys.stderr)
     return 0 if all(run["exit_code"] == 0 for run in runs) else 1
 
 
