@@ -25,7 +25,10 @@ alone; callers batch many small integrals into one call that way.  A
 non-finite integral is refused, and a piece with a NaN error estimate is
 not refined on the way.
 Integrands are vectorized: each maps the array of nodes to an array of the
-same shape.
+same shape.  The node array's ``pair`` gives each node's index into
+``lo``/``hi``, so one integrand serves pairs with different constants, and
+``groups`` joins consecutive intervals into one integral, cut where they
+meet, so a caller can cut each integral at its own points.
 """
 
 from __future__ import annotations
@@ -335,10 +338,25 @@ def _segment_tables(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def _evaluate(integrand: Callable, x: np.ndarray) -> np.ndarray:
-    """``integrand`` at the node array ``x``, which it must map to an array
-    of the same shape."""
-    y = np.asarray(integrand(x), dtype=float)
+class _Nodes(np.ndarray):
+    """The node array an integrand receives: a view of the float nodes whose
+    ``pair`` gives each node's index into the raveled ``lo``/``hi``.  The
+    index is tiled from the per-piece index only when it is read."""
+
+    _piece_pair: np.ndarray
+
+    @property
+    def pair(self) -> np.ndarray:
+        return np.tile(self._piece_pair, self.size // self._piece_pair.size)
+
+
+def _evaluate(integrand: Callable, x: np.ndarray, piece_pair: np.ndarray) -> np.ndarray:
+    """``integrand`` at the node array ``x``: blocks of one node for each
+    piece, the pieces of the intervals ``piece_pair``.  It must map ``x`` to
+    an array of the same shape."""
+    nodes = x.view(_Nodes)
+    nodes._piece_pair = piece_pair
+    y = np.asarray(integrand(nodes), dtype=float)
     if y.shape != x.shape:
         raise TypeError(
             f"integrand must map an array of shape {x.shape} to one of the same shape, "
@@ -353,6 +371,7 @@ def integrate(
     lo,
     hi,
     breakpoints: Sequence[float] = (),
+    groups=None,
 ) -> float | np.ndarray:
     """Adaptive-Simpson estimate of ``integral_lo^hi integrand(r) dr``.
 
@@ -368,17 +387,32 @@ def integrate(
     refinement depth are evaluated in one integrand call, which must map
     the node array to an array of the same shape; the first call takes the
     five nodes of every piece, each later one the quarter points of every
-    half still refined.
+    half still refined.  The node array's ``pair`` attribute gives each
+    node's index into the raveled ``lo``/``hi``, so one integrand can read
+    per-pair constants from tables; wrapping the integrand as
+    ``lambda x: f(x)`` passes it through.
     Zero-width pairs give 0 without evaluating the integrand.  The values at
     a piece's ends are taken ``1e-12`` of the pair's width inside the piece,
     and at least one float inside, so the integrand may jump or be undefined
     at ``lo``, ``hi`` and the kinks.
+
+    ``groups``, a 1-d array as long as the 1-d ``lo`` and ``hi``, joins
+    intervals into integrals: each run of consecutive equal values is one
+    integral, its intervals ascending and end to end (``hi`` of one is
+    ``lo`` of the next), and the result holds one value per run.  A run
+    shares its integral's tolerance, end nudge and summation order, so it
+    gets exactly what the lone pair from its first ``lo`` to its last ``hi``
+    gets with its inner ends among the ``breakpoints``; ``pair`` still
+    indexes the intervals.  A node leaves its interval only where that is
+    narrower than its run's end nudge.
 
     Raises
     ------
     TypeError
         If the integrand does not map the node array to an array of the
         same shape (a scalar-only or constant integrand, say).
+    ValueError
+        If ``groups`` does not match ``lo`` or a run's intervals do not join.
     DistributionError
         If a pair is outside ``0 <= lo <= hi <= 1``; the first such pair is
         named.
@@ -406,20 +440,34 @@ def integrate(
             f"got [{lo_arr[j]}, {hi_arr[j]}] at pair {j}"
         )
     width = hi_arr - lo_arr
-    total = np.zeros(width.size)
     live = np.flatnonzero(width > 0.0)
+    group = None  # each interval's integral, where that is not the interval itself
+    if groups is not None:
+        g = np.asarray(groups)
+        if g.shape != shape or g.ndim != 1:
+            raise ValueError(f"groups must be 1-d of shape {shape}, got shape {g.shape}")
+        first = np.concatenate([[True], g[1:] != g[:-1]])
+        if not np.array_equal(lo_arr[1:][~first[1:]], hi_arr[:-1][~first[1:]]):
+            raise ValueError("the intervals of a group must be ascending and end to end")
+        group = np.cumsum(first) - 1
+        starts = np.flatnonzero(first)
+        width = hi_arr[np.append(starts[1:], g.size) - 1] - lo_arr[starts]
+        shape = width.shape
+    total = np.zeros(width.size)
     failed_bound = 0.0
     failed = False
     if live.size:
-        # pieces of every live pair, pair by pair: edges lo, the kinks in
-        # (lo, hi), hi; `grid`'s pad entry only fills slots overwritten by hi
+        # pieces of every live interval, interval by interval: edges lo, the
+        # kinks in (lo, hi), hi; `grid`'s pad entry only fills slots
+        # overwritten by hi
         kinks = dist.interior_breakpoints()
         if len(breakpoints):  # the empty default (the scalar myopic calls) skips this
             kinks = np.union1d(kinks, breakpoints)
         lo_l, hi_l = lo_arr[live], hi_arr[live]
         first_cut = np.searchsorted(kinks, lo_l, side="right")
         n_pieces = np.searchsorted(kinks, hi_l, side="left") - first_cut + 1
-        pid = np.repeat(live, n_pieces)
+        pair = np.repeat(live, n_pieces)  # each piece's interval
+        pid = pair if group is None else group[pair]  # and its integral
         start = np.cumsum(n_pieces) - n_pieces
         right = np.arange(pid.size) + np.repeat(first_cut - start, n_pieces)
         grid = np.append(kinks, 1.0)
@@ -436,7 +484,7 @@ def integrate(
         b_in = np.minimum(b - eps, np.nextafter(b, a))
         lm, rm = 0.5 * (a + m), 0.5 * (m + b)
         # depth 0 evaluates all five nodes of every piece in one call
-        y = _evaluate(integrand, np.concatenate([a_in, b_in, m, lm, rm]))
+        y = _evaluate(integrand, np.concatenate([a_in, b_in, m, lm, rm]), pair)
         fa, fb, fm, flm, frm = y.reshape(5, -1)
         s = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
         tol = _ABS_TOL * (b - a) / width[pid]
@@ -466,16 +514,17 @@ def integrate(
             s = np.concatenate([sl[keep], sr[keep]])
             tol = np.concatenate([0.5 * tol[keep], 0.5 * tol[keep]])
             pid = np.concatenate([pid[keep], pid[keep]])
+            pair = pid if group is None else np.concatenate([pair[keep], pair[keep]])
             depth += 1
             lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-            flm, frm = _evaluate(integrand, np.concatenate([lm, rm])).reshape(2, -1)
+            flm, frm = _evaluate(integrand, np.concatenate([lm, rm]), pair).reshape(2, -1)
 
     result = float(total[0]) if scalar else total.reshape(shape)
     nonfinite = ~np.isfinite(total)
     if nonfinite.any():
         j = int(np.argmax(nonfinite))
-        pair = "" if scalar else f" of pair {j}"
-        raise QuadratureError(f"non-finite integrand: the integral{pair} is {total[j]}",
+        which = "" if scalar else f" of pair {j}"
+        raise QuadratureError(f"non-finite integrand: the integral{which} is {total[j]}",
                               estimate=result, error_bound=np.nan)
     if failed:
         raise QuadratureError(

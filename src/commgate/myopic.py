@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import RewardDistribution, integrate
-from .errors import DistributionError
+from .errors import DistributionError, QuadratureError
 from .schedules import CommSchedule, check_horizon
 
 __all__ = [
@@ -87,7 +87,9 @@ def _terms(d: RewardDistribution, N: int, n: int) -> _Terms:
 
     The self-only and pooled CDF mixtures are affine in ``c = F(mu)^i``, so
     ``x_i = (1 - c^N) P - (1 - c) Q`` in closed form, with
-    ``Q = tail(mu) / (1 - F(mu))``.  Only ``y_i`` takes a quadrature.
+    ``Q = tail(mu) / (1 - F(mu))``.  Only ``y_i`` takes a quadrature.  A
+    ``QuadratureError`` is re-raised naming its integral (``I`` or ``y_i``
+    with its ``i``), with its estimate and error bound.
     """
     if N < 1:
         raise DistributionError(f"agent count must be >= 1, got {N}")
@@ -97,7 +99,7 @@ def _terms(d: RewardDistribution, N: int, n: int) -> _Terms:
         raise DistributionError("prior is degenerate at its mean (F(mu) = 1)")
     q = fmu**N
     denom_n = 1.0 - q
-    tail = integrate(d, lambda r: d.cdf(r) ** N, mu, 1.0)
+    tail = _integral(d, lambda r: d.cdf(r) ** N, f"I = integral_mu^1 F^{N}")
     exploit = (1.0 - mu * q - tail) / denom_n
     loss = (1.0 - mu - tail) / denom_n
     idx = np.arange(n)
@@ -116,8 +118,16 @@ def _terms(d: RewardDistribution, N: int, n: int) -> _Terms:
                 pooled = (f**N - q) / denom_n + ci_n * (1.0 - f**N) / denom_n
                 return pooled - single**N
 
-            ys[i] = integrate(d, gap, mu, 1.0)
+            ys[i] = _integral(d, gap, f"y_{i}")
     return _Terms(N, fmu, exploit, loss, np.cumsum(xs), ys)
+
+
+def _integral(d, integrand, name):
+    """``integral_mu^1 integrand``, a failure named as the integral ``name``."""
+    try:
+        return integrate(d, integrand, d.mean(), 1.0)
+    except QuadratureError as exc:
+        raise QuadratureError(f"{exc} (in {name})", exc.estimate, exc.error_bound) from exc
 
 
 def _geom(q: float, t0: int, t1: int) -> float:

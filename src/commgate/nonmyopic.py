@@ -10,6 +10,14 @@ progress depends on the thresholds themselves); we solve it from the solo
 sequence with a full diagonal-Newton step, else one exact G-frozen sweep.
 With the belief frozen, each coordinate's coupling is a suffix of one
 cumulative integral over the sorted prefix and post-sharing thresholds.
+
+``scan_comm_times`` solves its candidates one by one and scores their
+welfare in blocks: ``_welfare_batch`` takes a block's candidates in two
+``integrate`` calls, each candidate's integrals read their constants by
+pair, and every candidate gets exactly the welfare ``welfare_one_time``
+gives it alone.  A block holds candidates until its estimated quadrature
+arrays, ``_PIECE_BYTES`` per piece, reach ``_WELFARE_BLOCK_BYTES``, so the
+welfare stage's peak stays within that budget plus one candidate.
 """
 
 from __future__ import annotations
@@ -35,6 +43,14 @@ __all__ = [
 
 _RESID_TOL = 1e-8
 _MAX_ITER = 200
+_WELFARE_BLOCK_BYTES = 2 << 20  # quadrature working set of one block of welfare candidates
+# peak bytes a welfare batch holds per piece that its two integrate calls cut
+# at depth 0 (per candidate T + T1 and the prior's kinks above u_T1 and mu);
+# traced peak of blocks of 4 and 16 candidates: 238-286 B on the fitted hotel
+# prior (N = 5 and 50, T = 50 and 150), whose pieces converge at depth 0, and
+# 433-518 B on beta(2, 5), beta(0.7, 0.9) and the uniform prior, whose
+# pieces refine
+_PIECE_BYTES = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,10 +124,19 @@ class BeliefCdf:
         """The law at the array ``r``, given the base prior there, ``f = F(r)``."""
         # band index in 1..L+1: one more than the thresholds at or above r
         t_seg = _count_at_or_above(self._asc, r) + 1
-        # numpy squares for a scalar exponent 2, which its array pow can miss
-        # by an ulp: with one threshold, band 2's F^2 is that exact square
-        power = f**t_seg if self.thresholds.size > 1 else np.where(t_seg == 1, f, f * f)
-        return np.clip(power - (1.0 - f) * self._suffix[t_seg - 1], 0.0, 1.0)
+        return _law(f, t_seg, self._suffix[t_seg - 1], self.thresholds.size == 1)
+
+
+def _law(f, t_seg, suffix, square):
+    """``F^t - (1-F) * suffix`` clipped to [0, 1], given ``f = F(r)``, the band
+    ``t_seg`` and the suffix sum there.  ``square`` (a bool, or a mask per
+    point) marks a one-threshold prefix: numpy squares for a scalar exponent
+    2, which its array pow can miss by an ulp, so its band 2's ``F^2`` is
+    that exact square."""
+    power = f**t_seg
+    if square is not False:
+        power = np.where(square, np.where(t_seg == 1, f, f * f), power)
+    return np.clip(power - (1.0 - f) * suffix, 0.0, 1.0)
 
 
 def _bisect(fun, mu, n):
@@ -335,49 +360,93 @@ def welfare_one_time(
     Welfare splits into the pre-sharing solo phase (explore until the own
     threshold is cleared, then exploit), the pooled reveal at the sharing
     slot, and the post-sharing solo continuation weighted by the belief law
-    of the pooled best reward.
+    of the pooled best reward.  This is the one-candidate case of the batch
+    that ``scan_comm_times`` scores its candidates with.
     """
     T1 = seq.comm_slot_T1
     if seq.horizon_T != T or not 1 <= T1 <= T - 1:
         raise DistributionError("sequence does not match (T, T1)")
-    system = _OneTimeSystem(d, N, T, T1, seq.values[T1:])
-    G, post, mu = BeliefCdf(d, seq.prefix), system.post, system.mu
-    u = np.concatenate([[1.0], seq.values])  # u[t] = u_t with u[0] = 1
+    return _welfare_batch(d, N, T, [seq])[0]
+
+
+def _welfare_batch(d, N, T, seqs):
+    """``(welfare, count)`` of every solved sequence in ``seqs``, each exactly
+    as alone, from two ``integrate`` calls.
+
+    Pre-sharing slot ``t = 0..T1-1`` integrates ``F^(t+1)`` over
+    ``[u_(t+1), u_t]``: one pair per slot, its exponent read by pair.  The
+    pooled reveal over ``[ubar_(T1+1), 1]`` and the resumed solo slots
+    ``tau = 1..T-T1-1`` over ``[ubar_(T1+tau), ubar_(T1+tau-1)]`` integrate
+    ``G^N F^tau``: each such band is one group of the segments between the
+    candidate's sorted thresholds, so no segment holds a kink of ``G``, and
+    each segment reads ``tau``, ``G``'s band and its suffix by pair.
+    """
+    mu = d.mean()
+    T1s = np.array([seq.comm_slot_T1 for seq in seqs])
+    B = T1s.size
+    u = np.ones((B, T + 1))  # row c: u_0 = 1, then candidate c's u_1..u_T
+    for row, seq in zip(u, seqs):
+        row[1:] = seq.values
     fu = d.cdf(u)
+    slot = np.arange(T)
+    pre = slot < T1s[:, None]  # per row, the slots t < T1; the rest index the post thresholds
+    post = ~pre
 
-    pre_explore = float(np.sum(fu[1 : T1 + 1] ** np.arange(1, T1 + 1)))
-    explore_gain = mu * (1.0 + pre_explore)
+    # the pre-sharing slots, candidate after candidate
+    hi_u, lo_u, f_hi, f_lo = u[:, :-1][pre], u[:, 1:][pre], fu[:, :-1][pre], fu[:, 1:][pre]
+    t, p = np.broadcast_to(slot, pre.shape)[pre], np.broadcast_to(slot + 1, pre.shape)[pre]
+    powers = f_lo**p  # F(u_t)^t for t = 1..T1
+    stieltjes = (hi_u * f_hi**p - lo_u * powers
+                 - integrate(d, lambda r: d.cdf(r) ** p[r.pair], lo_u, hi_u))
+    tail_mean = 1.0 - hi_u * f_hi - ((1.0 - hi_u) - d.tail_mean_excess(hi_u))
+    pre_terms = (np.repeat(T1s, T1s) - t) * (stieltjes + f_hi**t * tail_mean)
 
-    # pre-sharing slot t = 0..T1-1 integrates F^(t+1) over [u_(t+1), u_t]: the
-    # exponent is one more than the number of prefix thresholds at or above r,
-    # and G's kinks are the pair ends, so they need not be breakpoints
-    t = np.arange(T1)
-    hi_u, lo_u, p = u[:T1], u[1 : T1 + 1], t + 1
-    stieltjes = (
-        hi_u * fu[:T1] ** p
-        - lo_u * fu[1 : T1 + 1] ** p
-        - integrate(d, lambda r: d.cdf(r) ** (1 + _count_at_or_above(G._asc, r)), lo_u, hi_u)
-    )
-    tail_mean = 1.0 - hi_u * fu[:T1] - ((1.0 - hi_u) - d.tail_mean_excess(hi_u))
-    pre = float(np.sum((T1 - t) * (stieltjes + fu[:T1] ** t * tail_mean)))
+    # G's suffix sums per row (see BeliefCdf); the zero padding adds exactly
+    suffix = np.zeros((B, T + 1))
+    suffix[:, :-1][pre] = powers
+    suffix = np.cumsum(suffix[:, ::-1], axis=1)[:, ::-1]
+    # a row's T segments join its sorted points (ties give zero-width
+    # segments, which integrate skips); a segment's band and G's band there
+    # count the thresholds above its lower end
+    z = np.sort(u, axis=1)
+    band, g, g_post = (np.zeros((B, T), dtype=np.intp) for _ in range(3))
+    for c, (seq, T1) in enumerate(zip(seqs, T1s)):
+        asc, post_asc = seq.values[T1 - 1 :: -1], seq.values[: T1 - 1 : -1]
+        band[c] = post_asc.size - np.searchsorted(post_asc, z[c, :-1], side="right")
+        g[c] = T1 + 1 - np.searchsorted(asc, z[c, :-1], side="right")
+        g_post[c, T1:] = _count_at_or_above(asc, seq.values[T1:]) + 1
+    order = np.argsort(band, axis=1, kind="stable")  # band by band from the top, each ascending
+    lo, hi, band, g = (np.take_along_axis(a, order, axis=1) for a in (z[:, :-1], z[:, 1:], band, g))
+    g_suffix = np.take_along_axis(suffix, g - 1, axis=1).ravel()
+    one = np.broadcast_to((T1s == 1)[:, None], pre.shape)  # one-threshold prefixes (see _law)
+    square = one.ravel() if T1s.min() == 1 else False
+    tau, g = band.ravel(), g.ravel()
 
-    # the pooled reveal over [ubar_(T1+1), 1] and the resumed solo slots
-    # tau = 1..T-T1-1 over [ubar_(T1+tau), ubar_(T1+tau-1)] integrate
-    # G^N F^tau, tau being the number of post thresholds at or above r
-    def band(r):
+    def integrand(r):
+        j = r.pair
         f = d.cdf(r)
-        return G._given(r, f) ** N * f ** _count_at_or_above(system.post_asc, r)
+        return _law(f, g[j], g_suffix[j], square if square is False else square[j]) ** N * f ** tau[j]
 
-    bands = integrate(d, band, post, system.upper[:-1], G.thresholds)  # G's kinks
-    pooled = (T - T1) * (1.0 - float(bands[0]))
-    resume = float(np.sum((T - T1 - np.arange(1, T - T1)) * bands[1:]))
+    bands = integrate(d, integrand, lo.ravel(), hi.ravel(),
+                      groups=(band + T * np.arange(B)[:, None]).ravel())
 
-    welfare = N * (explore_gain + pre + pooled - resume)
+    # the belief law at the post thresholds, for the exploration count
+    fp, g_suffix = fu[:, 1:][post], np.take_along_axis(suffix, g_post - 1, axis=1)[post]
+    law = _law(fp, g_post[post], g_suffix, one[post] if square is not False else False)
+    post_terms = law**N * fp ** (slot + 1 - T1s[:, None])[post]
 
-    taus = np.arange(1, T - T1 + 1)
-    fp = d.cdf(post)
-    count = 1.0 + pre_explore + float(np.sum(G._given(post, fp) ** N * fp**taus))
-    return welfare, count
+    out = []
+    cut = np.cumsum(T1s) - T1s  # row c's first pre-sharing slot; c T - cut[c] is its first band
+    for c, T1 in enumerate(T1s.tolist()):
+        pre_c, post_c = slice(cut[c], cut[c] + T1), slice(c * T - cut[c], (c + 1) * T - cut[c] - T1)
+        pre_explore = float(np.sum(powers[pre_c]))
+        explore_gain = mu * (1.0 + pre_explore)
+        bands_c = bands[post_c]
+        pooled = (T - T1) * (1.0 - float(bands_c[0]))
+        resume = float(np.sum((T - T1 - np.arange(1, T - T1)) * bands_c[1:]))
+        welfare = N * (explore_gain + float(np.sum(pre_terms[pre_c])) + pooled - resume)
+        out.append((welfare, 1.0 + pre_explore + float(np.sum(post_terms[post_c]))))
+    return out
 
 
 def scan_comm_times(
@@ -392,19 +461,59 @@ def scan_comm_times(
     solo benchmark is solved once and shared.  The last row, ``T1 = T-1``, is
     the always-open policy: its ``seq`` equals
     ``solve_centralized_nonmyopic(d, N, T)`` exactly.
+
+    The candidates are solved in slot order and scored in blocks: a block
+    is scored when its candidates' pieces reach ``_WELFARE_BLOCK_BYTES``, at
+    the last candidate, and before a solve failure is re-raised, so an
+    earlier candidate's welfare failure comes first.  A block whose batch
+    raises is rescored one candidate at a time, so its first failing ``T1``
+    raises the error it raises alone.
     """
     bench = solve_single_agent(d, T)
-    out = []
+    seqs, welfare, size = [], [], 0
     for T1 in range(1, T):
-        stage = "threshold solve"
         try:
-            seq = solve_one_time(d, N, T, T1, benchmark=bench)
-            stage = "welfare"
-            welfare, _ = welfare_one_time(d, N, T, seq)
+            seqs.append(solve_one_time(d, N, T, T1, benchmark=bench))
+        except (DistributionError, QuadratureError, SolverError) as exc:
+            if len(seqs) > len(welfare):  # an earlier welfare failure comes first
+                _score_block(d, N, T, seqs[len(welfare):])
+            if isinstance(exc, QuadratureError):
+                raise _named(exc, "threshold solve", T1) from exc
+            raise
+        size += _PIECE_BYTES * _pieces(d, T, seqs[-1])
+        if size >= _WELFARE_BLOCK_BYTES or T1 == T - 1:
+            welfare += _score_block(d, N, T, seqs[len(welfare):])
+            size = 0
+    return list(zip(range(1, T), welfare, seqs))
+
+
+def _named(exc, stage, T1):
+    return QuadratureError(f"{exc} (in the {stage} at T1={T1})", exc.estimate, exc.error_bound)
+
+
+def _pieces(d, T, seq):
+    """An upper bound on the pieces of ``seq``'s two welfare integrals at depth
+    0: its ``T1`` pre-sharing pairs cut at the prior's kinks above ``u_T1``,
+    and its ``T`` band segments cut at the kinks above ``mu``."""
+    kinks = d.interior_breakpoints()
+    T1 = seq.comm_slot_T1
+    above = kinks.size - np.searchsorted(kinks, (seq.values[T1 - 1], d.mean()), side="right")
+    return T + T1 + int(above.sum())
+
+
+def _score_block(d, N, T, block):
+    """The welfare of a block's candidates; if the batch raises, each is
+    scored alone, so the first failing ``T1`` raises its own error, named."""
+    try:
+        return [welfare for welfare, _ in _welfare_batch(d, N, T, block)]
+    except QuadratureError:
+        pass
+    out = []
+    for seq in block:
+        try:
+            out.append(welfare_one_time(d, N, T, seq)[0])
         except QuadratureError as exc:
-            raise QuadratureError(f"{exc} (in the {stage} at T1={T1})", exc.estimate,
-                                  exc.error_bound) from exc
-        out.append((T1, welfare, seq))
+            raise _named(exc, "welfare", seq.comm_slot_T1) from exc
     return out
 
 

@@ -185,6 +185,14 @@ class TestOptimizeCommand:
         assert err.startswith("solver error: quadrature did not converge")
         assert err.endswith(f" (in the {stage} at T1={T1})\n")
 
+    @pytest.mark.parametrize("n_agents", ["6", "40"])
+    def test_myopic_quadrature_failure_names_integral(self, capsys, n_agents):
+        assert run_cli("optimize", "--dist", "beta:0.5,0.5", "--n-agents", n_agents,
+                       "--horizon", "20", "--mode", "myopic-approx") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: quadrature did not converge")
+        assert err.endswith(f" (in I = integral_mu^1 F^{n_agents})\n")
+
 
 def sim_config(tmp_path, **kw):
     cfg = {

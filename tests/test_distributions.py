@@ -318,6 +318,82 @@ def test_array_integrate_errors(monkeypatch):
     assert err.value.error_bound == pytest.approx(sum(e.error_bound for e in scalar), rel=1e-12)
 
 
+def random_groups(rng, n):
+    """``n`` random integrals on [0, 1], each as ``(lo, hi, cuts)`` with 0-3
+    inner cuts (a repeated cut gives a zero-width segment), and the ascending
+    segments of all of them with a run label per integral."""
+    integrals, seg_lo, seg_hi, labels = [], [], [], []
+    for i in range(n):
+        a, b = np.sort(rng.random(2))
+        cuts = np.sort(rng.uniform(a, b, rng.integers(0, 4)))
+        if cuts.size and rng.random() < 0.3:
+            cuts = np.sort(np.append(cuts, cuts[0]))
+        edges = np.concatenate([[a], cuts, [b]])
+        integrals.append((a, b, cuts))
+        seg_lo.append(edges[:-1])
+        seg_hi.append(edges[1:])
+        labels.append(np.full(edges.size - 1, i % 3))  # runs, not values, make integrals
+    cat = np.concatenate
+    return integrals, cat(seg_lo), cat(seg_hi), cat(labels)
+
+
+@pytest.mark.parametrize("prior", ["uniform", "beta", "hotel"])
+def test_groups_match_lone_pairs_cut_at_their_inner_ends(prior, request):
+    d = request.getfixturevalue("hotel_dist") if prior == "hotel" else KINDS[prior]
+    integrals, lo, hi, groups = random_groups(np.random.default_rng(29), 40)
+
+    def f(r):
+        return d.cdf(r) ** 7 * np.sin(20.0 * r) ** 2
+
+    got = integrate(d, f, lo, hi, groups=groups)
+    assert got.tolist() == [integrate(d, f, a, b, cuts) for a, b, cuts in integrals]
+
+
+@pytest.mark.parametrize("prior", ["uniform", "beta", "hotel"])
+def test_pair_names_the_interval_of_each_node(prior, request):
+    d = request.getfixturevalue("hotel_dist") if prior == "hotel" else KINDS[prior]
+    _, lo, hi, groups = random_groups(np.random.default_rng(31), 40)
+    inside = []
+
+    def f(r):
+        j = r.pair
+        inside.append(j.shape == r.shape and bool(np.all((lo[j] < r) & (r < hi[j]))))
+        return np.sin(400.0 * r) ** 2 * d.cdf(r)
+
+    integrate(d, f, lo, hi, groups=groups)
+    integrate(d, f, lo, hi)
+    assert len(inside) > 4 and all(inside)
+
+
+@pytest.mark.parametrize("prior", ["beta", "hotel"])
+def test_wrapped_integrand_leaves_batched_welfare_bit_identical(prior, request, monkeypatch):
+    # the benchmark's tracer wraps every integrand as a one-argument function;
+    # the node array passes through the wrapper with its pair index
+    from commgate import nonmyopic
+
+    d = request.getfixturevalue("hotel_dist") if prior == "hotel" else KINDS[prior]
+    N, T = 5, 12
+    seqs = [seq for _, _, seq in nonmyopic.scan_comm_times(d, N, T)]
+    plain = nonmyopic._welfare_batch(d, N, T, seqs)
+
+    def wrapping(dist, integrand, *args, **kwargs):
+        return integrate(dist, lambda x: integrand(x), *args, **kwargs)
+
+    monkeypatch.setattr(nonmyopic, "integrate", wrapping)
+    assert nonmyopic._welfare_batch(d, N, T, seqs) == plain
+
+
+def test_groups_must_join_end_to_end():
+    u = KINDS["uniform"]
+    lo, hi = np.array([0.1, 0.3, 0.5]), np.array([0.3, 0.5, 0.9])
+    assert integrate(u, lambda r: r, lo, hi, groups=[0, 0, 0])[0] == integrate(
+        u, lambda r: r, 0.1, 0.9, (0.3, 0.5))
+    with pytest.raises(ValueError, match="end to end"):
+        integrate(u, lambda r: r, lo, np.array([0.3, 0.4, 0.9]), groups=[0, 0, 0])
+    with pytest.raises(ValueError, match="shape"):
+        integrate(u, lambda r: r, lo, hi, groups=[0, 0])
+
+
 def test_empirical_validation_errors():
     with pytest.raises(DistributionError):
         RewardDistribution.empirical([0.0, 0.5], [0.0, 0.9])  # cdf(1) != 1

@@ -1,4 +1,5 @@
-"""A 30-digit reference for the myopic terms and the solo thresholds.
+"""A 30-digit reference for the myopic terms, the solo thresholds and the
+one-time welfare.
 
 Everything here is re-derived in ``mpmath`` at 30 significant digits and
 none of it calls the program's ``integrate``:
@@ -8,8 +9,8 @@ none of it calls the program's ``integrate``:
   stay below 1e-20; the tail ``integral_u^1 (1 - F)`` is the closed form
   ``mu (1 - I_u(a+1, b)) - u (1 - I_u(a, b))``.
 - Empirical priors have an ``F`` linear on each grid piece, so every
-  integrand below, a power of a linear function of ``F``, has a closed-form
-  integral per piece; the grid's doubles are exact in ``mpmath``.
+  integrand below, a polynomial in ``F``, has a closed-form integral per
+  piece; the grid's doubles are exact in ``mpmath``.
 
 The myopic terms come from their definitions (see ``myopic._terms``): with
 ``c = F(mu)^i`` the self-only and pooled CDFs of window index ``i`` on
@@ -19,6 +20,11 @@ and ``pooled = (F^N - q) / (1 - q) + c^N (1 - F^N) / (1 - q)``, ``q = F(mu)^N``;
 The always-open welfare is the slot sum ``N sum_(t=0..T) (mu + (1 - q^t) P)``.
 The solo thresholds are the roots of ``u - mu = (T-t) tail(u)`` found by
 ``mp.findroot`` on the bracket ``[mu, 1]``, not from the program's roots.
+``welfare_one_time`` and its exploration count are re-derived from the
+program's solved thresholds (see ``reference_welfare``): on each segment
+between consecutive kinks every integrand is a polynomial in ``F``, which
+Beta priors integrate with ``mp.quad`` and empirical priors exactly per grid
+piece.
 
 Each quantity in [0, 1] is compared absolutely, and the welfare per agent and
 slot likewise; every error must be within the program's quadrature target
@@ -67,6 +73,13 @@ class BetaPrior:
         assert err < _QUAD_ERR, f"mp.quad error estimate {err}"
         return value
 
+    def poly_integral(self, coeffs, lo, hi):
+        """``integral_lo^hi P(F(r)) dr`` for the polynomial ``P`` with the
+        ascending ``coeffs``; the caller cuts at every kink of the integrand."""
+        value, err = mp.quad(lambda r: polyval(coeffs, self.cdf(r)), [lo, hi], error=True)
+        assert err < _QUAD_ERR, f"mp.quad error estimate {err}"
+        return value
+
 
 class EmpiricalPrior:
     def __init__(self, d):
@@ -103,6 +116,25 @@ class EmpiricalPrior:
 
     def tail(self, u):
         return self.power_integral(1, -1, 1, u)
+
+    def poly_integral(self, coeffs, lo, hi):
+        """``integral_lo^hi P(F(r)) dr`` for the polynomial ``P`` with the
+        ascending ``coeffs``, exact per grid piece: with ``F`` running
+        linearly from ``f0`` to ``f1``, the mean of ``F^m`` is
+        ``h_m / (m+1)``, ``h_m = sum_j f1^j f0^(m-j) = f1 h_(m-1) + f0^m``."""
+        total = mp.mpf(0)
+        for k in range(self._index(lo), len(self.g) - 1):
+            a, b = max(lo, self.g[k]), min(hi, self.g[k + 1])
+            if b <= a:
+                break
+            f0, f1 = self.cdf(a, k), self.cdf(b, k)
+            h, p0, mean = mp.mpf(1), mp.mpf(1), coeffs[0]
+            for m, c in enumerate(coeffs[1:], start=1):
+                p0 *= f0
+                h = f1 * h + p0
+                mean += c * h / (m + 1)
+            total += (b - a) * mean
+        return total
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +223,95 @@ def test_solo_thresholds_match_the_reference(priors, prior):
     want = reference_solo(ref, T)
     err = [float(abs(mp.mpf(float(g)) - w)) for g, w in zip(got, want)]
     assert max(err) <= distributions._ABS_TOL, f"slot {err.index(max(err)) + 1}: {max(err):.3g}"
+
+
+def polyval(coeffs, x):
+    """The polynomial with the ascending ``coeffs`` at ``x`` (Horner)."""
+    acc = mp.mpf(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def polymul(p, q):
+    out = [mp.mpf(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def reference_welfare(ref, N, T, seq):
+    """``welfare_one_time`` and its exploration count from the program's solved
+    thresholds ``seq``, in the decomposition of its docstring, every integral
+    at 30 digits cut at every kink.
+
+    The belief law of one agent's best reward after the pre-sharing slots is
+    ``G = F^t - (1 - F) S_t`` on the band ``u_t < r <= u_(t-1)`` (``u_0 = 1``),
+    ``S_t = sum_(i=t..T1) F(u_i)^i``, a polynomial in ``F`` on each band; so
+    each band ``[ubar_(T1+k+1), ubar_(T1+k)]`` of ``G^N F^k`` is integrated
+    as the polynomial ``(F^t - S_t + S_t F)^N F^k`` between the prefix
+    thresholds inside it.
+    """
+    T1 = seq.comm_slot_T1
+    u = [mp.mpf(1)] + [mp.mpf(float(v)) for v in seq.values]  # u[t] = u_t
+    F = [ref.cdf(x) for x in u]
+    mu = ref.mean
+    prefix = u[1 : T1 + 1]
+    S = [mp.fsum(F[i] ** i for i in range(t, T1 + 1)) for t in range(T1 + 2)]  # S[T1+1] = 0
+
+    def law_poly(t):  # G on band t as a polynomial in F
+        p = [mp.mpf(0)] * (t + 1)
+        p[0] -= S[t]
+        p[1] += S[t]
+        p[t] += 1
+        return p
+
+    def band(r):  # 1 + the prefix thresholds at or above r
+        return 1 + sum(x >= r for x in prefix)
+
+    pre_explore = mp.fsum(F[t] ** t for t in range(1, T1 + 1))
+    pre = mp.mpf(0)
+    for t in range(T1):
+        # slot t: integral r d(F^(t+1)) over (u_(t+1), u_t], by parts, and the
+        # integral of r dF over (u_t, 1], 1 - u F(u) - integral_u^1 F
+        lo, hi = u[t + 1], u[t]
+        stieltjes = (hi * F[t] ** (t + 1) - lo * F[t + 1] ** (t + 1)
+                     - ref.poly_integral([0] * (t + 1) + [1], lo, hi))
+        above = 1 - hi * F[t] - ((1 - hi) - ref.tail(hi))
+        pre += (T1 - t) * (stieltjes + F[t] ** t * above)
+
+    post = u[T1 + 1 :]
+    bands = []
+    for k, (lo, hi) in enumerate(zip(post, [mp.mpf(1), *post[:-1]])):
+        edges = [lo, *sorted(x for x in prefix if lo < x < hi), hi]
+        total = mp.mpf(0)
+        for a, b in zip(edges, edges[1:]):
+            p = [mp.mpf(0)] * k + [mp.mpf(1)]
+            for _ in range(N):
+                p = polymul(p, law_poly(band(b)))
+            total += ref.poly_integral(p, a, b)
+        bands.append(total)
+    pooled = (T - T1) * (1 - bands[0])
+    resume = mp.fsum((T - T1 - tau) * bands[tau] for tau in range(1, T - T1))
+    welfare = N * (mu * (1 + pre_explore) + pre + pooled - resume)
+    count = 1 + pre_explore + mp.fsum(
+        polyval(law_poly(band(r)), F[T1 + tau]) ** N * F[T1 + tau] ** tau
+        for tau, r in enumerate(post, start=1))
+    return welfare, count
+
+
+@pytest.mark.parametrize("N", (2, 5))
+@pytest.mark.parametrize("prior", ("uniform", "beta:2,5", "hotel"))
+def test_welfare_one_time_matches_the_reference(priors, prior, N):
+    d, ref = priors[prior]
+    T = 12
+    for T1 in (1, T // 2, T - 1):
+        seq = nonmyopic.solve_one_time(d, N, T, T1)
+        welfare, count = nonmyopic.welfare_one_time(d, N, T, seq)
+        want_welfare, want_count = reference_welfare(ref, N, T, seq)
+        # per agent and slot
+        err = {"welfare": float(abs(mp.mpf(welfare) - want_welfare)) / (N * (T + 1)),
+               "exploration count": float(abs(mp.mpf(count) - want_count)) / (T + 1)}
+        worst = max(err, key=err.get)
+        assert err[worst] <= distributions._ABS_TOL, f"T1={T1}, {worst}: error {err[worst]:.3g}"

@@ -7,8 +7,8 @@ import pytest
 
 from commgate import myopic
 from commgate.cli import _schedule_from_config
-from commgate.distributions import RewardDistribution
-from commgate.errors import ScheduleError
+from commgate.distributions import RewardDistribution, integrate
+from commgate.errors import QuadratureError, ScheduleError
 from commgate.myopic import (
     approximation_ratio,
     deviation_condition,
@@ -311,3 +311,32 @@ class TestApproximationRatio:
     def test_asymptotically_optimal(self, uniform):
         # 1 - 1e-100 rounds to 1.0 in binary64, so the bound is an >=
         assert approximation_ratio(uniform, 500, 10) >= 1 - 1e-100
+
+
+class TestQuadratureFailure:
+    @pytest.mark.parametrize("N", [6, 40])
+    def test_failure_names_the_tail_integral(self, N):
+        # beta(0.5, 0.5) fails I = integral_mu^1 F^N at N = 6 and 40 (ROADMAP
+        # item 3); the error names it and keeps its estimate and bound
+        d = RewardDistribution.beta(0.5, 0.5)
+        with pytest.raises(QuadratureError) as want:
+            integrate(d, lambda r: d.cdf(r) ** N, d.mean(), 1.0)
+        with pytest.raises(QuadratureError) as got:
+            optimize_single_window(d, N, 20)
+        assert str(got.value) == f"{want.value} (in I = integral_mu^1 F^{N})"
+        assert got.value.estimate == want.value.estimate
+        assert got.value.error_bound == want.value.error_bound
+
+    def test_failure_names_y_i(self, uniform, monkeypatch):
+        calls = []
+
+        def failing_fourth(*args):  # I, y_1, y_2, then y_3
+            calls.append(args)
+            if len(calls) == 4:
+                raise QuadratureError("injected", 0.25, 1e-3)
+            return integrate(*args)
+
+        monkeypatch.setattr(myopic, "integrate", failing_fourth)
+        with pytest.raises(QuadratureError, match=r"^injected \(in y_3\)$") as got:
+            scan_single_window(uniform, 3, 10)
+        assert (got.value.estimate, got.value.error_bound) == (0.25, 1e-3)

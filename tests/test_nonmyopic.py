@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from commgate import distributions
+from commgate import distributions, nonmyopic
 from commgate.distributions import RewardDistribution, integrate
 from commgate.errors import DistributionError, QuadratureError, SolverError
 from commgate.nonmyopic import (
@@ -358,13 +360,20 @@ class TestIntegrateCalls:
         assert pieces[2] > np.unique(np.concatenate([mid, system.upper])).size - 1
 
     @pytest.mark.parametrize("T1", [1, 6, 13])
-    def test_welfare_makes_two_calls(self, uniform, calls, T1):
+    def test_welfare_makes_two_calls(self, uniform, monkeypatch, T1):
+        integrals = []
+
+        def counting(*args, **kwargs):
+            out = integrate(*args, **kwargs)
+            integrals.append(np.size(out))
+            return out
+
         N, T = 5, 14
         seq = solve_one_time(uniform, N, T, T1)
-        calls.clear()
+        monkeypatch.setattr(nonmyopic, "integrate", counting)
         welfare_one_time(uniform, N, T, seq)
         # pre-sharing slots, then the pooled reveal with the resumed slots
-        assert [lo.size for lo, _ in calls] == [T1, T - T1]
+        assert integrals == [T1, T - T1]
 
 
 def per_pair_coupling(system, G, v):
@@ -519,6 +528,80 @@ class TestWelfareOneTime:
             monkeypatch.setattr(distributions, "_ABS_TOL", abs_tol)
             w, _ = welfare_one_time(uniform, N, T, seq)
             assert abs(w - w1) < 1e-6
+
+
+BATCH_PRIORS = {"uniform": RewardDistribution.uniform(), "beta25": RewardDistribution.beta(2, 5),
+                "beta0709": RewardDistribution.beta(0.7, 0.9)}
+
+
+class TestWelfareBatch:
+    """The scan scores its candidates in byte-budgeted blocks, each candidate
+    exactly as ``welfare_one_time`` scores it alone."""
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 50])
+    @pytest.mark.parametrize("prior", [*BATCH_PRIORS, "hotel"])
+    def test_batch_equals_one_at_a_time(self, hotel_dist, monkeypatch, prior, N):
+        d = hotel_dist if prior == "hotel" else BATCH_PRIORS[prior]
+        for T in (2, 7, 20):  # T1 = 1 keeps BeliefCdf's exact square
+            rows = scan_comm_times(d, N, T)
+            batch = nonmyopic._welfare_batch(d, N, T, [seq for _, _, seq in rows])
+            for (T1, welfare, seq), (w, count) in zip(rows, batch, strict=True):
+                assert (welfare, count) == (w, count) == welfare_one_time(d, N, T, seq), T1
+            monkeypatch.setattr(nonmyopic, "_WELFARE_BLOCK_BYTES", 1)  # one candidate a block
+            alone = scan_comm_times(d, N, T)
+            monkeypatch.undo()
+            assert [row[:2] for row in alone] == [row[:2] for row in rows]
+
+    @pytest.mark.parametrize("T", [50, 150])
+    def test_welfare_stage_peak_within_budget(self, hotel_dist, monkeypatch, T):
+        # blocks hold candidates until their pieces reach the budget, so a
+        # block's peak, counting what the scan holds, is at most the budget
+        # plus one candidate's pieces
+        d, N = hotel_dist, 50
+        blocks, peaks = [], []
+        score_block = nonmyopic._score_block
+
+        def tracing(*args):
+            blocks.append(args[-1])
+            tracemalloc.reset_peak()
+            welfare = score_block(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return welfare
+
+        monkeypatch.setattr(nonmyopic, "_score_block", tracing)
+        tracemalloc.start()
+        try:
+            scan_comm_times(d, N, T)
+        finally:
+            tracemalloc.stop()
+        assert len(blocks) > 4 and sum(map(len, blocks)) == T - 1
+        one = max(nonmyopic._pieces(d, T, seq) for block in blocks for seq in block)
+        assert max(peaks) <= nonmyopic._WELFARE_BLOCK_BYTES + nonmyopic._PIECE_BYTES * one
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_failing_block_raises_its_first_failing_candidate(self, monkeypatch, budget):
+        # beta(3, 0.4) fails in the welfare at T1=10: scored in one block or
+        # one candidate a block, the scan raises the error T1=10 raises alone
+        d, N, T = RewardDistribution.beta(3, 0.4), 5, 20
+        alone = solve_one_time(d, N, T, 10)
+        with pytest.raises(QuadratureError) as want:
+            welfare_one_time(d, N, T, alone)
+        if budget is not None:
+            monkeypatch.setattr(nonmyopic, "_WELFARE_BLOCK_BYTES", budget)
+        with pytest.raises(QuadratureError) as got:
+            scan_comm_times(d, N, T)
+        assert str(got.value) == f"{want.value} (in the welfare at T1=10)"
+        np.testing.assert_array_equal(got.value.estimate, want.value.estimate)
+        assert got.value.error_bound == want.value.error_bound
+
+    def test_earlier_welfare_failure_wins_over_a_later_solve_failure(self, failing_slots):
+        d, N, T = RewardDistribution.beta(3, 0.4), 5, 20
+        failing_slots.add(12)
+        with pytest.raises(QuadratureError, match=r" \(in the welfare at T1=10\)$"):
+            scan_comm_times(d, N, T)
+        failing_slots.add(8)
+        with pytest.raises(SolverError, match=r"injected failure at T1=8$"):
+            scan_comm_times(d, N, T)
 
 
 class TestOptimizeCommTime:
