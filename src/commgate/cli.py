@@ -19,6 +19,7 @@ import difflib
 import json
 import math
 import sys
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,10 +30,10 @@ from .schedules import CommSchedule, check_horizon
 from .simulate import SimConfig, _reveal_slot, run
 
 CONFIG_SCHEMA_VERSION = 1
-# the JSON type of each scalar simulate key; an absent key takes SimConfig's default
-SCALAR_KEYS = {"n_agents": int, "horizon": int, "agent_kind": str, "reward_mode": str,
-               "noise_sd": float, "pref_sd": float, "replications": int, "master_seed": int,
-               "noise_per_option": bool}
+# the JSON type of each scalar simulate key, SimConfig's scalar fields in field
+# order; an absent key takes SimConfig's default
+SCALAR_KEYS = {key: kind for key, kind in typing.get_type_hints(SimConfig).items()
+               if kind in (int, float, str, bool)}
 CONFIG_KEYS = sorted({"schema_version", "dist", "schedule", "out", *SCALAR_KEYS})
 
 

@@ -216,12 +216,9 @@ class _OneTimeSystem:
         self.upper = np.concatenate([[1.0], self.post])
         self.mu = d.mean()
 
-    def coupling(self, G, v, kinks=True):
+    def coupling(self, G, v):
         """Coupling ``D`` under the belief ``G`` at every value of ``v`` in [mu, 1],
-        from one ``integrate`` call with ``G``'s kinks as breakpoints.  With
-        ``kinks=False`` they are left out: that is exact where ``v`` holds every
-        threshold of ``G``, as in `residuals`, since the kinks are then pair
-        ends and ``integrate`` cuts a pair only at kinks strictly inside it."""
+        from one ``integrate`` call with ``G``'s kinks as breakpoints."""
         d, N = self.d, self.N
         z = np.unique(np.concatenate([v, self.upper]))
 
@@ -231,7 +228,7 @@ class _OneTimeSystem:
 
         # the pair [z_j, z_(j+1)] lies in the band of the thresholds at or above z_(j+1)
         weight = self.T - self.T1 - _count_at_or_above(self.post_asc, z[1:])
-        pieces = weight * integrate(d, band, z[:-1], z[1:], G.thresholds if kinks else ())
+        pieces = weight * integrate(d, band, z[:-1], z[1:], G.thresholds)
         suffix = np.concatenate([np.cumsum(pieces[::-1])[::-1], [0.0]])
         return suffix[np.searchsorted(z, v)]
 
@@ -240,15 +237,14 @@ class _OneTimeSystem:
         else k with post_(k) > u >= post_(k+1)."""
         return self.post.size - np.searchsorted(self.post_asc, u, side="right")
 
-    def residual(self, G, i, v, kinks=True):
+    def residual(self, G, i, v):
         """g at values ``v`` of the coordinates ``i`` under the belief ``G``."""
-        D = self.coupling(G, v, kinks)
-        return v - self.mu - (self.T1 - i - 1) * self.d.tail_mean_excess(v) - D
+        return v - self.mu - (self.T1 - i - 1) * self.d.tail_mean_excess(v) - self.coupling(G, v)
 
     def residuals(self, u):
         d, N, T, T1 = self.d, self.N, self.T, self.T1
         G = BeliefCdf(d, u)
-        g = self.residual(G, np.arange(T1), u, kinks=False)
+        g = self.residual(G, np.arange(T1), u)
         ks = self.cases(u)
         fu = d.cdf(u)
         slope = (T - T1 - ks) * G._given(u, fu) ** (N - 1) * fu**ks
@@ -469,6 +465,8 @@ def scan_comm_times(
     raises is rescored one candidate at a time, so its first failing ``T1``
     raises the error it raises alone.
     """
+    if T < 2 or N < 1:
+        raise DistributionError("need T >= 2 and N >= 1")
     bench = solve_single_agent(d, T)
     seqs, welfare, size = [], [], 0
     for T1 in range(1, T):
@@ -522,8 +520,6 @@ def _scan_and_pick(d, N, T):
 
     The first maximum wins, so the earliest slot takes ties.
     """
-    if T < 2 or N < 1:
-        raise DistributionError("need T >= 2 and N >= 1")
     scan = scan_comm_times(d, N, T)
     T1, welfare, seq = max(scan, key=lambda row: row[1])  # max keeps the first maximum
     return scan, (T1, seq, welfare)

@@ -350,6 +350,29 @@ def test_groups_match_lone_pairs_cut_at_their_inner_ends(prior, request):
 
 
 @pytest.mark.parametrize("prior", ["uniform", "beta", "hotel"])
+def test_breakpoints_at_pair_ends_cut_nothing(prior, request):
+    # a pair is cut only at breakpoints strictly inside it, so a chain of
+    # pairs, as the threshold system's coupling passes with its belief's
+    # kinks among the pair ends, is cut and refined alike without them
+    d = request.getfixturevalue("hotel_dist") if prior == "hotel" else KINDS[prior]
+    rng = np.random.default_rng(30)
+    z = np.unique(np.concatenate([rng.random(12), [d.mean(), 1.0]]))
+    lo, hi = z[:-1], z[1:]
+    runs = []
+
+    def f(r):
+        runs[-1].append(r.size)
+        return d.cdf(r) ** 7 * np.sin(400.0 * r) ** 2
+
+    got = []
+    for breakpoints in ((), z):
+        runs.append([])
+        got.append(integrate(d, f, lo, hi, breakpoints))
+    assert got[0].tolist() == got[1].tolist()
+    assert runs[0] == runs[1] and len(runs[0]) > 1
+
+
+@pytest.mark.parametrize("prior", ["uniform", "beta", "hotel"])
 def test_pair_names_the_interval_of_each_node(prior, request):
     d = request.getfixturevalue("hotel_dist") if prior == "hotel" else KINDS[prior]
     _, lo, hi, groups = random_groups(np.random.default_rng(31), 40)

@@ -345,19 +345,25 @@ class TestIntegrateCalls:
 
         monkeypatch.setattr(nonmyopic, "integrate", counting)
         mid = 0.5 * (u[:-1] + u[1:])
-        got = [system.coupling(G, u, kinks=False), system.coupling(G, u), system.coupling(G, mid)]
+        system.coupling(G, u)
+        system.coupling(G, mid)
         # depth 0 takes five nodes per piece, every later depth two per half
         for n, call in zip(pieces, sizes):
             assert call[0] == 5 * n
             assert all(k % 2 == 0 and k <= 2 * prev for prev, k in zip([2 * n] + call[1:], call[1:]))
         # the piecewise-linear hotel prior converges at depth 0
         assert prior == "hotel" or min(len(call) for call in sizes) > 1
-        # at the thresholds, G's kinks are pair ends: leaving them out of the
-        # breakpoints cuts the same pieces and gives the same values
-        assert pieces[0] == pieces[1] and sizes[0] == sizes[1]
-        assert np.array_equal(got[0], got[1])
+
+        def prior_pieces(v):
+            # the pairs of v, post and 1 cut at the prior's own kinks alone
+            z, cuts = np.unique(np.concatenate([v, system.upper])), d.interior_breakpoints()
+            return int(np.sum(np.searchsorted(cuts, z[1:], side="left")
+                              - np.searchsorted(cuts, z[:-1], side="right") + 1))
+
+        # at the thresholds, G's kinks are pair ends and cut nothing more
+        assert pieces[0] == prior_pieces(u)
         # between the thresholds, they cut pairs
-        assert pieces[2] > np.unique(np.concatenate([mid, system.upper])).size - 1
+        assert pieces[1] > prior_pieces(mid)
 
     @pytest.mark.parametrize("T1", [1, 6, 13])
     def test_welfare_makes_two_calls(self, uniform, monkeypatch, T1):
@@ -626,6 +632,14 @@ class TestOptimizeCommTime:
         cent = solve_centralized_nonmyopic(uniform, 3, 6)
         assert np.array_equal(seq.values, cent.values)
         assert welfare == welfare_one_time(uniform, 3, 6, cent)[0]
+
+    @pytest.mark.parametrize("N, T", [(3, 1), (0, 6)])
+    def test_scan_refuses_a_horizon_without_candidates_or_no_agents(self, uniform, N, T):
+        # T = 1 has no sharing slot, so its scan would hold no row to pick
+        with pytest.raises(DistributionError, match=r"^need T >= 2 and N >= 1$"):
+            scan_comm_times(uniform, N, T)
+        with pytest.raises(DistributionError, match=r"^need T >= 2 and N >= 1$"):
+            optimize_comm_time(uniform, N, T)
 
     def test_failed_candidate_fails_the_scan(self, uniform, failing_slots):
         failing_slots.update({2, 5})
