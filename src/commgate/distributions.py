@@ -341,13 +341,13 @@ def _segment_tables(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
 class _Nodes(np.ndarray):
     """The node array an integrand receives: a view of the float nodes whose
     ``pair`` gives each node's index into the raveled ``lo``/``hi``.  The
-    index is tiled from the per-piece index only when it is read."""
+    index repeats the per-piece index, block by block, only when it is read."""
 
     _piece_pair: np.ndarray
 
     @property
     def pair(self) -> np.ndarray:
-        return np.tile(self._piece_pair, self.size // self._piece_pair.size)
+        return np.concatenate([self._piece_pair] * (self.size // self._piece_pair.size))
 
 
 def _evaluate(integrand: Callable, x: np.ndarray, piece_pair: np.ndarray) -> np.ndarray:

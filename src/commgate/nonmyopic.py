@@ -11,17 +11,16 @@ sequence with a full diagonal-Newton step, else one exact G-frozen sweep.
 With the belief frozen, each coordinate's coupling is a suffix of one
 cumulative integral over the sorted prefix and post-sharing thresholds.
 
-``scan_comm_times`` solves its candidates one by one and scores their
-welfare in blocks: ``_welfare_batch`` takes a block's candidates in two
-``integrate`` calls, each candidate's integrals read their constants by
-pair, and every candidate gets exactly the welfare ``welfare_one_time``
-gives it alone.  A block holds candidates until its estimated quadrature
-arrays, ``_PIECE_BYTES`` per piece, reach ``_WELFARE_BLOCK_BYTES``, so the
-welfare stage's peak stays within that budget plus one candidate.
+``scan_comm_times`` runs its candidates in blocks of consecutive slots whose
+estimated quadrature arrays fit ``_BLOCK_BYTES``.  A block is solved in
+lockstep, one ``integrate`` call per Newton round, and scored by
+``_welfare_batch`` in two calls, every candidate exactly as alone.
 """
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,14 +42,12 @@ __all__ = [
 
 _RESID_TOL = 1e-8
 _MAX_ITER = 200
-_WELFARE_BLOCK_BYTES = 2 << 20  # quadrature working set of one block of welfare candidates
-# peak bytes a welfare batch holds per piece that its two integrate calls cut
-# at depth 0 (per candidate T + T1 and the prior's kinks above u_T1 and mu);
-# traced peak of blocks of 4 and 16 candidates: 238-286 B on the fitted hotel
-# prior (N = 5 and 50, T = 50 and 150), whose pieces converge at depth 0, and
-# 433-518 B on beta(2, 5), beta(0.7, 0.9) and the uniform prior, whose
-# pieces refine
-_PIECE_BYTES = 512
+_BLOCK_BYTES = 2 << 20  # quadrature working set of one block of candidates, solved then scored
+# peak bytes a block adds per piece of `_pieces`, traced at N = 5, 50, T = 50, 150, 300:
+# solve 440-474 B, welfare 447-486 B on the fitted hotel prior; solve 553-661 B (most
+# in blocks that take a sweep), welfare 572-595 B on beta(2,5), beta(.7,.9), uniform
+_PIECE_BYTES = 768
+_LOCKSTEP = contextvars.ContextVar("_LOCKSTEP", default=None)  # (d, N, T, bench, {T1: result})
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +136,20 @@ def _law(f, t_seg, suffix, square):
     return np.clip(power - (1.0 - f) * suffix, 0.0, 1.0)
 
 
+def _suffix_sums(pre, powers):
+    """BeliefCdf's suffix sums per row of the candidates' pre-sharing slots ``pre``, from
+    their ``F(u_i)^i`` row after row; the zero padding of shorter prefixes adds exactly."""
+    table = np.zeros(pre.shape)
+    table[pre] = powers
+    return np.cumsum(table[:, ::-1], axis=1)[:, ::-1]
+
+
+def _square(T1s, n):
+    """``_law``'s one-threshold mask over ``n`` points of each candidate's row (a
+    count, or one per row), or False where no candidate shares at slot 1."""
+    return np.repeat(T1s == 1, n) if T1s.min() == 1 else False
+
+
 def _bisect(fun, mu, n):
     """Roots in ``[mu, 1]`` of ``n`` increasing functions, negative at ``mu``.
 
@@ -188,75 +199,102 @@ def _count_at_or_above(asc, r):
 
 
 class _OneTimeSystem:
-    """Residuals and diagonal Jacobian of the pre-sharing threshold system.
+    """The pre-sharing threshold systems of the candidates ``T1s`` on the solo benchmark
+    ``bench``.  Coordinate ``i`` (slot ``t = i+1``) of ``T1`` has the residual
+    ``u - mu - (T1-t) tail(u) - D(u)``; the coupling ``D(x)`` integrates
+    ``(T-T1-k) G^(N-1) F^k (1-F)`` over ``[x, 1]``, ``k(r)`` counting the post
+    thresholds ``bench[T1:]`` at or above ``r``.  Row ``c`` of a ``(B, T)`` array holds
+    candidate ``c``'s coordinates, then its post thresholds; a flat one, the coordinates."""
 
-    Coordinate ``i`` (slot ``t = i+1``) has the residual
-    ``u - mu - (T1-t) tail(u) - D(u)``.  The coupling ``D(x)`` integrates
-    ``(T-T1-k) G^(N-1) F^k (1-F)`` over ``[x, 1]``, ``k(r)`` being the number
-    of post-sharing thresholds at or above ``r``; for ``u`` in band ``k`` it
-    is ``w[k] + (T-T1-k) (C(u) - C(upper[k]))``, with ``upper = [1, *post]``,
-    ``C`` the unweighted integral and the segment table ``w[k] = D(upper[k])``.
-    With ``G`` frozen, one ``integrate`` call takes the consecutive pairs of
-    the sorted distinct points of the coordinates, ``post`` and 1, each to
-    `integrate`'s one tolerance, and suffix sums of the weighted pair
-    integrals give ``D`` at every point in O(pieces + T).  No pair straddles
-    a post threshold, so each has one weight.  A band's lower edge ``post[k]``,
-    where the count is ``k + 1``, is a pair's lower end, and ``integrate``
-    evaluates no pair at its ends (it nudges those nodes inward, at least to
-    the next float).
-    """
+    def __init__(self, d, N, T, T1s, bench):
+        self.d, self.N, self.T, self.bench, self.mu = d, N, T, bench, d.mean()
+        self.T1s = T1s = np.asarray(T1s)
+        self.pre = np.arange(T) < T1s[:, None]
+        self.at = np.flatnonzero(self.pre)  # each coordinate's index in the raveled rows
+        self.slot = self.at % T  # i, for slot t = i+1
+        self.T1, self.square = np.repeat(T1s, T1s), _square(T1s, T1s)
 
-    def __init__(self, d, N, T, T1, post):
-        self.d = d
-        self.N = N
-        self.T = T
-        self.T1 = T1
-        self.post = np.asarray(post, dtype=float)  # ubar_(T1+1) .. ubar_T, descending
-        self.post_asc = self.post[::-1].copy()
-        self.upper = np.concatenate([[1.0], self.post])
-        self.mu = d.mean()
+    def rows(self, x):
+        """The rows with the flat coordinates ``x`` before their post thresholds."""
+        out = np.empty(self.pre.shape)
+        out[...], out[self.pre] = self.bench, x
+        return out
+
+    def belief(self, u, cut=False):
+        """Each row's belief ``G`` at the flat prefixes ``u``: the rows, their suffix
+        sums and, to evaluate at other values (``cut``), the prefixes padded with 1."""
+        rows = self.rows(u)
+        cuts = np.where(self.pre, rows, 1.0)[:, : self.T1s.max()] if cut else None
+        return rows, _suffix_sums(self.pre, self.d.cdf(u) ** (self.slot + 1)), cuts
 
     def coupling(self, G, v):
-        """Coupling ``D`` under the belief ``G`` at every value of ``v`` in [mu, 1],
-        from one ``integrate`` call with ``G``'s kinks as breakpoints."""
-        d, N = self.d, self.N
-        z = np.unique(np.concatenate([v, self.upper]))
+        """``D`` under ``G`` at every entry of the rows ``v`` (``G``'s own rows if it
+        has no cuts), from one ``integrate`` call.  A row's pairs join its sorted
+        entries and 1; the cuts split them into segments that ``groups`` joins,
+        exactly the pair alone with them as breakpoints.  Equal points add
+        exactly 0.  Each segment reads its ``k``, ``G``'s band and suffix by
+        pair, and suffix sums give ``D`` in O(pieces + T)."""
+        (rows, suffix, cuts), (B, T), N, d = G, v.shape, self.N, self.d
+        T1, row = self.T1s[:, None], np.arange(B)[:, None]
+        if cuts is None:
+            order = np.argsort(v, axis=1, kind="stable")  # ties: coordinates first
+            s = np.concatenate([v.ravel()[order + T * row], np.ones((B, 1))], axis=1)
+            posts = np.cumsum(order >= T1, axis=1)  # post thresholds up to each pair's lower end
+            # a segment's k and G's band count those at or above its upper end
+            k, band, weight, groups = T - T1 - posts, T1 - 1 - np.arange(T) + posts, posts, None
+            at = np.argsort(order, axis=1)  # each entry's pair
+        else:
+            points = np.concatenate([v, cuts, np.ones((B, 1))], axis=1)
+            order = np.argsort(points, axis=1, kind="stable")  # ties: v's entries first, 1 last
+            flat = order + points.shape[1] * row
+            s, pair = points.ravel()[flat], (order < T) | (order == points.shape[1] - 1)
+            # per position, the post thresholds and G's thresholds at or after it
+            k, band = (np.cumsum(flag[:, ::-1], axis=1)[:, ::-1] for flag in
+                       ((order >= T1) & (order < T), (order >= T) & (order < T + T1)))
+            label = np.cumsum(pair, axis=1) - 1  # each position's pair
+            weight = self.T - T1 - k[pair].reshape(B, T + 1)[:, 1:]
+            k, band, groups = k[:, 1:], band[:, 1:], (label[:, :-1] + T * row).ravel()
+            at = np.empty(points.shape, dtype=label.dtype)
+            at.ravel()[flat] = label
+        g_suffix, square = suffix.ravel()[band + T * row].ravel(), _square(self.T1s, k.shape[1])
+        band, k = band.ravel() + 1, k.ravel()
 
-        def band(r):
-            f = d.cdf(r)
-            return G._given(r, f) ** (N - 1) * f ** _count_at_or_above(self.post_asc, r) * (1.0 - f)
+        def integrand(r):
+            j, f = r.pair, d.cdf(r)
+            law = _law(f, band[j], g_suffix[j], square if square is False else square[j])
+            return law ** (N - 1) * f ** k[j] * (1.0 - f)
 
-        # the pair [z_j, z_(j+1)] lies in the band of the thresholds at or above z_(j+1)
-        weight = self.T - self.T1 - _count_at_or_above(self.post_asc, z[1:])
-        pieces = weight * integrate(d, band, z[:-1], z[1:], G.thresholds)
-        suffix = np.concatenate([np.cumsum(pieces[::-1])[::-1], [0.0]])
-        return suffix[np.searchsorted(z, v)]
+        pieces = weight * integrate(d, integrand, s[:, :-1].ravel(), s[:, 1:].ravel(),
+                                    groups=groups).reshape(B, T)
+        at_or_above = np.cumsum(pieces[:, ::-1], axis=1)[:, ::-1].ravel()
+        return at_or_above[at[:, :T] + T * row]
 
-    def cases(self, u):
-        """Half-open band index per coordinate: 0 above the first post threshold,
-        else k with post_(k) > u >= post_(k+1)."""
-        return self.post.size - np.searchsorted(self.post_asc, u, side="right")
-
-    def residual(self, G, i, v):
-        """g at values ``v`` of the coordinates ``i`` under the belief ``G``."""
-        return v - self.mu - (self.T1 - i - 1) * self.d.tail_mean_excess(v) - self.coupling(G, v)
+    def residual(self, G, x):
+        """g at the flat values ``x`` of the coordinates under the beliefs ``G``."""
+        return (x - self.mu - (self.T1 - self.slot - 1) * self.d.tail_mean_excess(x)
+                - self.coupling(G, self.rows(x))[self.pre])
 
     def residuals(self, u):
+        """g and the diagonal Jacobian at the flat prefixes ``u``, stacked."""
         d, N, T, T1 = self.d, self.N, self.T, self.T1
-        G = BeliefCdf(d, u)
-        g = self.residual(G, np.arange(T1), u)
-        ks = self.cases(u)
-        fu = d.cdf(u)
-        slope = (T - T1 - ks) * G._given(u, fu) ** (N - 1) * fu**ks
-        jac = 1.0 + (1.0 - fu) * ((T1 - np.arange(T1) - 1) + slope)
-        return g, jac
+        G, fu = self.belief(u), d.cdf(u)
+        g = self.residual(G, u)
+        ks = np.maximum(T - np.searchsorted(self.bench[::-1], u, side="right") - T1, 0)  # band
+        law = _law(fu, self.slot + 2, G[1].ravel()[self.at + 1], self.square)  # u_i is in band i+2
+        slope = (T - T1 - ks) * law ** (N - 1) * fu**ks
+        return np.stack([g, 1.0 + (1.0 - fu) * ((T1 - self.slot - 1) + slope)])
 
 
 def _enforce_decreasing(u, mu):
-    """Clamp into (mu, 1) and repair any non-strict ordering from a raw step."""
+    """Clamp into (mu, 1) and repair any non-strict ordering from a raw step; a
+    repair that ties values at ``mu`` raises the error BeliefCdf raises."""
     out = np.clip(u, mu, 1.0 - 1e-12)
+    if np.all(out[1:] <= out[:-1] - 1e-12):
+        return out
     for i in range(1, out.size):
         out[i] = min(out[i], max(out[i - 1] - 1e-12, mu))
+    if np.any(np.diff(out) >= 0):
+        raise DistributionError("prefix thresholds must be strictly decreasing")
     return out
 
 
@@ -275,7 +313,8 @@ def solve_one_time(
     thresholds (half-open bands, lower edge included).  The solve starts from
     the benchmark's prefix.  Each iteration takes the full diagonal-Newton
     step when it lowers ``max|g|``, else one exact sweep of every coordinate
-    with the belief G frozen (counted in ``diagnostics["bisection_rescues"]``).
+    with the belief G frozen (counted in ``diagnostics["bisection_rescues"]``):
+    the one-candidate case of the lockstep of ``scan_comm_times``.
     """
     if not 1 <= T1 <= T - 1:
         raise DistributionError(f"T1 must lie in [1, {T - 1}], got {T1}")
@@ -284,52 +323,88 @@ def solve_one_time(
     bench = benchmark if benchmark is not None else solve_single_agent(d, T)
     if bench.horizon_T != T:
         raise SolverError("benchmark horizon does not match T")
-    mu = d.mean()
-    post = bench.values[T1:]
-    system = _OneTimeSystem(d, N, T, T1, post)
+    block = _LOCKSTEP.get()
+    if block is None or block[:4] != (d, N, T, bench) or T1 not in block[4]:
+        block = (d, N, T, bench, _solve_block(d, N, T, bench, [T1]))
+    if isinstance(out := block[4][T1], Exception):
+        raise out
+    return out
 
+
+def _newton(T1, u, mu):
+    """One candidate's solve from ``u``: it yields ``(x, False)`` for g and the Jacobian
+    at ``x``, ``(u, True)`` for the sweep of ``u``, and returns ``(u, g, diagnostics)``."""
     diag = {"bisection_rescues": 0, "iterations": 0}
-    u = bench.values[:T1].copy()
-    g, jac = system.residuals(u)
+    g, jac = yield u, False
     for it in range(_MAX_ITER):
         diag["iterations"] = it + 1
         norm = float(np.max(np.abs(g)))
         if norm < _RESID_TOL:
-            break
+            return u, g, diag
         cand = _enforce_decreasing(u - g / jac, mu)
-        g_c, jac_c = system.residuals(cand)
+        g_c, jac_c = yield cand, False
         if float(np.max(np.abs(g_c))) < norm:
             u, g, jac = cand, g_c, jac_c
             continue
         diag["bisection_rescues"] += 1
-        u = _bisection_sweep(system, u, mu)
-        g, jac = system.residuals(u)
-    else:
-        raise SolverError(
-            f"one-time solver did not converge at T1={T1} after {_MAX_ITER} iterations",
-            diagnostics={**diag, "residual": float(np.max(np.abs(g)))},
-        )
-
-    values = np.concatenate([u, post])
-    residuals = np.concatenate([g, bench.residuals[T1:]])
-    return ThresholdSequence(T, T1, values, residuals, diag)
+        u = _enforce_decreasing((yield u, True), mu)
+        g, jac = yield u, False
+    raise SolverError(
+        f"one-time solver did not converge at T1={T1} after {_MAX_ITER} iterations",
+        diagnostics={**diag, "residual": float(np.max(np.abs(g)))},
+    )
 
 
-def _bisection_sweep(system, u, mu):
-    """Solve every coordinate exactly by bisection with G frozen at ``u``.
+def _solve_block(d, N, T, bench, T1s):
+    """The candidates ``T1s`` solved in lockstep, each by its own ``_newton``, exactly as
+    alone: a round takes all pending points in one ``residuals`` (one ``integrate``) call,
+    then the first unsolved candidate's sweep, if it asks for one.  Maps each ``T1`` up to
+    the first failed one to its result; an ``integrate`` error names no candidate."""
+    solves = {T1: _newton(T1, bench.values[:T1].copy(), d.mean()) for T1 in T1s}
+    replies, solved, limit, systems, sweeps = dict.fromkeys(T1s), {}, np.inf, {}, {}
+    while replies or sweeps:
+        points, stepped, replies = {}, replies, {}
+        for T1, reply in stepped.items():
+            try:
+                x, sweep = solves[T1].send(reply)
+                (sweeps if sweep else points)[T1] = x
+            except StopIteration as stop:
+                solved[T1] = stop.value
+            except (DistributionError, SolverError) as exc:
+                solved[T1], limit = exc, min(limit, T1)
+        # a sweep waits for every earlier candidate, so a failing one's later ones take none
+        sweeps = {T1: x for T1, x in sweeps.items() if T1 < limit}
+        first = min(set(T1s) - solved.keys(), default=None)
+        ready = {first: sweeps.pop(first)} if first in sweeps else {}
+        for ask, stage in ((points, _OneTimeSystem.residuals), (ready, _bisection_sweep)):
+            rows = tuple(T1 for T1 in sorted(ask) if T1 < limit)
+            if rows:
+                if rows not in systems:  # the last rows' system serves until one stops
+                    systems = {rows: _OneTimeSystem(d, N, T, rows, bench.values)}
+                out = stage(systems[rows], np.concatenate([ask[T1] for T1 in rows]))
+                ends = itertools.accumulate(rows)
+                replies.update((T1, out[..., end - T1 : end]) for T1, end in zip(rows, ends))
+    return {T1: out if isinstance(out, Exception) else ThresholdSequence(
+                T, T1, np.concatenate([out[0], bench.values[T1:]]),
+                np.concatenate([out[1], bench.residuals[T1:]]), out[2])
+            for T1, out in sorted(solved.items()) if T1 <= limit}
 
-    A probe at ``mu`` pins to ``mu`` every coordinate whose residual is
-    already nonnegative there; ``_bisect`` solves the rest together, one
-    ``integrate`` call per halving.
-    """
-    i = np.arange(u.size)
-    G = BeliefCdf(system.d, u)
-    g_lo = system.residual(G, i, np.full(u.size, mu))
-    out = np.where(g_lo >= 0.0, mu, u)
-    i = i[g_lo < 0.0]
-    if i.size:
-        out[i] = _bisect(lambda v: system.residual(G, i, v), mu, i.size)
-    return _enforce_decreasing(out, mu)
+
+def _bisection_sweep(system, u):
+    """Every coordinate solved exactly by bisection with each row's G frozen at
+    ``u``: a probe pins to ``mu`` every coordinate whose residual is already
+    nonnegative there, and ``_bisect`` solves the rest together, one
+    ``integrate`` call per halving, with the pinned ones at ``mu``."""
+    mu, G, x = system.mu, system.belief(u, cut=True), np.full(u.size, system.mu)
+    g_lo = system.residual(G, x)
+    out, free = np.where(g_lo >= 0.0, mu, u), g_lo < 0.0
+    if free.any():
+        def fun(v):  # x keeps mu at the pinned coordinates
+            x[free] = v
+            return system.residual(G, x)[free]
+
+        out[free] = _bisect(fun, mu, int(free.sum()))
+    return out
 
 
 def solve_centralized_nonmyopic(d: RewardDistribution, N: int, T: int) -> ThresholdSequence:
@@ -380,9 +455,7 @@ def _welfare_batch(d, N, T, seqs):
     mu = d.mean()
     T1s = np.array([seq.comm_slot_T1 for seq in seqs])
     B = T1s.size
-    u = np.ones((B, T + 1))  # row c: u_0 = 1, then candidate c's u_1..u_T
-    for row, seq in zip(u, seqs):
-        row[1:] = seq.values
+    u = np.concatenate([np.ones((B, 1)), [seq.values for seq in seqs]], axis=1)  # u_0 = 1, u_1..u_T
     fu = d.cdf(u)
     slot = np.arange(T)
     pre = slot < T1s[:, None]  # per row, the slots t < T1; the rest index the post thresholds
@@ -397,10 +470,7 @@ def _welfare_batch(d, N, T, seqs):
     tail_mean = 1.0 - hi_u * f_hi - ((1.0 - hi_u) - d.tail_mean_excess(hi_u))
     pre_terms = (np.repeat(T1s, T1s) - t) * (stieltjes + f_hi**t * tail_mean)
 
-    # G's suffix sums per row (see BeliefCdf); the zero padding adds exactly
-    suffix = np.zeros((B, T + 1))
-    suffix[:, :-1][pre] = powers
-    suffix = np.cumsum(suffix[:, ::-1], axis=1)[:, ::-1]
+    suffix = _suffix_sums(pre, powers)
     # a row's T segments join its sorted points (ties give zero-width
     # segments, which integrate skips); a segment's band and G's band there
     # count the thresholds above its lower end
@@ -414,8 +484,7 @@ def _welfare_batch(d, N, T, seqs):
     order = np.argsort(band, axis=1, kind="stable")  # band by band from the top, each ascending
     lo, hi, band, g = (np.take_along_axis(a, order, axis=1) for a in (z[:, :-1], z[:, 1:], band, g))
     g_suffix = np.take_along_axis(suffix, g - 1, axis=1).ravel()
-    one = np.broadcast_to((T1s == 1)[:, None], pre.shape)  # one-threshold prefixes (see _law)
-    square = one.ravel() if T1s.min() == 1 else False
+    square = _square(T1s, T)
     tau, g = band.ravel(), g.ravel()
 
     def integrand(r):
@@ -428,7 +497,7 @@ def _welfare_batch(d, N, T, seqs):
 
     # the belief law at the post thresholds, for the exploration count
     fp, g_suffix = fu[:, 1:][post], np.take_along_axis(suffix, g_post - 1, axis=1)[post]
-    law = _law(fp, g_post[post], g_suffix, one[post] if square is not False else False)
+    law = _law(fp, g_post[post], g_suffix, _square(T1s, T - T1s))
     post_terms = law**N * fp ** (slot + 1 - T1s[:, None])[post]
 
     out = []
@@ -458,30 +527,39 @@ def scan_comm_times(
     the always-open policy: its ``seq`` equals
     ``solve_centralized_nonmyopic(d, N, T)`` exactly.
 
-    The candidates are solved in slot order and scored in blocks: a block
-    is scored when its candidates' pieces reach ``_WELFARE_BLOCK_BYTES``, at
-    the last candidate, and before a solve failure is re-raised, so an
-    earlier candidate's welfare failure comes first.  A block whose batch
-    raises is rescored one candidate at a time, so its first failing ``T1``
-    raises the error it raises alone.
+    A block of consecutive slots, closed once its pieces (``_pieces``) reach
+    ``_BLOCK_BYTES``, is solved in lockstep (``_solve_block``), then each
+    candidate's result comes out of ``solve_one_time``, so its wrappers see
+    every candidate, and the block is scored before a solve failure is
+    raised.  A block whose solve or welfare raises a ``QuadratureError`` is
+    solved and scored again one candidate at a time, so that the first
+    failing ``T1`` raises its own error.
     """
     if T < 2 or N < 1:
         raise DistributionError("need T >= 2 and N >= 1")
-    bench = solve_single_agent(d, T)
-    seqs, welfare, size = [], [], 0
+    bench, seqs, welfare, blocks, size = solve_single_agent(d, T), [], [], [[]], 0
     for T1 in range(1, T):
+        if size >= _BLOCK_BYTES:
+            blocks, size = blocks + [[]], 0
+        blocks[-1].append(T1)
+        size += _PIECE_BYTES * _pieces(d, T, T1)
+    while blocks:
+        block, stage, solved = blocks.pop(0), "threshold solve", []
         try:
-            seqs.append(solve_one_time(d, N, T, T1, benchmark=bench))
-        except (DistributionError, QuadratureError, SolverError) as exc:
-            if len(seqs) > len(welfare):  # an earlier welfare failure comes first
-                _score_block(d, N, T, seqs[len(welfare):])
-            if isinstance(exc, QuadratureError):
-                raise _named(exc, "threshold solve", T1) from exc
-            raise
-        size += _PIECE_BYTES * _pieces(d, T, seqs[-1])
-        if size >= _WELFARE_BLOCK_BYTES or T1 == T - 1:
-            welfare += _score_block(d, N, T, seqs[len(welfare):])
-            size = 0
+            token = _LOCKSTEP.set((d, N, T, bench, _solve_block(d, N, T, bench, block)))
+            try:
+                for T1 in block:
+                    solved.append(solve_one_time(d, N, T, T1, benchmark=bench))
+            finally:  # scored before a solve failure propagates: an earlier welfare failure wins
+                _LOCKSTEP.reset(token)
+                stage = "welfare"
+                welfare += [w for w, _ in _welfare_batch(d, N, T, solved)] if solved else []
+        except QuadratureError as exc:
+            if len(block) == 1:
+                raise _named(exc, stage, block[0]) from exc
+            blocks[:0] = [[T1] for T1 in block]  # alone, the first failing T1 raises its own error
+            continue
+        seqs += solved
     return list(zip(range(1, T), welfare, seqs))
 
 
@@ -489,30 +567,11 @@ def _named(exc, stage, T1):
     return QuadratureError(f"{exc} (in the {stage} at T1={T1})", exc.estimate, exc.error_bound)
 
 
-def _pieces(d, T, seq):
-    """An upper bound on the pieces of ``seq``'s two welfare integrals at depth
-    0: its ``T1`` pre-sharing pairs cut at the prior's kinks above ``u_T1``,
-    and its ``T`` band segments cut at the kinks above ``mu``."""
+def _pieces(d, T, T1):
+    """Candidate ``T1``'s pieces for the block budget: ``T`` pairs and, in a sweep, ``T1``
+    cuts, cut at the prior's kinks above mu (its welfare may add those above u_T1)."""
     kinks = d.interior_breakpoints()
-    T1 = seq.comm_slot_T1
-    above = kinks.size - np.searchsorted(kinks, (seq.values[T1 - 1], d.mean()), side="right")
-    return T + T1 + int(above.sum())
-
-
-def _score_block(d, N, T, block):
-    """The welfare of a block's candidates; if the batch raises, each is
-    scored alone, so the first failing ``T1`` raises its own error, named."""
-    try:
-        return [welfare for welfare, _ in _welfare_batch(d, N, T, block)]
-    except QuadratureError:
-        pass
-    out = []
-    for seq in block:
-        try:
-            out.append(welfare_one_time(d, N, T, seq)[0])
-        except QuadratureError as exc:
-            raise _named(exc, "welfare", seq.comm_slot_T1) from exc
-    return out
+    return T + T1 + int(kinks.size - np.searchsorted(kinks, d.mean(), side="right"))
 
 
 def _scan_and_pick(d, N, T):
@@ -531,6 +590,7 @@ def optimize_comm_time(
     """Pick the sharing slot maximizing welfare (first slot wins ties).
 
     Runs ``scan_comm_times`` once, each candidate warm-started from the shared
-    solo benchmark; a candidate whose solver fails fails the pick.
+    solo benchmark and solved in lockstep exactly as alone; a candidate whose
+    solver fails fails the pick.
     """
     return _scan_and_pick(d, N, T)[1]

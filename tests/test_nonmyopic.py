@@ -28,12 +28,12 @@ def cold_sweep_prefix(d, N, T, T1):
     """Pre-sharing thresholds by exact G-frozen sweeps alone, started cold halfway
     between the mean and 1: a reference independent of the Newton steps."""
     mu = d.mean()
-    system = _OneTimeSystem(d, N, T, T1, solve_single_agent(d, T).values[T1:])
+    system = _OneTimeSystem(d, N, T, [T1], solve_single_agent(d, T).values)
     u = _enforce_decreasing(np.full(T1, 0.5 * (mu + 1.0)), mu)
     for _ in range(_MAX_ITER):
         if np.max(np.abs(system.residuals(u)[0])) < _RESID_TOL:
             return u
-        u = _bisection_sweep(system, u, mu)
+        u = _enforce_decreasing(_bisection_sweep(system, u), mu)
     raise AssertionError(f"sweep-only solve did not converge at T1={T1}")
 
 
@@ -276,25 +276,38 @@ class TestIntegrateCalls:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """The ``(lo, hi)`` pair arrays of every ``integrate`` call of nonmyopic."""
+        """The ``(lo, hi)`` segment arrays and the ``groups`` of every
+        ``integrate`` call of nonmyopic."""
         from commgate import nonmyopic
 
         made = []
 
         def counting(*args, **kwargs):
-            made.append((np.atleast_1d(args[2]), np.atleast_1d(args[3])))
+            made.append((np.atleast_1d(args[2]), np.atleast_1d(args[3]), kwargs.get("groups")))
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(nonmyopic, "integrate", counting)
         return made
 
     @staticmethod
-    def chain(lo, hi, system):
+    def pairs(lo, hi, groups):
+        """The integrals of a coupling call, each run of ``groups`` (each segment
+        if None) from its first ``lo`` to its last ``hi``, empty ones dropped,
+        and the points of its non-empty segments."""
+        if groups is None:
+            groups = np.arange(lo.size)
+        first = np.flatnonzero(np.diff(groups, prepend=-1))
+        last = np.append(first[1:], groups.size) - 1
+        keep, live = lo[first] < hi[last], lo < hi
+        return lo[first][keep], hi[last][keep], np.append(lo[live], hi[live][-1])
+
+    @staticmethod
+    def chain(lo, hi, upper):
         """The points of a coupling call: its pairs must join consecutive
         sorted distinct points that include every post threshold and 1."""
         z = np.append(lo, hi[-1])
         assert np.array_equal(hi, z[1:]) and np.all(np.diff(z) > 0)
-        assert np.isin(system.upper, z).all()
+        assert np.isin(upper, z).all()
         return z
 
     @pytest.mark.parametrize("T1", [1, 4, 9])
@@ -302,26 +315,35 @@ class TestIntegrateCalls:
         N, T = 10, 10
         bench = solve_single_agent(hotel_dist, T)
         u = bench.values[:T1].copy()
-        system = _OneTimeSystem(hotel_dist, N, T, T1, bench.values[T1:])
-        system.residuals(u)
+        upper = np.concatenate([[1.0], bench.values[T1:]])
+        _OneTimeSystem(hotel_dist, N, T, [T1], bench.values).residuals(u)
         # one pair per gap between the T + 1 distinct points of u, post and 1
-        [(lo, hi)] = calls
-        z = self.chain(lo, hi, system)
-        assert np.array_equal(z, np.unique(np.concatenate([u, system.upper])))
+        [call] = calls
+        lo, hi, segments = self.pairs(*call)
+        z = self.chain(lo, hi, upper)
+        assert np.array_equal(z, np.unique(np.concatenate([u, upper])))
         assert lo.size == z.size - 1 == T
+        # G's thresholds are pair ends: they cut no pair, and add no segment
+        assert np.array_equal(segments, z) and call[0].size == T
 
     def test_bisection_makes_one_call_per_step(self, uniform, calls):
         N, T, T1 = 5, 12, 5
         bench = solve_single_agent(uniform, T)
-        system = _OneTimeSystem(uniform, N, T, T1, bench.values[T1:])
-        _bisection_sweep(system, bench.values[:T1].copy(), 0.5)
+        u = bench.values[:T1].copy()
+        upper = np.concatenate([[1.0], bench.values[T1:]])
+        _bisection_sweep(_OneTimeSystem(uniform, N, T, [T1], bench.values), u)
         # the probe at mu, then 60 halvings of all coordinates
         assert len(calls) == 61
-        # at mu every value is the last post threshold: post and 1 alone
-        assert np.array_equal(self.chain(*calls[0], system), np.sort(system.upper))
-        for lo, hi in calls[1:]:
-            z = self.chain(lo, hi, system)
+        # at mu every value is the last post threshold: post and 1 alone,
+        # cut into segments at G's thresholds
+        lo, hi, segments = self.pairs(*calls[0])
+        assert np.array_equal(self.chain(lo, hi, upper), np.sort(upper))
+        assert np.array_equal(segments, np.union1d(upper, u))
+        for call in calls[1:]:
+            lo, hi, segments = self.pairs(*call)
+            z = self.chain(lo, hi, upper)
             assert z[0] == 0.5 and lo.size == z.size - 1 <= T
+            assert np.array_equal(segments, np.union1d(z, u))
 
     @pytest.mark.parametrize("prior", ["uniform", "hotel"])
     def test_coupling_calls_integrand_once_per_depth(self, prior, uniform, hotel_dist, monkeypatch):
@@ -331,22 +353,25 @@ class TestIntegrateCalls:
         N, T, T1 = 10, 12, 5
         bench = solve_single_agent(d, T)
         u = bench.values[:T1].copy()
-        system = _OneTimeSystem(d, N, T, T1, bench.values[T1:])
-        G = BeliefCdf(d, u)
+        upper = np.concatenate([[1.0], bench.values[T1:]])
+        system = _OneTimeSystem(d, N, T, [T1], bench.values)
+        G = system.belief(u)
         sizes, pieces = [], []
 
-        def counting(d, f, lo, hi, breakpoints):
-            # pieces: the pairs cut at every kink strictly inside them
-            cuts = np.union1d(d.interior_breakpoints(), breakpoints)
-            inside = np.searchsorted(cuts, hi, side="left") - np.searchsorted(cuts, lo, side="right")
+        def counting(d, f, lo, hi, groups):
+            # pieces: the segments cut at every prior kink strictly inside them
+            cuts, live = d.interior_breakpoints(), lo < hi
+            inside = (np.searchsorted(cuts, hi[live], side="left")
+                      - np.searchsorted(cuts, lo[live], side="right"))
             pieces.append(int(np.sum(inside + 1)))
             sizes.append([])
-            return integrate(d, lambda r: sizes[-1].append(r.size) or f(r), lo, hi, breakpoints)
+            return integrate(d, lambda r: sizes[-1].append(r.size) or f(r), lo, hi, groups=groups)
 
         monkeypatch.setattr(nonmyopic, "integrate", counting)
         mid = 0.5 * (u[:-1] + u[1:])
-        system.coupling(G, u)
-        system.coupling(G, mid)
+        system.coupling(G, system.rows(u))
+        # between its thresholds, G cuts the pairs; mu is a point already
+        system.coupling(system.belief(u, cut=True), system.rows(np.append(mid, d.mean())))
         # depth 0 takes five nodes per piece, every later depth two per half
         for n, call in zip(pieces, sizes):
             assert call[0] == 5 * n
@@ -356,7 +381,7 @@ class TestIntegrateCalls:
 
         def prior_pieces(v):
             # the pairs of v, post and 1 cut at the prior's own kinks alone
-            z, cuts = np.unique(np.concatenate([v, system.upper])), d.interior_breakpoints()
+            z, cuts = np.unique(np.concatenate([v, upper])), d.interior_breakpoints()
             return int(np.sum(np.searchsorted(cuts, z[1:], side="left")
                               - np.searchsorted(cuts, z[:-1], side="right") + 1))
 
@@ -382,22 +407,22 @@ class TestIntegrateCalls:
         assert integrals == [T1, T - T1]
 
 
-def per_pair_coupling(system, G, v):
+def per_pair_coupling(d, N, T, T1, post, G, v):
     """Coupling at ``v`` and the segment table, integrated pair by pair: the
     table from one pair per band ``[post[k], upper[k]]``, each value from its
     own pair ``[v, upper[k]]`` in its band ``k``."""
-    d, N, post = system.d, system.N, system.post
-    ks = system.cases(v)
+    upper, post_asc = np.concatenate([[1.0], post]), post[::-1]
+    ks = post.size - np.searchsorted(post_asc, v, side="right")
     nb = post.size - 1
     lo = np.concatenate([post[:nb], v])
-    hi = np.concatenate([system.upper[:nb], system.upper[ks]])
+    hi = np.concatenate([upper[:nb], upper[ks]])
 
     def band(r):
         f = d.cdf(r)
-        k = post.size - np.searchsorted(system.post_asc, r, side="left")
+        k = post.size - np.searchsorted(post_asc, r, side="left")
         return G._given(r, f) ** (N - 1) * f**k * (1.0 - f)
 
-    terms = (system.T - system.T1 - np.concatenate([np.arange(nb), ks])) * integrate(
+    terms = (T - T1 - np.concatenate([np.arange(nb), ks])) * integrate(
         d, band, lo, hi, G.thresholds
     )
     w = np.concatenate([[0.0], np.cumsum(terms[:nb])])
@@ -406,7 +431,8 @@ def per_pair_coupling(system, G, v):
 
 class TestCumulativeCoupling:
     """The coupling read off one cumulative integral matches the per-pair
-    formula: every value's own pair plus a segment table of band pairs.
+    formula: every value's own pair plus a segment table of band pairs.  A
+    candidate's coupling is the same alone and in a block with others.
 
     The pairs differ, so the two agree to the quadrature error of the pairs
     each one cuts, which depends on the prior: largest for beta(2, 5) and
@@ -421,16 +447,24 @@ class TestCumulativeCoupling:
         d = {"uniform": uniform, "beta25": RewardDistribution.beta(2, 5),
              "beta0709": RewardDistribution.beta(0.7, 0.9), "hotel": hotel_dist}[prior]
         bench = solve_single_agent(d, T)
-        u = bench.values[:T1].copy()
-        system = _OneTimeSystem(d, N, T, T1, bench.values[T1:])
-        G = BeliefCdf(d, u)
-        for v in (u, np.full(T1, d.mean()), 0.5 * (u[:-1] + u[1:])):
-            # the band tops are points of every call, so appending them keeps
-            # the pairs, and the coupling there is the segment table
-            both = system.coupling(G, np.concatenate([v, system.upper[:-1]]))
-            coupling, w = both[: v.size], both[v.size :]
-            assert np.array_equal(coupling, system.coupling(G, v))
-            ref_coupling, ref_w = per_pair_coupling(system, G, v)
+        u, post = bench.values[:T1].copy(), bench.values[T1:]
+        system = _OneTimeSystem(d, N, T, [T1], bench.values)
+        G = system.belief(u, cut=True)
+        # the candidate as the middle row of a block, between two others
+        block = _OneTimeSystem(d, N, T, [1, T1, T - 1], bench.values)
+        G_block = block.belief(np.concatenate([bench.values[:1], u, bench.values[: T - 1]]), cut=True)
+        mu = d.mean()
+        # at its own thresholds, the coupling cut at them is the uncut one
+        assert np.array_equal(system.coupling(G, system.rows(u)),
+                              system.coupling(system.belief(u), system.rows(u)))
+        for v in (u, np.full(T1, mu), np.append(0.5 * (u[:-1] + u[1:]), mu)):
+            # the post thresholds, whose coupling is the segment table, are
+            # points of every row
+            [both] = system.coupling(G, system.rows(v))
+            coupling, w = both[:T1], np.concatenate([[0.0], both[T1:-1]])
+            x = np.concatenate([bench.values[:1], v, bench.values[: T - 1]])
+            assert np.array_equal(block.coupling(G_block, block.rows(x))[1], both)
+            ref_coupling, ref_w = per_pair_coupling(d, N, T, T1, post, BeliefCdf(d, u), v)
             np.testing.assert_allclose(coupling, ref_coupling, rtol=0.0, atol=self.TOL[prior])
             np.testing.assert_allclose(w, ref_w, rtol=0.0, atol=self.TOL[prior])
 
@@ -461,9 +495,9 @@ class TestNarrowBands:
         # coordinates deep in the post bands, two of them on a band's edge,
         # so that they read the segment table over the narrow top bands
         u = np.array([post[5], 0.5 * (post[300] + post[301]), post[700]])
-        system = _OneTimeSystem(d, N, T, T1, post)
+        system = _OneTimeSystem(d, N, T, [T1], bench.values)
         g, _ = system.residuals(u)
-        ks = system.cases(u)
+        ks = post.size - np.searchsorted(post[::-1], u, side="right")
         assert ks.tolist() == [5, 301, 700]
 
         G = BeliefCdf(d, u)
@@ -540,6 +574,38 @@ BATCH_PRIORS = {"uniform": RewardDistribution.uniform(), "beta25": RewardDistrib
                 "beta0709": RewardDistribution.beta(0.7, 0.9)}
 
 
+def welfare_pieces(d, T, seq):
+    """An upper bound on the pieces of ``seq``'s two welfare integrals at depth
+    0: its ``T1`` pre-sharing pairs cut at the prior's kinks above ``u_T1``,
+    and its ``T`` band segments cut at the kinks above ``mu``."""
+    kinks = d.interior_breakpoints()
+    T1 = seq.comm_slot_T1
+    above = kinks.size - np.searchsorted(kinks, (seq.values[T1 - 1], d.mean()), side="right")
+    return T + T1 + int(above.sum())
+
+
+def traced_peaks(monkeypatch, name, scan):
+    """The arguments and the tracemalloc peak of every call of ``nonmyopic.<name>``
+    made by ``scan()``, each peak counting what the scan holds."""
+    calls, peaks = [], []
+    stage = getattr(nonmyopic, name)
+
+    def tracing(*args):
+        calls.append(args)
+        tracemalloc.reset_peak()
+        out = stage(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return out
+
+    monkeypatch.setattr(nonmyopic, name, tracing)
+    tracemalloc.start()
+    try:
+        scan()
+    finally:
+        tracemalloc.stop()
+    return calls, peaks
+
+
 class TestWelfareBatch:
     """The scan scores its candidates in byte-budgeted blocks, each candidate
     exactly as ``welfare_one_time`` scores it alone."""
@@ -553,7 +619,7 @@ class TestWelfareBatch:
             batch = nonmyopic._welfare_batch(d, N, T, [seq for _, _, seq in rows])
             for (T1, welfare, seq), (w, count) in zip(rows, batch, strict=True):
                 assert (welfare, count) == (w, count) == welfare_one_time(d, N, T, seq), T1
-            monkeypatch.setattr(nonmyopic, "_WELFARE_BLOCK_BYTES", 1)  # one candidate a block
+            monkeypatch.setattr(nonmyopic, "_BLOCK_BYTES", 1)  # one candidate a block
             alone = scan_comm_times(d, N, T)
             monkeypatch.undo()
             assert [row[:2] for row in alone] == [row[:2] for row in rows]
@@ -564,25 +630,11 @@ class TestWelfareBatch:
         # block's peak, counting what the scan holds, is at most the budget
         # plus one candidate's pieces
         d, N = hotel_dist, 50
-        blocks, peaks = [], []
-        score_block = nonmyopic._score_block
-
-        def tracing(*args):
-            blocks.append(args[-1])
-            tracemalloc.reset_peak()
-            welfare = score_block(*args)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            return welfare
-
-        monkeypatch.setattr(nonmyopic, "_score_block", tracing)
-        tracemalloc.start()
-        try:
-            scan_comm_times(d, N, T)
-        finally:
-            tracemalloc.stop()
+        calls, peaks = traced_peaks(monkeypatch, "_welfare_batch", lambda: scan_comm_times(d, N, T))
+        blocks = [args[-1] for args in calls]
         assert len(blocks) > 4 and sum(map(len, blocks)) == T - 1
-        one = max(nonmyopic._pieces(d, T, seq) for block in blocks for seq in block)
-        assert max(peaks) <= nonmyopic._WELFARE_BLOCK_BYTES + nonmyopic._PIECE_BYTES * one
+        one = max(welfare_pieces(d, T, seq) for block in blocks for seq in block)
+        assert max(peaks) <= nonmyopic._BLOCK_BYTES + nonmyopic._PIECE_BYTES * one
 
     @pytest.mark.parametrize("budget", [None, 1])
     def test_failing_block_raises_its_first_failing_candidate(self, monkeypatch, budget):
@@ -593,7 +645,7 @@ class TestWelfareBatch:
         with pytest.raises(QuadratureError) as want:
             welfare_one_time(d, N, T, alone)
         if budget is not None:
-            monkeypatch.setattr(nonmyopic, "_WELFARE_BLOCK_BYTES", budget)
+            monkeypatch.setattr(nonmyopic, "_BLOCK_BYTES", budget)
         with pytest.raises(QuadratureError) as got:
             scan_comm_times(d, N, T)
         assert str(got.value) == f"{want.value} (in the welfare at T1=10)"
@@ -608,6 +660,124 @@ class TestWelfareBatch:
         failing_slots.add(8)
         with pytest.raises(SolverError, match=r"injected failure at T1=8$"):
             scan_comm_times(d, N, T)
+
+
+class TestLockstep:
+    """The scan solves each block of candidates in lockstep, one ``integrate``
+    call per Newton round, every candidate exactly as ``solve_one_time``
+    solves it alone."""
+
+    PRIORS = {**BATCH_PRIORS, "beta250": RewardDistribution.beta(2, 50)}
+
+    @staticmethod
+    def assert_rows_alone(d, N, T, rows):
+        assert [T1 for T1, _, _ in rows] == list(range(1, T))
+        for T1, welfare, seq in rows:
+            alone = solve_one_time(d, N, T, T1)
+            assert np.array_equal(seq.values, alone.values), T1
+            assert np.array_equal(seq.residuals, alone.residuals), T1
+            assert list(seq.diagnostics.items()) == list(alone.diagnostics.items()), T1
+            assert welfare == welfare_one_time(d, N, T, alone)[0], T1
+
+    @staticmethod
+    def assert_same_rows(rows, other):
+        assert len(rows) == len(other)
+        for (T1, welfare, seq), (T1_o, welfare_o, seq_o) in zip(rows, other):
+            assert (T1, welfare) == (T1_o, welfare_o)
+            assert np.array_equal(seq.values, seq_o.values), T1
+            assert np.array_equal(seq.residuals, seq_o.residuals), T1
+            assert seq.diagnostics == seq_o.diagnostics, T1
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 50])
+    @pytest.mark.parametrize("prior", [*BATCH_PRIORS, "hotel"])
+    def test_rows_equal_each_candidate_alone(self, hotel_dist, monkeypatch, prior, N):
+        d = hotel_dist if prior == "hotel" else BATCH_PRIORS[prior]
+        for T in (2, 3, 7, 20):
+            rows = scan_comm_times(d, N, T)
+            self.assert_rows_alone(d, N, T, rows)
+        monkeypatch.setattr(nonmyopic, "_BLOCK_BYTES", 1)  # one candidate a block
+        self.assert_same_rows(scan_comm_times(d, N, T), rows)
+
+    def test_rescue_in_a_block_equals_it_alone(self, monkeypatch):
+        # the one rescue found on these priors: T1 = 5 rejects a Newton step
+        # while the other 18 candidates of its block step on
+        d, N, T = self.PRIORS["beta250"], 30, 20
+        rows = scan_comm_times(d, N, T)
+        assert [(T1, seq.diagnostics["bisection_rescues"]) for T1, _, seq in rows
+                if seq.diagnostics["bisection_rescues"]] == [(5, 1)]
+        pieces = sum(nonmyopic._pieces(d, T, T1) for T1 in range(1, T))
+        assert nonmyopic._PIECE_BYTES * pieces < nonmyopic._BLOCK_BYTES  # one block
+        self.assert_rows_alone(d, N, T, rows)
+        monkeypatch.setattr(nonmyopic, "_BLOCK_BYTES", 1)
+        self.assert_same_rows(scan_comm_times(d, N, T), rows)
+
+    def test_threshold_solve_failure_is_the_candidates_own(self):
+        # the batch raises; solved again one at a time, the scan raises the
+        # error that T1 = 1 raises alone, named
+        d, N, T = RewardDistribution.beta(0.3, 0.3), 5, 20
+        with pytest.raises(QuadratureError) as want:
+            solve_one_time(d, N, T, 1)
+        with pytest.raises(QuadratureError) as got:
+            scan_comm_times(d, N, T)
+        assert str(got.value) == f"{want.value} (in the threshold solve at T1=1)"
+        assert repr(got.value.estimate) == repr(want.value.estimate)
+        assert repr(got.value.error_bound) == repr(want.value.error_bound)
+        assert got.value.__cause__.estimate is got.value.estimate
+
+    @pytest.mark.parametrize("T, T1", [(10, 2), (150, 36)])
+    def test_non_convergence_fails_at_the_first_candidate_in_slot_order(self, monkeypatch, T, T1):
+        # T1 runs out of iterations while later candidates of its block still
+        # step; the earlier ones that converge keep their rows
+        d, N = self.PRIORS["beta250"], 30
+        swept, sweep = [], nonmyopic._bisection_sweep
+
+        def recording(system, u):
+            swept.append(system.T1s.tolist())
+            return sweep(system, u)
+
+        monkeypatch.setattr(nonmyopic, "_bisection_sweep", recording)
+        message = rf"did not converge at T1={T1} after 200 iterations$"
+        with pytest.raises(SolverError, match=message) as info:
+            scan_comm_times(d, N, T)
+        in_scan = swept[:]
+        assert info.value.diagnostics["iterations"] == _MAX_ITER
+        with pytest.raises(SolverError) as alone:
+            solve_one_time(d, N, T, T1)
+        assert info.value.diagnostics == alone.value.diagnostics
+        # a sweep waits for the candidates before it: the later ones of the
+        # failing block take none, and the failing one as many as alone
+        assert all(len(rows) == 1 and rows[0] <= T1 for rows in in_scan)
+        assert in_scan.count([T1]) == info.value.diagnostics["bisection_rescues"]
+
+    @pytest.mark.parametrize("prior, N, T", [("hotel", 50, 50), ("hotel", 50, 150), ("beta25", 5, 150)])
+    def test_solve_stage_peak_within_budget(self, hotel_dist, monkeypatch, prior, N, T):
+        # blocks hold candidates until their pieces reach the budget, so a
+        # block's lockstep solve peaks, counting what the scan holds, at most
+        # at the budget plus one candidate's pieces; beta(2, 5)'s pieces
+        # refine, and its blocks take sweeps at larger T
+        d = hotel_dist if prior == "hotel" else self.PRIORS[prior]
+        calls, peaks = traced_peaks(monkeypatch, "_solve_block", lambda: scan_comm_times(d, N, T))
+        blocks = [args[-1] for args in calls]
+        assert len(blocks) > 4 and [T1 for block in blocks for T1 in block] == list(range(1, T))
+        one = max(nonmyopic._pieces(d, T, T1) for T1 in range(1, T))
+        assert max(peaks) <= nonmyopic._BLOCK_BYTES + nonmyopic._PIECE_BYTES * one
+
+    def test_reveal_work_counts(self, hotel_dist, monkeypatch):
+        # the two scans of the benchmark's reveal workload: their solver
+        # iterations and rescues as solved one candidate at a time, in one
+        # integrate call per Newton round per block plus two per welfare block
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(nonmyopic, "integrate", counting)
+        rows = scan_comm_times(hotel_dist, 50, 50) + scan_comm_times(self.PRIORS["beta25"], 20, 40)
+        diagnostics = [seq.diagnostics for _, _, seq in rows]
+        assert sum(diag["iterations"] for diag in diagnostics) == 471
+        assert sum(diag["bisection_rescues"] for diag in diagnostics) == 0
+        assert len(calls) <= 80
 
 
 class TestOptimizeCommTime:
