@@ -159,7 +159,7 @@ class RewardDistribution:
             out = special.betainc(self.alpha, self.beta_param, arr)
         else:
             out = np.interp(arr, self.grid, self.cdf_values)
-        return float(out) if np.isscalar(r) else out
+        return out if isinstance(r, np.ndarray) or not np.isscalar(r) else float(out)
 
     def ppf(self, q):
         """Generalized inverse CDF; exact for the piecewise-linear empirical kind.
@@ -230,7 +230,8 @@ class RewardDistribution:
 
     def tail_mean_excess(self, u) -> float:
         """Closed-form ``integral_u^1 (1 - F(r)) dr`` for each supported kind."""
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
+        shaped = np.asarray(u, dtype=float)
+        arr = shaped.reshape(-1)
         if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
             raise DistributionError("tail_mean_excess argument outside [0, 1]")
         if self.kind == "beta":
@@ -239,13 +240,16 @@ class RewardDistribution:
                 1.0 - special.betainc(a, b, arr)
             )
         else:
-            # the table to the segment's upper end plus a trapezoid to it
+            # the table to the segment's upper end plus a trapezoid to it; as
+            # g[0] = 0 <= arr, the segment index j is at least 1
             g, c = self.grid, self.cdf_values
-            j = np.clip(np.searchsorted(g, arr, side="right"), 1, g.size - 1)
+            j = np.minimum(g.searchsorted(arr, side="right"), g.size - 1)
             partial = 0.5 * ((1.0 - np.interp(arr, g, c)) + (1.0 - c[j])) * (g[j] - arr)
             out = self._tail[j] + partial
         out = np.maximum(out, 0.0)
-        return float(out[0]) if np.isscalar(u) else out.reshape(np.shape(u))
+        if isinstance(u, np.ndarray) or not np.isscalar(u):
+            return out.reshape(shaped.shape)
+        return float(out[0])
 
     def interior_breakpoints(self) -> np.ndarray:
         """Kink locations of F inside (0, 1), ascending; empty for the Beta kind."""
@@ -424,8 +428,10 @@ def integrate(
         available estimate (a float or an array, like the result) and the
         summed error estimate of the failed pieces.
     """
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    lo_arr, hi_arr = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    lo_arr, hi_arr = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    scalar = lo_arr.ndim == 0 and hi_arr.ndim == 0
+    if lo_arr.shape != hi_arr.shape:
+        lo_arr, hi_arr = np.broadcast_arrays(lo_arr, hi_arr)
     shape = lo_arr.shape
     lo_arr, hi_arr = lo_arr.ravel(), hi_arr.ravel()
     ok = (0.0 <= lo_arr) & (lo_arr <= hi_arr) & (hi_arr <= 1.0)
@@ -440,18 +446,19 @@ def integrate(
             f"got [{lo_arr[j]}, {hi_arr[j]}] at pair {j}"
         )
     width = hi_arr - lo_arr
-    live = np.flatnonzero(width > 0.0)
+    live = (width > 0.0).nonzero()[0]
     group = None  # each interval's integral, where that is not the interval itself
     if groups is not None:
         g = np.asarray(groups)
         if g.shape != shape or g.ndim != 1:
             raise ValueError(f"groups must be 1-d of shape {shape}, got shape {g.shape}")
         first = np.concatenate([[True], g[1:] != g[:-1]])
-        if not np.array_equal(lo_arr[1:][~first[1:]], hi_arr[:-1][~first[1:]]):
+        inner = ~first[1:]
+        if not (lo_arr[1:][inner] == hi_arr[:-1][inner]).all():
             raise ValueError("the intervals of a group must be ascending and end to end")
-        group = np.cumsum(first) - 1
-        starts = np.flatnonzero(first)
-        width = hi_arr[np.append(starts[1:], g.size) - 1] - lo_arr[starts]
+        group = first.cumsum() - 1
+        starts = first.nonzero()[0]
+        width = hi_arr[np.concatenate([starts[1:], [g.size]]) - 1] - lo_arr[starts]
         shape = width.shape
     total = np.zeros(width.size)
     failed_bound = 0.0
@@ -464,13 +471,13 @@ def integrate(
         if len(breakpoints):  # the empty default (the scalar myopic calls) skips this
             kinks = np.union1d(kinks, breakpoints)
         lo_l, hi_l = lo_arr[live], hi_arr[live]
-        first_cut = np.searchsorted(kinks, lo_l, side="right")
-        n_pieces = np.searchsorted(kinks, hi_l, side="left") - first_cut + 1
-        pair = np.repeat(live, n_pieces)  # each piece's interval
+        first_cut = kinks.searchsorted(lo_l, side="right")
+        n_pieces = kinks.searchsorted(hi_l, side="left") - first_cut + 1
+        pair = live.repeat(n_pieces)  # each piece's interval
         pid = pair if group is None else group[pair]  # and its integral
-        start = np.cumsum(n_pieces) - n_pieces
-        right = np.arange(pid.size) + np.repeat(first_cut - start, n_pieces)
-        grid = np.append(kinks, 1.0)
+        start = n_pieces.cumsum() - n_pieces
+        right = np.arange(pid.size) + (first_cut - start).repeat(n_pieces)
+        grid = np.concatenate([kinks, [1.0]])
         a = grid[right - 1]
         a[start] = lo_l
         b = grid[right]
@@ -498,7 +505,7 @@ def integrate(
             keep = np.abs(corr) > tol  # a NaN estimate is not split: it stays NaN
             if depth >= _MAX_DEPTH:
                 failed = failed or bool(keep.any())
-                failed_bound += float(np.sum(np.abs(corr[keep])))
+                failed_bound += float(np.abs(corr[keep]).sum())
                 keep[:] = False
             done = ~keep
             total += np.bincount(pid[done], weights=(s2 + corr)[done], minlength=total.size)

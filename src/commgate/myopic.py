@@ -114,8 +114,9 @@ def _terms(d: RewardDistribution, N: int, n: int) -> _Terms:
 
             def gap(r):
                 f = d.cdf(r)
+                f_n = f**N
                 single = (f - fmu) / denom1 + ci * (1.0 - f) / denom1
-                pooled = (f**N - q) / denom_n + ci_n * (1.0 - f**N) / denom_n
+                pooled = (f_n - q) / denom_n + ci_n * (1.0 - f_n) / denom_n
                 return pooled - single**N
 
             ys[i] = _integral(d, gap, f"y_{i}")

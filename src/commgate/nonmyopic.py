@@ -133,7 +133,7 @@ def _law(f, t_seg, suffix, square):
     power = f**t_seg
     if square is not False:
         power = np.where(square, np.where(t_seg == 1, f, f * f), power)
-    return np.clip(power - (1.0 - f) * suffix, 0.0, 1.0)
+    return (power - (1.0 - f) * suffix).clip(0.0, 1.0)
 
 
 def _suffix_sums(pre, powers):
@@ -141,26 +141,31 @@ def _suffix_sums(pre, powers):
     their ``F(u_i)^i`` row after row; the zero padding of shorter prefixes adds exactly."""
     table = np.zeros(pre.shape)
     table[pre] = powers
-    return np.cumsum(table[:, ::-1], axis=1)[:, ::-1]
+    return table[:, ::-1].cumsum(axis=1)[:, ::-1]
 
 
 def _square(T1s, n):
     """``_law``'s one-threshold mask over ``n`` points of each candidate's row (a
     count, or one per row), or False where no candidate shares at slot 1."""
-    return np.repeat(T1s == 1, n) if T1s.min() == 1 else False
+    return (T1s == 1).repeat(n) if T1s.min() == 1 else False
 
 
 def _bisect(fun, mu, n):
     """Roots in ``[mu, 1]`` of ``n`` increasing functions, negative at ``mu``.
 
     ``fun`` maps ``n`` values to their ``n`` residuals; every root is halved
-    together, 60 times, so one call serves all of them per step.
+    together, 60 times, so one call serves all of them per step.  A halving
+    that moves no bracket end is a fixed point (``fun`` is deterministic, so
+    every later halving would repeat it), and the halving stops there with
+    the roots of all 60.
     """
     lo = np.full(n, mu)
     hi = np.ones(n)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         below = fun(mid) < 0.0
+        if (np.where(below, lo, hi) == mid).all():
+            break
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
@@ -195,7 +200,7 @@ def solve_single_agent(d: RewardDistribution, T: int) -> ThresholdSequence:
 
 def _count_at_or_above(asc, r):
     """Number of entries of the ascending array ``asc`` that are >= each ``r``."""
-    return asc.size - np.searchsorted(asc, r, side="left")
+    return asc.size - asc.searchsorted(r, side="left")
 
 
 class _OneTimeSystem:
@@ -210,9 +215,9 @@ class _OneTimeSystem:
         self.d, self.N, self.T, self.bench, self.mu = d, N, T, bench, d.mean()
         self.T1s = T1s = np.asarray(T1s)
         self.pre = np.arange(T) < T1s[:, None]
-        self.at = np.flatnonzero(self.pre)  # each coordinate's index in the raveled rows
+        self.at = self.pre.ravel().nonzero()[0]  # each coordinate's index in the raveled rows
         self.slot = self.at % T  # i, for slot t = i+1
-        self.T1, self.square = np.repeat(T1s, T1s), _square(T1s, T1s)
+        self.T1, self.square = T1s.repeat(T1s), _square(T1s, T1s)
 
     def rows(self, x):
         """The rows with the flat coordinates ``x`` before their post thresholds."""
@@ -237,21 +242,23 @@ class _OneTimeSystem:
         (rows, suffix, cuts), (B, T), N, d = G, v.shape, self.N, self.d
         T1, row = self.T1s[:, None], np.arange(B)[:, None]
         if cuts is None:
-            order = np.argsort(v, axis=1, kind="stable")  # ties: coordinates first
-            s = np.concatenate([v.ravel()[order + T * row], np.ones((B, 1))], axis=1)
-            posts = np.cumsum(order >= T1, axis=1)  # post thresholds up to each pair's lower end
+            order = v.argsort(axis=1, kind="stable")  # ties: coordinates first
+            s = np.empty((B, T + 1))
+            s[:, :T], s[:, T] = v.ravel()[order + T * row], 1.0
+            posts = (order >= T1).cumsum(axis=1)  # post thresholds up to each pair's lower end
             # a segment's k and G's band count those at or above its upper end
             k, band, weight, groups = T - T1 - posts, T1 - 1 - np.arange(T) + posts, posts, None
-            at = np.argsort(order, axis=1)  # each entry's pair
+            at = order.argsort(axis=1)  # each entry's pair
         else:
-            points = np.concatenate([v, cuts, np.ones((B, 1))], axis=1)
-            order = np.argsort(points, axis=1, kind="stable")  # ties: v's entries first, 1 last
+            points = np.empty((B, T + cuts.shape[1] + 1))
+            points[:, :T], points[:, T:-1], points[:, -1] = v, cuts, 1.0
+            order = points.argsort(axis=1, kind="stable")  # ties: v's entries first, 1 last
             flat = order + points.shape[1] * row
             s, pair = points.ravel()[flat], (order < T) | (order == points.shape[1] - 1)
             # per position, the post thresholds and G's thresholds at or after it
-            k, band = (np.cumsum(flag[:, ::-1], axis=1)[:, ::-1] for flag in
+            k, band = (flag[:, ::-1].cumsum(axis=1)[:, ::-1] for flag in
                        ((order >= T1) & (order < T), (order >= T) & (order < T + T1)))
-            label = np.cumsum(pair, axis=1) - 1  # each position's pair
+            label = pair.cumsum(axis=1) - 1  # each position's pair
             weight = self.T - T1 - k[pair].reshape(B, T + 1)[:, 1:]
             k, band, groups = k[:, 1:], band[:, 1:], (label[:, :-1] + T * row).ravel()
             at = np.empty(points.shape, dtype=label.dtype)
@@ -266,7 +273,7 @@ class _OneTimeSystem:
 
         pieces = weight * integrate(d, integrand, s[:, :-1].ravel(), s[:, 1:].ravel(),
                                     groups=groups).reshape(B, T)
-        at_or_above = np.cumsum(pieces[:, ::-1], axis=1)[:, ::-1].ravel()
+        at_or_above = pieces[:, ::-1].cumsum(axis=1)[:, ::-1].ravel()
         return at_or_above[at[:, :T] + T * row]
 
     def residual(self, G, x):
@@ -279,17 +286,19 @@ class _OneTimeSystem:
         d, N, T, T1 = self.d, self.N, self.T, self.T1
         G, fu = self.belief(u), d.cdf(u)
         g = self.residual(G, u)
-        ks = np.maximum(T - np.searchsorted(self.bench[::-1], u, side="right") - T1, 0)  # band
+        ks = np.maximum(T - self.bench[::-1].searchsorted(u, side="right") - T1, 0)  # band
         law = _law(fu, self.slot + 2, G[1].ravel()[self.at + 1], self.square)  # u_i is in band i+2
         slope = (T - T1 - ks) * law ** (N - 1) * fu**ks
-        return np.stack([g, 1.0 + (1.0 - fu) * ((T1 - self.slot - 1) + slope)])
+        out = np.empty((2, g.size))
+        out[0], out[1] = g, 1.0 + (1.0 - fu) * ((T1 - self.slot - 1) + slope)
+        return out
 
 
 def _enforce_decreasing(u, mu):
     """Clamp into (mu, 1) and repair any non-strict ordering from a raw step; a
     repair that ties values at ``mu`` raises the error BeliefCdf raises."""
-    out = np.clip(u, mu, 1.0 - 1e-12)
-    if np.all(out[1:] <= out[:-1] - 1e-12):
+    out = u.clip(mu, 1.0 - 1e-12)
+    if (out[1:] <= out[:-1] - 1e-12).all():
         return out
     for i in range(1, out.size):
         out[i] = min(out[i], max(out[i - 1] - 1e-12, mu))
@@ -338,12 +347,12 @@ def _newton(T1, u, mu):
     g, jac = yield u, False
     for it in range(_MAX_ITER):
         diag["iterations"] = it + 1
-        norm = float(np.max(np.abs(g)))
+        norm = float(np.abs(g).max())
         if norm < _RESID_TOL:
             return u, g, diag
         cand = _enforce_decreasing(u - g / jac, mu)
         g_c, jac_c = yield cand, False
-        if float(np.max(np.abs(g_c))) < norm:
+        if float(np.abs(g_c).max()) < norm:
             u, g, jac = cand, g_c, jac_c
             continue
         diag["bisection_rescues"] += 1
@@ -351,7 +360,7 @@ def _newton(T1, u, mu):
         g, jac = yield u, False
     raise SolverError(
         f"one-time solver did not converge at T1={T1} after {_MAX_ITER} iterations",
-        diagnostics={**diag, "residual": float(np.max(np.abs(g)))},
+        diagnostics={**diag, "residual": float(np.abs(g).max())},
     )
 
 
@@ -463,12 +472,13 @@ def _welfare_batch(d, N, T, seqs):
 
     # the pre-sharing slots, candidate after candidate
     hi_u, lo_u, f_hi, f_lo = u[:, :-1][pre], u[:, 1:][pre], fu[:, :-1][pre], fu[:, 1:][pre]
-    t, p = np.broadcast_to(slot, pre.shape)[pre], np.broadcast_to(slot + 1, pre.shape)[pre]
+    t = pre.nonzero()[1]
+    p = t + 1
     powers = f_lo**p  # F(u_t)^t for t = 1..T1
     stieltjes = (hi_u * f_hi**p - lo_u * powers
                  - integrate(d, lambda r: d.cdf(r) ** p[r.pair], lo_u, hi_u))
     tail_mean = 1.0 - hi_u * f_hi - ((1.0 - hi_u) - d.tail_mean_excess(hi_u))
-    pre_terms = (np.repeat(T1s, T1s) - t) * (stieltjes + f_hi**t * tail_mean)
+    pre_terms = (T1s.repeat(T1s) - t) * (stieltjes + f_hi**t * tail_mean)
 
     suffix = _suffix_sums(pre, powers)
     # a row's T segments join its sorted points (ties give zero-width
@@ -478,12 +488,13 @@ def _welfare_batch(d, N, T, seqs):
     band, g, g_post = (np.zeros((B, T), dtype=np.intp) for _ in range(3))
     for c, (seq, T1) in enumerate(zip(seqs, T1s)):
         asc, post_asc = seq.values[T1 - 1 :: -1], seq.values[: T1 - 1 : -1]
-        band[c] = post_asc.size - np.searchsorted(post_asc, z[c, :-1], side="right")
-        g[c] = T1 + 1 - np.searchsorted(asc, z[c, :-1], side="right")
+        band[c] = post_asc.size - post_asc.searchsorted(z[c, :-1], side="right")
+        g[c] = T1 + 1 - asc.searchsorted(z[c, :-1], side="right")
         g_post[c, T1:] = _count_at_or_above(asc, seq.values[T1:]) + 1
-    order = np.argsort(band, axis=1, kind="stable")  # band by band from the top, each ascending
-    lo, hi, band, g = (np.take_along_axis(a, order, axis=1) for a in (z[:, :-1], z[:, 1:], band, g))
-    g_suffix = np.take_along_axis(suffix, g - 1, axis=1).ravel()
+    row = np.arange(B)[:, None]
+    order = band.argsort(axis=1, kind="stable")  # band by band from the top, each ascending
+    lo, hi, band, g = (a[row, order] for a in (z[:, :-1], z[:, 1:], band, g))
+    g_suffix = suffix[row, g - 1].ravel()
     square = _square(T1s, T)
     tau, g = band.ravel(), g.ravel()
 
@@ -492,25 +503,24 @@ def _welfare_batch(d, N, T, seqs):
         f = d.cdf(r)
         return _law(f, g[j], g_suffix[j], square if square is False else square[j]) ** N * f ** tau[j]
 
-    bands = integrate(d, integrand, lo.ravel(), hi.ravel(),
-                      groups=(band + T * np.arange(B)[:, None]).ravel())
+    bands = integrate(d, integrand, lo.ravel(), hi.ravel(), groups=(band + T * row).ravel())
 
     # the belief law at the post thresholds, for the exploration count
-    fp, g_suffix = fu[:, 1:][post], np.take_along_axis(suffix, g_post - 1, axis=1)[post]
+    fp, g_suffix = fu[:, 1:][post], suffix[row, g_post - 1][post]
     law = _law(fp, g_post[post], g_suffix, _square(T1s, T - T1s))
     post_terms = law**N * fp ** (slot + 1 - T1s[:, None])[post]
 
     out = []
-    cut = np.cumsum(T1s) - T1s  # row c's first pre-sharing slot; c T - cut[c] is its first band
+    cut = T1s.cumsum() - T1s  # row c's first pre-sharing slot; c T - cut[c] is its first band
     for c, T1 in enumerate(T1s.tolist()):
         pre_c, post_c = slice(cut[c], cut[c] + T1), slice(c * T - cut[c], (c + 1) * T - cut[c] - T1)
-        pre_explore = float(np.sum(powers[pre_c]))
+        pre_explore = float(powers[pre_c].sum())
         explore_gain = mu * (1.0 + pre_explore)
         bands_c = bands[post_c]
         pooled = (T - T1) * (1.0 - float(bands_c[0]))
-        resume = float(np.sum((T - T1 - np.arange(1, T - T1)) * bands_c[1:]))
-        welfare = N * (explore_gain + float(np.sum(pre_terms[pre_c])) + pooled - resume)
-        out.append((welfare, 1.0 + pre_explore + float(np.sum(post_terms[post_c]))))
+        resume = float(((T - T1 - np.arange(1, T - T1)) * bands_c[1:]).sum())
+        welfare = N * (explore_gain + float(pre_terms[pre_c].sum()) + pooled - resume)
+        out.append((welfare, 1.0 + pre_explore + float(post_terms[post_c].sum())))
     return out
 
 
@@ -571,7 +581,7 @@ def _pieces(d, T, T1):
     """Candidate ``T1``'s pieces for the block budget: ``T`` pairs and, in a sweep, ``T1``
     cuts, cut at the prior's kinks above mu (its welfare may add those above u_T1)."""
     kinks = d.interior_breakpoints()
-    return T + T1 + int(kinks.size - np.searchsorted(kinks, d.mean(), side="right"))
+    return T + T1 + int(kinks.size - kinks.searchsorted(d.mean(), side="right"))
 
 
 def _scan_and_pick(d, N, T):

@@ -331,7 +331,7 @@ def _explore(state: SimState, t: int, config: SimConfig, draw, scan: _Scan) -> n
     creator += t * N
     state.best_opt.reshape(-1)[won] = creator
     del creator
-    np.add.at(state.explored.reshape(-1), explore, 1)
+    state.explored.reshape(-1)[explore] += 1  # each flat index once
     if per_look and state.exploit is None:
         # winners' means are evaluated below, from their new base
         keep = np.ones(m.size, dtype=bool)

@@ -666,3 +666,52 @@ def test_beta_ppf_at_tiny_quantiles(a, b):
                         np.linspace(2.0**-53, 1.0, 4001)])
     assert np.array_equal(d.ppf(q), np.clip(special.betaincinv(a, b, q), 0.0, 1.0))
     assert np.isnan(d.ppf(np.nan))
+
+
+# a Python float, numpy's float64 and a 0-d array each keep their own return
+# type; 1-d and 2-d arrays keep their shape
+SCALARS = {"float": 0.3, "float64": np.float64(0.3), "0-d": np.array(0.3)}
+RETURN_TYPES = {  # method -> the type returned for each scalar form
+    "cdf": {"float": float, "float64": float, "0-d": np.float64},
+    "ppf": {"float": float, "float64": float, "0-d": np.ndarray},
+    "tail_mean_excess": {"float": float, "float64": float, "0-d": np.ndarray},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("method", sorted(RETURN_TYPES))
+def test_evaluation_return_types_and_shapes(kind, method):
+    fn = getattr(KINDS[kind], method)
+    for form, x in SCALARS.items():
+        out = fn(x)
+        assert type(out) is RETURN_TYPES[method][form], form
+        assert np.shape(out) == () and out == fn(0.3)
+    grid = np.array([[0.0, 0.3, 0.55], [0.7, 0.95, 1.0]])
+    for x in (grid, grid[1], grid[:, :1]):
+        out = fn(x)
+        assert type(out) is np.ndarray and out.shape == x.shape
+        # each entry is the value at that point alone, bit for bit
+        assert np.array_equal(out.ravel(), [fn(float(v)) for v in x.ravel()])
+
+
+def test_integrate_scalar_and_broadcast_bounds():
+    d = KINDS["empirical"]
+
+    def f(r):
+        return r * r * (1.0 - r)
+
+    alone = integrate(d, f, 0.1, 0.9)
+    assert type(alone) is float
+    for lo, hi in ((np.float64(0.1), 0.9), (np.array(0.1), np.array(0.9)), (0.1, np.array(0.9))):
+        out = integrate(d, f, lo, hi)
+        assert type(out) is float and out == alone
+    one = integrate(d, f, [0.1], 0.9)
+    assert type(one) is np.ndarray and one.shape == (1,) and one[0] == alone
+    # a scalar lo against an array of hi, and a column of lo against a row of hi
+    his = np.array([0.25, 0.5, 0.9])
+    out = integrate(d, f, 0.1, his)
+    assert out.shape == (3,) and np.array_equal(out, [integrate(d, f, 0.1, b) for b in his])
+    los = np.array([[0.0], [0.1]])
+    out = integrate(d, f, los, his)
+    assert out.shape == (2, 3)
+    assert np.array_equal(out, [[integrate(d, f, a, b) for b in his] for a in los.ravel()])

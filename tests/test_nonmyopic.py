@@ -68,6 +68,109 @@ class TestSingleAgent:
             assert seq.values[t - 1] == pytest.approx(root, abs=1e-13)
 
 
+def bisect_60(fun, mu, n):
+    """``_bisect`` without its fixed-point stop: every one of the 60 halvings."""
+    lo, hi = np.full(n, mu), np.ones(n)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = fun(mid) < 0.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestBisect:
+    """The halving stops at its fixed point with the roots of all 60 halvings."""
+
+    @pytest.fixture
+    def bisections(self, monkeypatch):
+        """Per ``_bisect`` call: its roots, the 60-halving roots of the same
+        functions, and the halvings it ran."""
+        made, bisect = [], nonmyopic._bisect
+
+        def checked(fun, mu, n):
+            halvings = []
+            roots = bisect(lambda v: halvings.append(v) or fun(v), mu, n)
+            made.append((roots, bisect_60(fun, mu, n), len(halvings)))
+            return roots
+
+        monkeypatch.setattr(nonmyopic, "_bisect", checked)
+        return made
+
+    @staticmethod
+    def assert_bit_for_bit(made):
+        assert made
+        for roots, reference, halvings in made:
+            assert roots.tobytes() == reference.tobytes()
+            assert halvings < 60
+
+    @pytest.mark.parametrize("prior", ["uniform", "beta25", "hotel"])
+    def test_solo_roots_equal_sixty_halvings(self, prior, uniform, hotel_dist, bisections):
+        d = {"uniform": uniform, "beta25": RewardDistribution.beta(2, 5), "hotel": hotel_dist}[prior]
+        for T in (2, 7, 50):
+            solve_single_agent(d, T)
+        self.assert_bit_for_bit(bisections)
+
+    def test_rescue_sweep_roots_equal_sixty_halvings(self, bisections):
+        # the bench's solo roots, then the one sweep that rescues T1 = 5
+        seq = solve_one_time(RewardDistribution.beta(2, 50), 30, 20, 5)
+        assert seq.diagnostics["bisection_rescues"] == 1 and len(bisections) == 2
+        self.assert_bit_for_bit(bisections)
+
+
+def law_clip_reference(f, t_seg, suffix, square):
+    """``_law`` as written with ``np.clip``."""
+    power = f**t_seg
+    if square is not False:
+        power = np.where(square, np.where(t_seg == 1, f, f * f), power)
+    return np.clip(power - (1.0 - f) * suffix, 0.0, 1.0)
+
+
+def enforce_clip_reference(u, mu):
+    """``_enforce_decreasing`` as written with ``np.clip`` and ``np.all``."""
+    out = np.clip(u, mu, 1.0 - 1e-12)
+    if np.all(out[1:] <= out[:-1] - 1e-12):
+        return out
+    for i in range(1, out.size):
+        out[i] = min(out[i], max(out[i - 1] - 1e-12, mu))
+    if np.any(np.diff(out) >= 0):
+        raise DistributionError("prefix thresholds must be strictly decreasing")
+    return out
+
+
+class TestClampsKeepSignedZero:
+    """The clamps equal their ``np.clip`` forms bit for bit: a min/max form
+    would turn ``-0.0`` into ``+0.0``."""
+
+    EDGES = [-0.0, 0.0, 1.0, np.nan]
+
+    def test_law(self):
+        f, t_seg, suffix = (a.ravel() for a in np.meshgrid(
+            self.EDGES + [0.3, -0.5, 1.5], [1, 2, 3], self.EDGES + [2.0, -1.0], indexing="ij"))
+        for square in (False, t_seg % 2 == 0):
+            got = nonmyopic._law(f, t_seg, suffix, square)
+            want = law_clip_reference(f, t_seg, suffix, square)
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            assert np.signbit(got[got == 0.0]).any() and np.isnan(got).any()
+
+    def test_enforce_decreasing(self):
+        cases = [([1.0, 0.5, -0.0], mu) for mu in (0.0, -0.0)] + [
+            ([1.0, 0.5, 0.0, -0.0], 0.0), ([np.nan, 0.5], 0.0), ([0.7, np.nan, 0.2], 0.1),
+            ([1.0, 1.0, 0.5], 0.25), ([0.4, 0.6], 0.5), ([-0.0], 0.0), ([1.0], 0.5)]
+        returned = []
+        for u, mu in cases:
+            try:
+                want = enforce_clip_reference(np.array(u), mu)
+            except DistributionError:
+                with pytest.raises(DistributionError):
+                    _enforce_decreasing(np.array(u), mu)
+                continue
+            got = _enforce_decreasing(np.array(u), mu)
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            returned.append(got)
+        flat = np.concatenate(returned)
+        assert np.signbit(flat[flat == 0.0]).any() and np.isnan(flat).any()
+
+
 def two_branch_law(G, r, f):
     """``BeliefCdf._given`` with the band below the last threshold as its own
     branch ``F^(L+1)``: the reference of the one-formula form."""
@@ -326,14 +429,18 @@ class TestIntegrateCalls:
         # G's thresholds are pair ends: they cut no pair, and add no segment
         assert np.array_equal(segments, z) and call[0].size == T
 
-    def test_bisection_makes_one_call_per_step(self, uniform, calls):
+    def test_bisection_makes_one_call_per_step(self, uniform, calls, monkeypatch):
         N, T, T1 = 5, 12, 5
         bench = solve_single_agent(uniform, T)
         u = bench.values[:T1].copy()
         upper = np.concatenate([[1.0], bench.values[T1:]])
+        halvings, bisect = [], nonmyopic._bisect
+        monkeypatch.setattr(nonmyopic, "_bisect", lambda fun, mu, n: bisect(
+            lambda v: halvings.append(v) or fun(v), mu, n))
         _bisection_sweep(_OneTimeSystem(uniform, N, T, [T1], bench.values), u)
-        # the probe at mu, then 60 halvings of all coordinates
-        assert len(calls) == 61
+        # the probe at mu, then one call per halving of all coordinates: 60,
+        # or fewer if the halving reaches its fixed point first
+        assert len(calls) == 1 + len(halvings) <= 61
         # at mu every value is the last post threshold: post and 1 alone,
         # cut into segments at G's thresholds
         lo, hi, segments = self.pairs(*calls[0])

@@ -24,3 +24,13 @@ def test_reveal_scan_work_smallest(capsys):
     # the probe puts back every name it wrapped
     assert (nonmyopic.integrate, nonmyopic._solve_block,
             nonmyopic._OneTimeSystem.residuals) == names
+
+
+def test_numpy_dispatch_smallest(capsys):
+    assert probes.main(["numpy_dispatch", "--smallest"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(line["op"], line["N"], line["T"]) for line in lines] == [
+        ("reveal_hotel", 2, 4), ("reveal_beta", 2, 4)]
+    for line in lines:
+        assert 0 < line["numpy_py_calls"] < line["calls"]
+        assert line["numpy"] == np.__version__ and isinstance(line["simd"], list)

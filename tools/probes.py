@@ -9,6 +9,7 @@ own run only and puts them back.
 
     python3 tools/probes.py reveal_scan_work              # the sizes the figures quote
     python3 tools/probes.py reveal_scan_work --smallest   # the smoke size the tests run
+    python3 tools/probes.py numpy_dispatch
 
 Probes:
 
@@ -21,13 +22,27 @@ Probes:
     blocks (calls of ``_solve_block``), and the summed solver iterations and
     bisection rescues of the rows.
 
+``numpy_dispatch``
+    The Python-level calls of the benchmark's two ``reveal`` ops, each the
+    ``commgate optimize --mode nonmyopic`` command run in this process
+    (``--smallest``: both at N=2, T=4), the hotel prior fitted into a
+    temporary directory that is removed afterwards.  Each op runs once to
+    warm up, then once under ``cProfile``.  Per op: every call the profiler
+    sees (``calls``), and the calls of functions defined in numpy's own
+    ``.py`` files (``numpy_py_calls``), the wrappers such as ``np.max`` or
+    ``np.clip`` that forward to a compiled loop.
+
 Usage: python3 tools/probes.py NAME [--smallest]
 """
 
 import argparse
 import contextlib
+import cProfile
+import io
 import json
+import pstats
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +50,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from commgate import nonmyopic  # noqa: E402
+from commgate import cli, nonmyopic  # noqa: E402
 from commgate.dataset import fit_reward_cdf, load_ratings  # noqa: E402
 from commgate.distributions import RewardDistribution  # noqa: E402
 
@@ -83,7 +98,33 @@ def reveal_scan_work(smallest=False):
                **host()}
 
 
-PROBES = {"reveal_scan_work": reveal_scan_work}
+def numpy_dispatch(smallest=False):
+    numpy_py = str(Path(np.__file__).parent)
+    with tempfile.TemporaryDirectory() as tmp:
+        prior = Path(tmp) / "hotel_prior.csv"
+        ops = [("reveal_hotel", str(prior), 50, 50), ("reveal_beta", "beta:2,5", 20, 40)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(["fit", str(ROOT / "data" / "hotel_ratings.csv"), str(prior)]) != 0:
+                raise SystemExit("error: commgate fit failed")
+        for label, dist, N, T in ops:
+            if smallest:
+                N, T = 2, 4
+            argv = ["optimize", "--dist", dist, "--n-agents", str(N), "--horizon", str(T),
+                    "--mode", "nonmyopic", "--out", str(Path(tmp) / f"{label}.csv")]
+            profile = cProfile.Profile()
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [cli.main(argv), profile.runcall(cli.main, argv)]
+            if codes != [0, 0]:
+                raise SystemExit(f"error: {label} exited {codes}")
+            stats = pstats.Stats(profile).stats  # (file, line, name) -> (_, calls, ...)
+            yield {"probe": "numpy_dispatch", "op": label, "N": N, "T": T,
+                   "calls": sum(v[1] for v in stats.values()),
+                   "numpy_py_calls": sum(v[1] for (path, _, _), v in stats.items()
+                                         if path.startswith(numpy_py) and path.endswith(".py")),
+                   **host()}
+
+
+PROBES = {"reveal_scan_work": reveal_scan_work, "numpy_dispatch": numpy_dispatch}
 
 
 def main(argv=None) -> int:
