@@ -8,8 +8,12 @@ on her own and follows the solo optimal-stopping thresholds.  The pre-sharing
 thresholds solve a coupled nonlinear system (the belief over other agents'
 progress depends on the thresholds themselves); we solve it from the solo
 sequence with a full diagonal-Newton step, else one exact G-frozen sweep.
-With the belief frozen, each coordinate's coupling is a suffix of one
-cumulative integral over the sorted prefix and post-sharing thresholds.
+The coupling and the welfare integrate powers of the belief G over one
+segment table per candidate (``_OneTimeSystem.table``): its sorted pre- and
+post-sharing thresholds, G's kinks where they are not among them, and 1, so
+that G and the count of post thresholds above are constant in form on each
+segment.  Each coordinate's coupling is a suffix of one cumulative integral
+over the table, and each welfare band one run of its segments.
 
 ``scan_comm_times`` runs its candidates in blocks of consecutive slots whose
 estimated quadrature arrays fit ``_BLOCK_BYTES``.  A block is solved in
@@ -120,7 +124,7 @@ class BeliefCdf:
     def _given(self, r, f):
         """The law at the array ``r``, given the base prior there, ``f = F(r)``."""
         # band index in 1..L+1: one more than the thresholds at or above r
-        t_seg = _count_at_or_above(self._asc, r) + 1
+        t_seg = self._asc.size + 1 - self._asc.searchsorted(r, side="left")
         return _law(f, t_seg, self._suffix[t_seg - 1], self.thresholds.size == 1)
 
 
@@ -134,14 +138,6 @@ def _law(f, t_seg, suffix, square):
     if square is not False:
         power = np.where(square, np.where(t_seg == 1, f, f * f), power)
     return (power - (1.0 - f) * suffix).clip(0.0, 1.0)
-
-
-def _suffix_sums(pre, powers):
-    """BeliefCdf's suffix sums per row of the candidates' pre-sharing slots ``pre``, from
-    their ``F(u_i)^i`` row after row; the zero padding of shorter prefixes adds exactly."""
-    table = np.zeros(pre.shape)
-    table[pre] = powers
-    return table[:, ::-1].cumsum(axis=1)[:, ::-1]
 
 
 def _square(T1s, n):
@@ -198,18 +194,14 @@ def solve_single_agent(d: RewardDistribution, T: int) -> ThresholdSequence:
     return ThresholdSequence(T, T, values, residuals, {"solver": "bisection"})
 
 
-def _count_at_or_above(asc, r):
-    """Number of entries of the ascending array ``asc`` that are >= each ``r``."""
-    return asc.size - asc.searchsorted(r, side="left")
-
-
 class _OneTimeSystem:
     """The pre-sharing threshold systems of the candidates ``T1s`` on the solo benchmark
     ``bench``.  Coordinate ``i`` (slot ``t = i+1``) of ``T1`` has the residual
     ``u - mu - (T1-t) tail(u) - D(u)``; the coupling ``D(x)`` integrates
     ``(T-T1-k) G^(N-1) F^k (1-F)`` over ``[x, 1]``, ``k(r)`` counting the post
     thresholds ``bench[T1:]`` at or above ``r``.  Row ``c`` of a ``(B, T)`` array holds
-    candidate ``c``'s coordinates, then its post thresholds; a flat one, the coordinates."""
+    candidate ``c``'s coordinates, then its post thresholds; a flat one, the coordinates.
+    ``bench`` is one row for every candidate, or one row each (the welfare's sequences)."""
 
     def __init__(self, d, N, T, T1s, bench):
         self.d, self.N, self.T, self.bench, self.mu = d, N, T, bench, d.mean()
@@ -218,6 +210,7 @@ class _OneTimeSystem:
         self.at = self.pre.ravel().nonzero()[0]  # each coordinate's index in the raveled rows
         self.slot = self.at % T  # i, for slot t = i+1
         self.T1, self.square = T1s.repeat(T1s), _square(T1s, T1s)
+        self.row, self.n = np.arange(T1s.size)[:, None], T - T1s[:, None]  # n: post thresholds
 
     def rows(self, x):
         """The rows with the flat coordinates ``x`` before their post thresholds."""
@@ -225,56 +218,61 @@ class _OneTimeSystem:
         out[...], out[self.pre] = self.bench, x
         return out
 
-    def belief(self, u, cut=False):
-        """Each row's belief ``G`` at the flat prefixes ``u``: the rows, their suffix
-        sums and, to evaluate at other values (``cut``), the prefixes padded with 1."""
-        rows = self.rows(u)
-        cuts = np.where(self.pre, rows, 1.0)[:, : self.T1s.max()] if cut else None
-        return rows, _suffix_sums(self.pre, self.d.cdf(u) ** (self.slot + 1)), cuts
+    def belief(self, u):
+        """Each row's belief ``G`` at the flat prefixes ``u``: the rows, whose prefixes
+        are its kinks, and its suffix sums, zero past the prefix."""
+        powers = np.zeros(self.pre.shape)
+        powers[self.pre] = self.d.cdf(u) ** (self.slot + 1)
+        return self.rows(u), powers[:, ::-1].cumsum(axis=1)[:, ::-1]
+
+    def table(self, v, G):
+        """Each row's segment table.  Its sorted points are the entries of the rows
+        ``v``, ``G``'s kinks unless ``v`` holds them already (at ``G``'s own prefixes),
+        and 1; ties put post thresholds first, then coordinates, kinks and 1, so no
+        segment between consecutive points holds a kink or a post threshold inside.
+        Returns the points and, per position ``p``, ``k``, the post thresholds after
+        it, and ``G``'s band ``t``, one more than the kinks after it: segment ``p``
+        (from point ``p`` to ``p+1``) reads both, and an entry at ``p`` reads them as
+        the post thresholds above it and, unless it is a kink, its band.  Then each
+        segment's suffix sum, whether each point is an entry, and each entry's
+        position."""
+        (rows, suffix), (B, T), T1, n = G, v.shape, self.T1s[:, None], self.n
+        cuts = 0 if (v == rows).all() else self.T1s.max()
+        points = np.empty((B, T + cuts + 1))
+        # a shorter prefix's kinks are padded with its first post thresholds
+        points[:, :T], points[:, T:-1], points[:, -1] = v[:, ::-1], rows[:, :cuts], 1.0
+        order = points.argsort(axis=1, kind="stable")
+        kink = order - (n if cuts == 0 else T)  # a point's column past the kinks' first
+        k = n - (order < n).cumsum(axis=1)
+        t = T1 + 1 - ((kink >= 0) & (kink < T1)).cumsum(axis=1)
+        return (points.ravel()[order + points.shape[1] * self.row], k, t,
+                suffix.ravel()[t[:, :-1] - 1 + T * self.row], order < T,
+                order.argsort(axis=1)[:, T - 1 :: -1])
 
     def coupling(self, G, v):
-        """``D`` under ``G`` at every entry of the rows ``v`` (``G``'s own rows if it
-        has no cuts), from one ``integrate`` call.  A row's pairs join its sorted
-        entries and 1; the cuts split them into segments that ``groups`` joins,
-        exactly the pair alone with them as breakpoints.  Equal points add
-        exactly 0.  Each segment reads its ``k``, ``G``'s band and suffix by
-        pair, and suffix sums give ``D`` in O(pieces + T)."""
-        (rows, suffix, cuts), (B, T), N, d = G, v.shape, self.N, self.d
-        T1, row = self.T1s[:, None], np.arange(B)[:, None]
-        if cuts is None:
-            order = v.argsort(axis=1, kind="stable")  # ties: coordinates first
-            s = np.empty((B, T + 1))
-            s[:, :T], s[:, T] = v.ravel()[order + T * row], 1.0
-            posts = (order >= T1).cumsum(axis=1)  # post thresholds up to each pair's lower end
-            # a segment's k and G's band count those at or above its upper end
-            k, band, weight, groups = T - T1 - posts, T1 - 1 - np.arange(T) + posts, posts, None
-            at = order.argsort(axis=1)  # each entry's pair
-        else:
-            points = np.empty((B, T + cuts.shape[1] + 1))
-            points[:, :T], points[:, T:-1], points[:, -1] = v, cuts, 1.0
-            order = points.argsort(axis=1, kind="stable")  # ties: v's entries first, 1 last
-            flat = order + points.shape[1] * row
-            s, pair = points.ravel()[flat], (order < T) | (order == points.shape[1] - 1)
-            # per position, the post thresholds and G's thresholds at or after it
-            k, band = (flag[:, ::-1].cumsum(axis=1)[:, ::-1] for flag in
-                       ((order >= T1) & (order < T), (order >= T) & (order < T + T1)))
-            label = pair.cumsum(axis=1) - 1  # each position's pair
-            weight = self.T - T1 - k[pair].reshape(B, T + 1)[:, 1:]
-            k, band, groups = k[:, 1:], band[:, 1:], (label[:, :-1] + T * row).ravel()
-            at = np.empty(points.shape, dtype=label.dtype)
-            at.ravel()[flat] = label
-        g_suffix, square = suffix.ravel()[band + T * row].ravel(), _square(self.T1s, k.shape[1])
-        band, k = band.ravel() + 1, k.ravel()
+        """``D`` under ``G`` at every entry of the rows ``v``, from one ``integrate`` call
+        over ``table``'s segments.  A row's pairs join its sorted entries and 1, and
+        where the table adds kinks, ``groups`` joins each pair's segments, exactly the
+        pair alone with the kinks inside it as breakpoints.  Each segment reads its
+        ``k``, ``G``'s band and suffix by pair.  Each pair's term stands at its lower
+        entry, and suffix sums over the points (the others add exactly 0) give ``D`` in
+        O(pieces + T)."""
+        s, k, t, g_suffix, entry, at = self.table(v, G)
+        (B, T), N, d = v.shape, self.N, self.d
+        square = _square(self.T1s, s.shape[1] - 1)
+        terms = self.n - k
+        t, k, g_suffix = t[:, :-1].ravel(), k[:, :-1].ravel(), g_suffix.ravel()
 
         def integrand(r):
             j, f = r.pair, d.cdf(r)
-            law = _law(f, band[j], g_suffix[j], square if square is False else square[j])
+            law = _law(f, t[j], g_suffix[j], square if square is False else square[j])
             return law ** (N - 1) * f ** k[j] * (1.0 - f)
 
-        pieces = weight * integrate(d, integrand, s[:, :-1].ravel(), s[:, 1:].ravel(),
-                                    groups=groups).reshape(B, T)
-        at_or_above = pieces[:, ::-1].cumsum(axis=1)[:, ::-1].ravel()
-        return at_or_above[at[:, :T] + T * row]
+        pieces = np.zeros(s.shape)
+        pieces[entry] = integrate(d, integrand, s[:, :-1].ravel(), s[:, 1:].ravel(), groups=(
+            entry[:, :-1].ravel().cumsum() if s.shape[1] > T + 1 else None))
+        at_or_above = (terms * pieces)[:, ::-1].cumsum(axis=1)[:, ::-1]
+        return at_or_above[self.row, at]
 
     def residual(self, G, x):
         """g at the flat values ``x`` of the coordinates under the beliefs ``G``."""
@@ -404,7 +402,7 @@ def _bisection_sweep(system, u):
     ``u``: a probe pins to ``mu`` every coordinate whose residual is already
     nonnegative there, and ``_bisect`` solves the rest together, one
     ``integrate`` call per halving, with the pinned ones at ``mu``."""
-    mu, G, x = system.mu, system.belief(u, cut=True), np.full(u.size, system.mu)
+    mu, G, x = system.mu, system.belief(u), np.full(u.size, system.mu)
     g_lo = system.residual(G, x)
     out, free = np.where(g_lo >= 0.0, mu, u), g_lo < 0.0
     if free.any():
@@ -446,6 +444,8 @@ def welfare_one_time(
     T1 = seq.comm_slot_T1
     if seq.horizon_T != T or not 1 <= T1 <= T - 1:
         raise DistributionError("sequence does not match (T, T1)")
+    if N < 1:
+        raise DistributionError(f"agent count must be >= 1, got {N}")
     return _welfare_batch(d, N, T, [seq])[0]
 
 
@@ -455,73 +455,68 @@ def _welfare_batch(d, N, T, seqs):
 
     Pre-sharing slot ``t = 0..T1-1`` integrates ``F^(t+1)`` over
     ``[u_(t+1), u_t]``: one pair per slot, its exponent read by pair.  The
-    pooled reveal over ``[ubar_(T1+1), 1]`` and the resumed solo slots
-    ``tau = 1..T-T1-1`` over ``[ubar_(T1+tau), ubar_(T1+tau-1)]`` integrate
-    ``G^N F^tau``: each such band is one group of the segments between the
-    candidate's sorted thresholds, so no segment holds a kink of ``G``, and
-    each segment reads ``tau``, ``G``'s band and its suffix by pair.
+    pooled reveal over ``[u_(T1+1), 1]`` and the resumed solo slots
+    ``tau = 1..T-T1-1`` over ``[u_(T1+tau+1), u_(T1+tau)]`` integrate
+    ``G^N F^tau``: band ``tau`` is the run of the candidate's ``table``
+    segments with ``tau`` post thresholds above, one group, so no segment
+    holds a kink of ``G``, and each segment reads ``tau``, ``G``'s band and
+    its suffix by pair.
     """
     mu = d.mean()
     T1s = np.array([seq.comm_slot_T1 for seq in seqs])
-    B = T1s.size
-    u = np.concatenate([np.ones((B, 1)), [seq.values for seq in seqs]], axis=1)  # u_0 = 1, u_1..u_T
+    B, n = T1s.size, T - T1s  # each row's post thresholds, and its bands
+    system = _OneTimeSystem(d, N, T, T1s, np.array([seq.values for seq in seqs]))
+    u = np.concatenate([np.ones((B, 1)), system.bench], axis=1)  # u_0 = 1, u_1..u_T
     fu = d.cdf(u)
     slot = np.arange(T)
-    pre = slot < T1s[:, None]  # per row, the slots t < T1; the rest index the post thresholds
+    pre = system.pre  # per row, the slots t < T1; the rest index the post thresholds
     post = ~pre
 
     # the pre-sharing slots, candidate after candidate
     hi_u, lo_u, f_hi, f_lo = u[:, :-1][pre], u[:, 1:][pre], fu[:, :-1][pre], fu[:, 1:][pre]
-    t = pre.nonzero()[1]
+    t = system.slot
     p = t + 1
     powers = f_lo**p  # F(u_t)^t for t = 1..T1
     stieltjes = (hi_u * f_hi**p - lo_u * powers
                  - integrate(d, lambda r: d.cdf(r) ** p[r.pair], lo_u, hi_u))
     tail_mean = 1.0 - hi_u * f_hi - ((1.0 - hi_u) - d.tail_mean_excess(hi_u))
-    pre_terms = (T1s.repeat(T1s) - t) * (stieltjes + f_hi**t * tail_mean)
+    pre_terms = (system.T1 - t) * (stieltjes + f_hi**t * tail_mean)
 
-    suffix = _suffix_sums(pre, powers)
-    # a row's T segments join its sorted points (ties give zero-width
-    # segments, which integrate skips); a segment's band and G's band there
-    # count the thresholds above its lower end
-    z = np.sort(u, axis=1)
-    band, g, g_post = (np.zeros((B, T), dtype=np.intp) for _ in range(3))
-    for c, (seq, T1) in enumerate(zip(seqs, T1s)):
-        asc, post_asc = seq.values[T1 - 1 :: -1], seq.values[: T1 - 1 : -1]
-        band[c] = post_asc.size - post_asc.searchsorted(z[c, :-1], side="right")
-        g[c] = T1 + 1 - asc.searchsorted(z[c, :-1], side="right")
-        g_post[c, T1:] = _count_at_or_above(asc, seq.values[T1:]) + 1
-    row = np.arange(B)[:, None]
-    order = band.argsort(axis=1, kind="stable")  # band by band from the top, each ascending
-    lo, hi, band, g = (a[row, order] for a in (z[:, :-1], z[:, 1:], band, g))
-    g_suffix = suffix[row, g - 1].ravel()
-    square = _square(T1s, T)
-    tau, g = band.ravel(), g.ravel()
+    G = system.belief(system.bench[pre])
+    s, k, g, g_suffix, _, at = system.table(system.bench, G)
+    g_at = g[system.row, at]  # G's band at each threshold (the post ones' are read)
+    groups = (k[:, :-1] + T * system.row).ravel()  # band tau: the segments with k = tau
+    tau, g, g_suffix, square = k[:, :-1].ravel(), g[:, :-1].ravel(), g_suffix.ravel(), _square(T1s, T)
 
     def integrand(r):
         j = r.pair
         f = d.cdf(r)
         return _law(f, g[j], g_suffix[j], square if square is False else square[j]) ** N * f ** tau[j]
 
-    bands = integrate(d, integrand, lo.ravel(), hi.ravel(), groups=(band + T * row).ravel())
+    # a row's bands from tau = T-T1-1 up to the pooled reveal's tau = 0
+    bands = integrate(d, integrand, s[:, :-1].ravel(), s[:, 1:].ravel(), groups=groups)
+    tau = (n.cumsum() - 1).repeat(n) - np.arange(n.sum())  # each band's
 
     # the belief law at the post thresholds, for the exploration count
-    fp, g_suffix = fu[:, 1:][post], suffix[row, g_post - 1][post]
-    law = _law(fp, g_post[post], g_suffix, _square(T1s, T - T1s))
+    fp = fu[:, 1:][post]
+    law = _law(fp, g_at[post], G[1][system.row, g_at - 1][post], _square(T1s, n))
     post_terms = law**N * fp ** (slot + 1 - T1s[:, None])[post]
 
-    out = []
-    cut = T1s.cumsum() - T1s  # row c's first pre-sharing slot; c T - cut[c] is its first band
-    for c, T1 in enumerate(T1s.tolist()):
-        pre_c, post_c = slice(cut[c], cut[c] + T1), slice(c * T - cut[c], (c + 1) * T - cut[c] - T1)
-        pre_explore = float(powers[pre_c].sum())
-        explore_gain = mu * (1.0 + pre_explore)
-        bands_c = bands[post_c]
-        pooled = (T - T1) * (1.0 - float(bands_c[0]))
-        resume = float(((T - T1 - np.arange(1, T - T1)) * bands_c[1:]).sum())
-        welfare = N * (explore_gain + float(pre_terms[pre_c].sum()) + pooled - resume)
-        out.append((welfare, 1.0 + pre_explore + float(post_terms[post_c].sum())))
-    return out
+    pre_explore = _run_sums(powers, T1s)
+    pooled = n * (1.0 - bands[tau == 0])
+    resumed = ((n.repeat(n) - tau) * bands)[tau > 0]
+    resume = _run_sums(resumed[::-1], n[::-1] - 1)[::-1]  # each row's in tau order
+    welfare = N * (mu * (1.0 + pre_explore) + _run_sums(pre_terms, T1s) + pooled - resume)
+    count = 1.0 + pre_explore + _run_sums(post_terms, n)
+    return list(zip(welfare.tolist(), count.tolist()))
+
+
+def _run_sums(values, sizes):
+    """The sums of the consecutive runs of ``sizes`` entries of ``values``, each
+    exactly its ``.sum()`` alone: numpy adds an array pairwise to 0.0, and
+    ``reduceat`` adds a run to its first entry, so each run gets a 0.0 first."""
+    starts = sizes.cumsum() - sizes
+    return np.add.reduceat(np.insert(values, starts, 0.0), starts + np.arange(sizes.size))
 
 
 def scan_comm_times(

@@ -315,3 +315,20 @@ def test_welfare_one_time_matches_the_reference(priors, prior, N):
                "exploration count": float(abs(mp.mpf(count) - want_count)) / (T + 1)}
         worst = max(err, key=err.get)
         assert err[worst] <= distributions._ABS_TOL, f"T1={T1}, {worst}: error {err[worst]:.3g}"
+
+
+@pytest.mark.parametrize("prior", ("uniform", "beta:2,5"))
+def test_welfare_one_time_with_a_tie_across_the_sharing_slot(priors, prior):
+    # u_T1 = u_T = mu: the last pre-sharing threshold ties the last post one, so
+    # the lowest segment between the candidate's thresholds has zero width and
+    # must still count in the last resumed slot's band, tau = T-T1-1
+    d, ref = priors[prior]
+    N, T, T1 = 5, 10, 4
+    solved = nonmyopic.solve_one_time(d, N, T, T1)
+    values = solved.values.copy()
+    values[T1 - 1] = values[-1]
+    seq = nonmyopic.ThresholdSequence(T, T1, values, solved.residuals)
+    welfare, count = nonmyopic.welfare_one_time(d, N, T, seq)
+    want_welfare, want_count = reference_welfare(ref, N, T, seq)
+    assert float(abs(mp.mpf(welfare) - want_welfare)) / (N * (T + 1)) <= distributions._ABS_TOL
+    assert float(abs(mp.mpf(count) - want_count)) / (T + 1) <= distributions._ABS_TOL

@@ -478,7 +478,7 @@ class TestIntegrateCalls:
         mid = 0.5 * (u[:-1] + u[1:])
         system.coupling(G, system.rows(u))
         # between its thresholds, G cuts the pairs; mu is a point already
-        system.coupling(system.belief(u, cut=True), system.rows(np.append(mid, d.mean())))
+        system.coupling(G, system.rows(np.append(mid, d.mean())))
         # depth 0 takes five nodes per piece, every later depth two per half
         for n, call in zip(pieces, sizes):
             assert call[0] == 5 * n
@@ -556,14 +556,24 @@ class TestCumulativeCoupling:
         bench = solve_single_agent(d, T)
         u, post = bench.values[:T1].copy(), bench.values[T1:]
         system = _OneTimeSystem(d, N, T, [T1], bench.values)
-        G = system.belief(u, cut=True)
+        G = system.belief(u)
         # the candidate as the middle row of a block, between two others
         block = _OneTimeSystem(d, N, T, [1, T1, T - 1], bench.values)
-        G_block = block.belief(np.concatenate([bench.values[:1], u, bench.values[: T - 1]]), cut=True)
+        G_block = block.belief(np.concatenate([bench.values[:1], u, bench.values[: T - 1]]))
         mu = d.mean()
-        # at its own thresholds, the coupling cut at them is the uncut one
-        assert np.array_equal(system.coupling(G, system.rows(u)),
-                              system.coupling(system.belief(u), system.rows(u)))
+        # at its own thresholds, where the table adds no kinks of G, the coupling
+        # is that of the same pairs cut at G's kinks through integrate's
+        # breakpoints (pair ends, so they cut nothing), bit for bit
+        z = np.append(np.sort(bench.values), 1.0)
+        k = post.size - np.searchsorted(post[::-1], z[1:], side="left")
+
+        def pair_law(r):
+            f = d.cdf(r)
+            return BeliefCdf(d, u)._given(r, f) ** (N - 1) * f ** k[r.pair] * (1.0 - f)
+
+        pieces = (T - T1 - k) * integrate(d, pair_law, z[:-1], z[1:], breakpoints=u)
+        assert np.array_equal(system.coupling(G, system.rows(u))[0],
+                              pieces[::-1].cumsum()[::-1][np.searchsorted(z, bench.values)])
         for v in (u, np.full(T1, mu), np.append(0.5 * (u[:-1] + u[1:]), mu)):
             # the post thresholds, whose coupling is the segment table, are
             # points of every row
@@ -917,6 +927,13 @@ class TestOptimizeCommTime:
             scan_comm_times(uniform, N, T)
         with pytest.raises(DistributionError, match=r"^need T >= 2 and N >= 1$"):
             optimize_comm_time(uniform, N, T)
+
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_welfare_refuses_no_agents(self, uniform, N):
+        # N = 0 once scored (0.0, 4.15) and N = -1 an exploration count above the horizon
+        seq = solve_one_time(uniform, 5, 10, 4)
+        with pytest.raises(DistributionError, match=rf"^agent count must be >= 1, got {N}$"):
+            welfare_one_time(uniform, N, 10, seq)
 
     def test_failed_candidate_fails_the_scan(self, uniform, failing_slots):
         failing_slots.update({2, 5})

@@ -20,6 +20,8 @@ def test_reveal_scan_work_smallest(capsys):
         assert line["integrate_calls"] == line["rounds"] + 2 * line["blocks"]
         # each of the T - 1 candidates takes at most one iteration a round
         assert line["rounds"] <= line["iterations"] <= (line["T"] - 1) * line["rounds"]
+        # depth 0 alone takes five nodes a piece, and each call has a piece
+        assert line["integrand_evals"] >= 5 * line["integrate_calls"]
         assert line["numpy"] == np.__version__ and isinstance(line["simd"], list)
     # the probe puts back every name it wrapped
     assert (nonmyopic.integrate, nonmyopic._solve_block,

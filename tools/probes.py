@@ -19,8 +19,9 @@ Probes:
     ``data/hotel_ratings.csv`` at N=50, T=50 and beta(2,5) at N=20, T=40
     (``--smallest``: both at N=2, T=4).  Per scan: the ``integrate`` calls,
     the lockstep's Newton rounds (calls of ``_OneTimeSystem.residuals``), its
-    blocks (calls of ``_solve_block``), and the summed solver iterations and
-    bisection rescues of the rows.
+    blocks (calls of ``_solve_block``), the integrand evaluations (the nodes
+    that those ``integrate`` calls hand their integrands), and the summed
+    solver iterations and bisection rescues of the rows.
 
 ``numpy_dispatch``
     The Python-level calls of the benchmark's two ``reveal`` ops, each the
@@ -80,14 +81,35 @@ def counting(owner, name, counts, key):
         setattr(owner, name, wrapped)
 
 
+@contextlib.contextmanager
+def counting_nodes(owner, name, counts, key):
+    """Count in ``counts[key]`` the nodes that the calls of ``owner.<name>``, an
+    ``integrate``, hand their integrands, until the block exits."""
+    wrapped = getattr(owner, name)
+
+    def wrapper(dist, integrand, *args, **kwargs):
+        def counted(r):  # the same node array, so its ``pair`` passes through
+            counts[key] += r.size
+            return integrand(r)
+
+        return wrapped(dist, counted, *args, **kwargs)
+
+    setattr(owner, name, wrapper)
+    try:
+        yield
+    finally:
+        setattr(owner, name, wrapped)
+
+
 def reveal_scan_work(smallest=False):
     hotel = fit_reward_cdf(load_ratings(ROOT / "data" / "hotel_ratings.csv"))
     scans = [("hotel", hotel, 50, 50), ("beta:2,5", RewardDistribution.beta(2, 5), 20, 40)]
     for prior, d, N, T in scans:
         if smallest:
             N, T = 2, 4
-        counts = {"integrate_calls": 0, "rounds": 0, "blocks": 0}
+        counts = {"integrate_calls": 0, "rounds": 0, "blocks": 0, "integrand_evals": 0}
         with (counting(nonmyopic, "integrate", counts, "integrate_calls"),
+              counting_nodes(nonmyopic, "integrate", counts, "integrand_evals"),
               counting(nonmyopic._OneTimeSystem, "residuals", counts, "rounds"),
               counting(nonmyopic, "_solve_block", counts, "blocks")):
             rows = nonmyopic.scan_comm_times(d, N, T)
