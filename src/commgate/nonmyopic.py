@@ -220,33 +220,35 @@ class _OneTimeSystem:
 
     def belief(self, u):
         """Each row's belief ``G`` at the flat prefixes ``u``: the rows, whose prefixes
-        are its kinks, and its suffix sums, zero past the prefix."""
-        powers = np.zeros(self.pre.shape)
-        powers[self.pre] = self.d.cdf(u) ** (self.slot + 1)
-        return self.rows(u), powers[:, ::-1].cumsum(axis=1)[:, ::-1]
+        are its kinks, its suffix sums (zero past the prefix), and ``F(u)``."""
+        fu, powers = self.d.cdf(u), np.zeros(self.pre.shape)
+        powers[self.pre] = fu ** (self.slot + 1)
+        return self.rows(u), powers[:, ::-1].cumsum(axis=1)[:, ::-1], fu
 
     def table(self, v, G):
         """Each row's segment table.  Its sorted points are the entries of the rows
         ``v``, ``G``'s kinks unless ``v`` holds them already (at ``G``'s own prefixes),
         and 1; ties put post thresholds first, then coordinates, kinks and 1, so no
         segment between consecutive points holds a kink or a post threshold inside.
-        Returns the points and, per position ``p``, ``k``, the post thresholds after
-        it, and ``G``'s band ``t``, one more than the kinks after it: segment ``p``
-        (from point ``p`` to ``p+1``) reads both, and an entry at ``p`` reads them as
-        the post thresholds above it and, unless it is a kink, its band.  Then each
-        segment's suffix sum, whether each point is an entry, and each entry's
-        position."""
-        (rows, suffix), (B, T), T1, n = G, v.shape, self.T1s[:, None], self.n
+        Returns the points and, per position ``p`` but the last, ``k``, the post
+        thresholds after it, and ``G``'s band ``t``, one more than the kinks after it:
+        segment ``p`` (from point ``p`` to ``p+1``) reads both, and an entry at ``p``
+        reads them as the post thresholds above it and, unless it is a kink, its band.
+        Then each segment's suffix sum, whether each point is an entry, and each
+        entry's position."""
+        (rows, suffix, _), (B, T), T1, n = G, v.shape, self.T1s[:, None], self.n
         cuts = 0 if (v == rows).all() else self.T1s.max()
-        points = np.empty((B, T + cuts + 1))
-        # a shorter prefix's kinks are padded with its first post thresholds
-        points[:, :T], points[:, T:-1], points[:, -1] = v[:, ::-1], rows[:, :cuts], 1.0
+        P = T + cuts + 1
+        points = np.empty((B, P))
+        # columns: v's post thresholds and coordinates, the kinks (a shorter prefix's after
+        # its first post thresholds, which tie entries), 1; all reversed but 1, so that
+        # from column P-1-T1 on stand the row's kinks (its coordinates if held) and 1
+        points[:, :T], points[:, T:-1], points[:, -1] = v[:, ::-1], rows[:, :cuts][:, ::-1], 1.0
         order = points.argsort(axis=1, kind="stable")
-        kink = order - (n if cuts == 0 else T)  # a point's column past the kinks' first
         k = n - (order < n).cumsum(axis=1)
-        t = T1 + 1 - ((kink >= 0) & (kink < T1)).cumsum(axis=1)
-        return (points.ravel()[order + points.shape[1] * self.row], k, t,
-                suffix.ravel()[t[:, :-1] - 1 + T * self.row], order < T,
+        kinks = T1 - (order >= P - 1 - T1).cumsum(axis=1)  # after each position but the last
+        return (points.ravel()[order + P * self.row], k, kinks + 1,
+                suffix.ravel()[kinks[:, :-1] + T * self.row], order < T,
                 order.argsort(axis=1)[:, T - 1 :: -1])
 
     def coupling(self, G, v):
@@ -281,11 +283,11 @@ class _OneTimeSystem:
 
     def residuals(self, u):
         """g and the diagonal Jacobian at the flat prefixes ``u``, stacked."""
-        d, N, T, T1 = self.d, self.N, self.T, self.T1
-        G, fu = self.belief(u), d.cdf(u)
-        g = self.residual(G, u)
+        N, T, T1, G = self.N, self.T, self.T1, self.belief(u)
+        (_, suffix, fu), g = G, self.residual(G, u)
         ks = np.maximum(T - self.bench[::-1].searchsorted(u, side="right") - T1, 0)  # band
-        law = _law(fu, self.slot + 2, G[1].ravel()[self.at + 1], self.square)  # u_i is in band i+2
+        # u_i is in band i+2
+        law = _law(fu, self.slot + 2, suffix.ravel()[self.at + 1], self.square)
         slope = (T - T1 - ks) * law ** (N - 1) * fu**ks
         out = np.empty((2, g.size))
         out[0], out[1] = g, 1.0 + (1.0 - fu) * ((T1 - self.slot - 1) + slope)
@@ -486,7 +488,8 @@ def _welfare_batch(d, N, T, seqs):
     s, k, g, g_suffix, _, at = system.table(system.bench, G)
     g_at = g[system.row, at]  # G's band at each threshold (the post ones' are read)
     groups = (k[:, :-1] + T * system.row).ravel()  # band tau: the segments with k = tau
-    tau, g, g_suffix, square = k[:, :-1].ravel(), g[:, :-1].ravel(), g_suffix.ravel(), _square(T1s, T)
+    square = _square(T1s, T)
+    tau, g, g_suffix = k[:, :-1].ravel(), g[:, :-1].ravel(), g_suffix.ravel()
 
     def integrand(r):
         j = r.pair
@@ -515,8 +518,9 @@ def _run_sums(values, sizes):
     """The sums of the consecutive runs of ``sizes`` entries of ``values``, each
     exactly its ``.sum()`` alone: numpy adds an array pairwise to 0.0, and
     ``reduceat`` adds a run to its first entry, so each run gets a 0.0 first."""
-    starts = sizes.cumsum() - sizes
-    return np.add.reduceat(np.insert(values, starts, 0.0), starts + np.arange(sizes.size))
+    runs = np.zeros(values.size + sizes.size)
+    runs[np.arange(values.size) + np.arange(1, sizes.size + 1).repeat(sizes)] = values
+    return np.add.reduceat(runs, (sizes + 1).cumsum() - sizes - 1)
 
 
 def scan_comm_times(
