@@ -8,12 +8,10 @@ on her own and follows the solo optimal-stopping thresholds.  The pre-sharing
 thresholds solve a coupled nonlinear system (the belief over other agents'
 progress depends on the thresholds themselves); we solve it from the solo
 sequence with a full diagonal-Newton step, else one exact G-frozen sweep.
-The coupling and the welfare integrate powers of the belief G over one
-segment table per candidate (``_OneTimeSystem.table``): its sorted pre- and
-post-sharing thresholds, G's kinks where they are not among them, and 1, so
-that G and the count of post thresholds above are constant in form on each
-segment.  Each coordinate's coupling is a suffix of one cumulative integral
-over the table, and each welfare band one run of its segments.
+The coupling and the welfare integrate powers of the belief G over one segment
+table per candidate (``_OneTimeSystem.table``): its sorted thresholds, G's kinks
+and 1, on whose segments G and the post band are smooth.  The coupling is a
+suffix of one cumulative integral over it, and each welfare band a run of it.
 
 ``scan_comm_times`` runs its candidates in blocks of consecutive slots whose
 estimated quadrature arrays fit ``_BLOCK_BYTES``.  A block is solved in
@@ -226,23 +224,20 @@ class _OneTimeSystem:
         return self.rows(u), powers[:, ::-1].cumsum(axis=1)[:, ::-1], fu
 
     def table(self, v, G):
-        """Each row's segment table.  Its sorted points are the entries of the rows
-        ``v``, ``G``'s kinks unless ``v`` holds them already (at ``G``'s own prefixes),
-        and 1; ties put post thresholds first, then coordinates, kinks and 1, so no
-        segment between consecutive points holds a kink or a post threshold inside.
-        Returns the points and, per position ``p`` but the last, ``k``, the post
-        thresholds after it, and ``G``'s band ``t``, one more than the kinks after it:
-        segment ``p`` (from point ``p`` to ``p+1``) reads both, and an entry at ``p``
-        reads them as the post thresholds above it and, unless it is a kink, its band.
-        Then each segment's suffix sum, whether each point is an entry, and each
+        """Each row's segment table: the sorted entries of the rows ``v``, ``G``'s kinks
+        (unless ``v`` holds them, as at ``G``'s own prefixes) and 1.  Ties put post
+        thresholds first, then coordinates, kinks and 1, so no segment holds a kink or a
+        post threshold inside.  Returns the points; per position ``p`` but the last, the
+        post thresholds ``k`` and ``G``'s band ``t`` (one more than its kinks) after it,
+        which segment ``p`` (points ``p`` to ``p+1``) reads, and an entry at ``p`` that is
+        no kink; each segment's suffix sum; whether each point is an entry; and each
         entry's position."""
         (rows, suffix, _), (B, T), T1, n = G, v.shape, self.T1s[:, None], self.n
         cuts = 0 if (v == rows).all() else self.T1s.max()
         P = T + cuts + 1
         points = np.empty((B, P))
-        # columns: v's post thresholds and coordinates, the kinks (a shorter prefix's after
-        # its first post thresholds, which tie entries), 1; all reversed but 1, so that
-        # from column P-1-T1 on stand the row's kinks (its coordinates if held) and 1
+        # v's post thresholds and coordinates, the kinks (a short prefix's after its first
+        # post thresholds, which tie entries), all reversed, then 1: kinks from P-1-T1 on
         points[:, :T], points[:, T:-1], points[:, -1] = v[:, ::-1], rows[:, :cuts][:, ::-1], 1.0
         order = points.argsort(axis=1, kind="stable")
         k = n - (order < n).cumsum(axis=1)
@@ -253,12 +248,11 @@ class _OneTimeSystem:
 
     def coupling(self, G, v):
         """``D`` under ``G`` at every entry of the rows ``v``, from one ``integrate`` call
-        over ``table``'s segments.  A row's pairs join its sorted entries and 1, and
-        where the table adds kinks, ``groups`` joins each pair's segments, exactly the
-        pair alone with the kinks inside it as breakpoints.  Each segment reads its
-        ``k``, ``G``'s band and suffix by pair.  Each pair's term stands at its lower
-        entry, and suffix sums over the points (the others add exactly 0) give ``D`` in
-        O(pieces + T)."""
+        over ``table``'s segments, each reading its ``k``, ``G``'s band and suffix by pair.
+        A row's pairs join its sorted entries and 1; where the table adds kinks, ``groups``
+        joins a pair's segments, exactly the pair alone with them as breakpoints.  A
+        pair's term stands at its lower entry, and suffix sums over the points (the
+        others add exactly 0) give ``D`` in O(pieces + T)."""
         s, k, t, g_suffix, entry, at = self.table(v, G)
         (B, T), N, d = v.shape, self.N, self.d
         square = _square(self.T1s, s.shape[1] - 1)
@@ -498,7 +492,7 @@ def _welfare_batch(d, N, T, seqs):
 
     # a row's bands from tau = T-T1-1 up to the pooled reveal's tau = 0
     bands = integrate(d, integrand, s[:, :-1].ravel(), s[:, 1:].ravel(), groups=groups)
-    tau = (n.cumsum() - 1).repeat(n) - np.arange(n.sum())  # each band's
+    band_tau = (n.cumsum() - 1).repeat(n) - np.arange(n.sum())
 
     # the belief law at the post thresholds, for the exploration count
     fp = fu[:, 1:][post]
@@ -506,8 +500,8 @@ def _welfare_batch(d, N, T, seqs):
     post_terms = law**N * fp ** (slot + 1 - T1s[:, None])[post]
 
     pre_explore = _run_sums(powers, T1s)
-    pooled = n * (1.0 - bands[tau == 0])
-    resumed = ((n.repeat(n) - tau) * bands)[tau > 0]
+    pooled = n * (1.0 - bands[band_tau == 0])
+    resumed = ((n.repeat(n) - band_tau) * bands)[band_tau > 0]
     resume = _run_sums(resumed[::-1], n[::-1] - 1)[::-1]  # each row's in tau order
     welfare = N * (mu * (1.0 + pre_explore) + _run_sums(pre_terms, T1s) + pooled - resume)
     count = 1.0 + pre_explore + _run_sums(post_terms, n)

@@ -66,39 +66,37 @@ def host():
 
 
 @contextlib.contextmanager
-def counting(owner, name, counts, key):
-    """Count in ``counts[key]`` the calls of ``owner.<name>`` until the block exits."""
+def patched(owner, name, wrap):
+    """``owner.<name>`` replaced by ``wrap(owner.<name>)`` until the block exits."""
     wrapped = getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        counts[key] += 1
-        return wrapped(*args, **kwargs)
-
-    setattr(owner, name, wrapper)
+    setattr(owner, name, wrap(wrapped))
     try:
         yield
     finally:
         setattr(owner, name, wrapped)
 
 
-@contextlib.contextmanager
+def counting(owner, name, counts, key):
+    """Count in ``counts[key]`` the calls of ``owner.<name>`` until the block exits."""
+    def wrap(call):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return call(*args, **kwargs)
+        return wrapper
+    return patched(owner, name, wrap)
+
+
 def counting_nodes(owner, name, counts, key):
     """Count in ``counts[key]`` the nodes that the calls of ``owner.<name>``, an
     ``integrate``, hand their integrands, until the block exits."""
-    wrapped = getattr(owner, name)
-
-    def wrapper(dist, integrand, *args, **kwargs):
-        def counted(r):  # the same node array, so its ``pair`` passes through
-            counts[key] += r.size
-            return integrand(r)
-
-        return wrapped(dist, counted, *args, **kwargs)
-
-    setattr(owner, name, wrapper)
-    try:
-        yield
-    finally:
-        setattr(owner, name, wrapped)
+    def wrap(integrate):
+        def wrapper(dist, integrand, *args, **kwargs):
+            def counted(r):  # the same node array, so its ``pair`` passes through
+                counts[key] += r.size
+                return integrand(r)
+            return integrate(dist, counted, *args, **kwargs)
+        return wrapper
+    return patched(owner, name, wrap)
 
 
 def reveal_scan_work(smallest=False):
